@@ -154,14 +154,13 @@ func significance(ctx context.Context, rel *table.Relation, attrB int, c1, c2 in
 	if len(xs) < 2 || len(ys) < 2 {
 		return 1, nil
 	}
-	threads := runtime.GOMAXPROCS(0)
-	pp, err := stats.NewPairPermSeededCtx(ctx, len(xs), len(ys), perms, seed, threads)
+	pooled := append(append(make([]float64, 0, len(xs)+len(ys)), xs...), ys...)
+	res, err := stats.PermTests(ctx, len(xs), len(ys), perms, seed, runtime.GOMAXPROCS(0), 0,
+		[]stats.PermTest{{Pooled: pooled, Stat: typ.TestStat()}})
 	if err != nil {
 		return 1, err
 	}
-	pooled := append(append(make([]float64, 0, len(xs)+len(ys)), xs...), ys...)
-	_, p, err := pp.PValueThreadsCtx(ctx, pooled, typ.TestStat(), threads)
-	return p, err
+	return res[0].P, nil
 }
 
 func splitComma(s string) []string {

@@ -20,7 +20,7 @@
 // Typical use in a test:
 //
 //	ctx, cancel := context.WithCancel(context.Background())
-//	defer faultinject.Set(faultinject.StatsPermEval,
+//	defer faultinject.Set(faultinject.StatsPermBlock,
 //	    faultinject.OnCall(3, func() { cancel() }))()
 //	_, err := pipeline.GenerateContext(ctx, rel, cfg) // err is ctx.Err()
 //
@@ -41,23 +41,15 @@ const (
 	// build (internal/engine.BuildCubeParallelCtx), before the shard's
 	// rows are aggregated.
 	EngineCubeShard = "engine.cube.shard"
-	// StatsPermBlock fires once per permutation block drawn by
-	// stats.NewPairPermSeededCtx, before the block's resamples are
-	// generated.
+	// StatsPermBlock fires once per permutation block of
+	// stats.PermTests, before the block is drawn and scored — i.e. at
+	// every point where the kernel polls for cancellation and where the
+	// early stop may have decided a test.
 	StatsPermBlock = "stats.perm.block"
-	// StatsPermEval fires once per worker stride chunk of
-	// stats.(*PairPerm).PValueThreadsCtx, before the chunk's permutation
-	// statistics are evaluated.
-	StatsPermEval = "stats.perm.eval"
 	// TapSearchTick fires when the exact TAP solver starts and then at
 	// every periodic budget checkpoint of the branch-and-bound search
 	// (every few thousand nodes).
 	TapSearchTick = "tap.search.tick"
-	// StatsEarlyStop fires once per block boundary of the early-stopping
-	// permutation kernel (stats.PValueEarlyStop), before the block's
-	// resamples are evaluated — i.e. at every point where the sequential
-	// confidence bound may truncate the test.
-	StatsEarlyStop = "stats.earlystop.block"
 	// GovernorRebalance fires every time the resource governor re-splits
 	// the remaining time budget at a phase boundary
 	// (governor.(*Governor).StartPhase).

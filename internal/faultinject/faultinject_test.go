@@ -16,13 +16,13 @@ func TestFireWithoutHooksIsNoop(t *testing.T) {
 
 func TestSetFireRestore(t *testing.T) {
 	var hits atomic.Int64
-	restore := Set(StatsPermEval, Always(func() { hits.Add(1) }))
+	restore := Set(StatsPermBlock, Always(func() { hits.Add(1) }))
 	if !Enabled() {
 		t.Fatal("Set did not enable the registry")
 	}
-	Fire(StatsPermEval)
-	Fire(StatsPermEval)
-	Fire(StatsPermBlock) // different site: no hook
+	Fire(StatsPermBlock)
+	Fire(StatsPermBlock)
+	Fire(TapSearchTick) // different site: no hook
 	if got := hits.Load(); got != 2 {
 		t.Fatalf("hook fired %d times, want 2", got)
 	}
@@ -30,7 +30,7 @@ func TestSetFireRestore(t *testing.T) {
 	if Enabled() {
 		t.Fatal("restore left the registry enabled")
 	}
-	Fire(StatsPermEval)
+	Fire(StatsPermBlock)
 	if got := hits.Load(); got != 2 {
 		t.Fatalf("hook fired after restore: %d", got)
 	}

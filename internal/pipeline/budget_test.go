@@ -210,7 +210,7 @@ func TestGenerateContextCancelMidStats(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	defer faultinject.Set(faultinject.StatsPermEval, faultinject.OnCall(3, cancel))()
+	defer faultinject.Set(faultinject.StatsPermBlock, faultinject.OnCall(3, cancel))()
 	res, err := GenerateContext(ctx, ds.Rel, testConfig())
 	checkCancelledRun(t, res, err, before)
 }

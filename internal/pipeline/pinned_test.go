@@ -1,0 +1,106 @@
+package pipeline
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"strings"
+	"testing"
+
+	"comparenb/internal/insight"
+	"comparenb/internal/table"
+)
+
+// testdata/pinned_sig.txt holds the Sig bits of every significant insight
+// the stats phase of a Full run found on pinnedRelation, produced by the
+// permutation kernels that preceded stats.PermTests. Checked by
+// TestStatsPhaseMatchesPinned.
+const pinnedSigFile = "testdata/pinned_sig.txt"
+
+// pinnedRelation has two measures and NaN cells, so the permutation
+// sharing of testPair is exercised in all three shapes:
+//   - grp=a has NaN m1 cells, so every pair with a splits into two streams
+//     (m0 and m1 have different side sizes);
+//   - (b, c) and (b, d) share one stream across both measures;
+//   - c and d have identical m0 values, so (c, d) tests nothing on m0
+//     yet its m1 tests still draw from the stream seeded by measure 0.
+func pinnedRelation() *table.Relation {
+	b := table.NewBuilder("pinned", []string{"grp", "cat"}, []string{"m0", "m1"})
+	groups := []string{"a", "b", "c", "d"}
+	cats := []string{"x", "y", "z"}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 480; i++ {
+		g, c := i%4, (i/4)%3
+		n0, n1 := rng.NormFloat64(), rng.NormFloat64()
+		var m0, m1 float64
+		switch g {
+		case 0:
+			m0 = 10.35 + n0 + 0.2*float64(c)
+			m1 = 5 + 0.8*n1
+			if (i/4)%7 == 0 {
+				m1 = math.NaN()
+			}
+		case 1:
+			m0 = 10 + 1.3*n0 + 0.2*float64(c)
+			m1 = 5 + n1
+		case 2:
+			m0 = float64((i / 4) % 5)
+			m1 = 5.4 + n1
+		default:
+			m0 = float64((i / 4) % 5)
+			m1 = 5 + 1.3*n1
+		}
+		b.AddRow([]string{groups[g], cats[c]}, []float64{m0, m1})
+	}
+	return b.Build()
+}
+
+// pinnedSigLines runs the stats phase of a Full run on pinnedRelation and
+// formats every significant insight with its Sig bits.
+func pinnedSigLines(t *testing.T, threads int) []string {
+	t.Helper()
+	rel := pinnedRelation()
+	cfg := NewConfig()
+	cfg.Perms = 263
+	cfg.Seed = 11
+	cfg.Threads = threads
+	cfg.InsightTypes = insight.ExtendedTypes
+	// A loose level and per-pair BH families keep moderate p-values in
+	// the output, so the pin sees which stream every test drew from.
+	cfg.Alpha = 0.5
+	cfg.BHScope = BHPerPair
+	sig, _, err := runStatTests(context.Background(), rel, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := make([]string, len(sig))
+	for i, in := range sig {
+		lines[i] = fmt.Sprintf("sig %s %s %s>%s %v %016x", rel.MeasName(in.Meas), rel.CatName(in.Attr),
+			rel.Value(in.Attr, in.Val), rel.Value(in.Attr, in.Val2), in.Type, math.Float64bits(in.Sig))
+	}
+	return lines
+}
+
+// TestStatsPhaseMatchesPinned checks the stats phase's significance
+// values against the pinned file, bit for bit, at several thread counts.
+func TestStatsPhaseMatchesPinned(t *testing.T) {
+	data, err := os.ReadFile(pinnedSigFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, line := range strings.Split(string(data), "\n") {
+		if line != "" && !strings.HasPrefix(line, "#") {
+			want = append(want, line)
+		}
+	}
+	for _, threads := range []int{1, 2, 3, 8} {
+		got := pinnedSigLines(t, threads)
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("threads=%d: significant insights differ from the pinned file\ngot:\n%s\nwant:\n%s",
+				threads, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+	}
+}

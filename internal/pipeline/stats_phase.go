@@ -29,8 +29,8 @@ type statOutcome struct {
 //	stats_pairs_shed          counter — Shed rung: pairs dropped untested
 //	stats_perms_effective_min gauge   — smallest permutation count an
 //	                                    early-stopped test used (0 = none)
-//	stats_earlystop_engaged   gauge   — 1 when any job ran the
-//	                                    early-stopping kernel
+//	stats_earlystop_engaged   gauge   — 1 when any job ran with
+//	                                    early stopping
 
 // permsShedCap returns the Shed rung's permutation cap: the fewest whole
 // permutation blocks that can still reach significance at alpha (the
@@ -59,13 +59,14 @@ func permsShedCap(perms int, alpha float64) int {
 // the result.
 //
 // gov (nil = ungoverned) drives the phase's degradation ladder, asked
-// once per (attribute, value pair) job: Full runs the byte-identical
-// eager kernel; Degrade switches the job to the early-stopping kernel
-// (stats.PValueEarlyStop); Shed additionally drops every job outside the
-// top max(EpsT, 4) priority ranks and caps the survivors' permutations
-// at permsShedCap. Priority is most-populated pair first — a pure
-// function of the input, so which pairs Shed drops is deterministic even
-// though *when* shedding starts depends on the wall clock.
+// once per (attribute, value pair) job: Full evaluates every permutation
+// (the byte-identical path); Degrade lets each test stop early once its
+// verdict at Alpha is certain; Shed additionally drops every job outside
+// the top max(EpsT, 4) priority ranks and caps the survivors'
+// permutations at permsShedCap. Priority is most-populated pair first —
+// a pure function of the input, so which pairs Shed drops is
+// deterministic even though *when* shedding starts depends on the wall
+// clock.
 func runStatTests(ctx context.Context, rel *table.Relation, cfg Config, gov *governor.Governor) (significant []insight.Insight, tested int, err error) {
 	n := rel.NumCatAttrs()
 	// Pre-draw the test relation(s). Random sampling shares one sample;
@@ -167,22 +168,20 @@ func runStatTests(ctx context.Context, rel *table.Relation, cfg Config, gov *gov
 		} else {
 			gov.Observe(governor.Stats, level)
 		}
-		if level == governor.Full {
-			var jerr error
-			outcomes[ji], testedPer[ji], jerr = testPair(jctx, trel, job.attr, job.val, job.val2, cfg, jobSeed(cfg.Seed, ji), inner)
-			return jerr
+		nperm, alpha := cfg.Perms, 0.0
+		switch level {
+		case governor.Degrade:
+			alpha = cfg.Alpha
+		case governor.Shed:
+			if rank[ji] >= minKeep {
+				skipped[ji] = true
+				return nil
+			}
+			nperm, alpha = shedCap, cfg.Alpha
 		}
-		if level == governor.Shed && rank[ji] >= minKeep {
-			skipped[ji] = true
-			return nil
-		}
-		capPerms := cfg.Perms
-		if level == governor.Shed {
-			capPerms = shedCap
-		}
-		earlyPer[ji] = true
+		earlyPer[ji] = level != governor.Full
 		var jerr error
-		outcomes[ji], testedPer[ji], minPermsPer[ji], jerr = testPairEarly(jctx, trel, job.attr, job.val, job.val2, cfg, jobSeed(cfg.Seed, ji), capPerms)
+		outcomes[ji], testedPer[ji], minPermsPer[ji], jerr = testPair(jctx, trel, job.attr, job.val, job.val2, cfg, jobSeed(cfg.Seed, ji), inner, nperm, alpha)
 		return jerr
 	})
 	if err != nil {
@@ -301,84 +300,16 @@ func enumeratePairs(rel *table.Relation, a int, maxPairs int) [][2]int32 {
 }
 
 // testPair runs the permutation tests for every measure and insight type
-// on one (attribute, val, val') pair, sharing the label permutations
-// across measures whenever the pooled sides have identical sizes (they
-// differ only when NaN cells were filtered). Permutations come from
-// seeded block streams (seed derived from `seed` and the measure index),
-// and the nperm resamples are split across `threads` workers — both are
-// bit-identical for every thread count.
-func testPair(ctx context.Context, rel *table.Relation, attr int, val, val2 int32, cfg Config, seed int64, threads int) ([]statOutcome, int, error) {
-	col := rel.CatCol(attr)
-	var xRows, yRows []int
-	for i, c := range col {
-		switch c {
-		case val:
-			xRows = append(xRows, i)
-		case val2:
-			yRows = append(yRows, i)
-		}
-	}
-	if len(xRows) < cfg.MinSideRows || len(yRows) < cfg.MinSideRows {
-		return nil, 0, nil
-	}
-
-	var out []statOutcome
-	tested := 0
-	var sharedPerm *stats.PairPerm
-	sharedSides := [2]int{-1, -1}
-	for m := 0; m < rel.NumMeasures(); m++ {
-		mcol := rel.MeasCol(m)
-		xs := gather(mcol, xRows)
-		ys := gather(mcol, yRows)
-		if len(xs) < cfg.MinSideRows || len(ys) < cfg.MinSideRows {
-			continue
-		}
-		pooled := make([]float64, 0, len(xs)+len(ys))
-		pooled = append(pooled, xs...)
-		pooled = append(pooled, ys...)
-
-		var pp *stats.PairPerm
-		if sharedSides == [2]int{len(xs), len(ys)} {
-			pp = sharedPerm
-		} else {
-			var err error
-			pp, err = stats.NewPairPermSeededCtx(ctx, len(xs), len(ys), cfg.Perms, jobSeed(seed, m), threads)
-			if err != nil {
-				return nil, 0, err
-			}
-			sharedPerm, sharedSides = pp, [2]int{len(xs), len(ys)}
-		}
-
-		for _, typ := range cfg.insightTypes() {
-			v, v2, effect, ok := orient(xs, ys, val, val2, typ)
-			if !ok {
-				continue
-			}
-			tested++
-			_, p, err := pp.PValueThreadsCtx(ctx, pooled, typ.TestStat(), threads)
-			if err != nil {
-				return nil, 0, err
-			}
-			out = append(out, statOutcome{
-				key:    insight.Key{Meas: m, Attr: attr, Val: v, Val2: v2, Type: typ},
-				p:      p,
-				effect: effect,
-			})
-		}
-	}
-	return out, tested, nil
-}
-
-// testPairEarly is testPair's budget-pressure variant: every (measure,
-// type) test runs the early-stopping kernel (stats.PValueEarlyStop)
-// capped at capPerms permutations instead of the eager shared-permutation
-// kernel. Sharing is skipped — the early kernel draws its blocks lazily
-// per test — so the outputs are not byte-identical to testPair's even
-// when nothing truncates; the pipeline only selects this path once the
-// governor has already declared the phase degraded, and records it.
-// minPerms is the smallest permutation count any test here actually
+// on one (attribute, val, val') pair, sharing one permutation stream
+// across the measures of a run of consecutive measures whose pooled sides
+// have identical sizes (they differ only when NaN cells were filtered).
+// The stream is seeded from `seed` and the run's first measure, even when
+// that measure yields no test. nperm and alpha are the rung's policy:
+// Full passes cfg.Perms and 0 (never stop early); Degrade and Shed pass
+// their cap and cfg.Alpha. Results are bit-identical at every thread
+// count. minPerms is the smallest permutation count any test here
 // evaluated (0 when the pair produced no tests).
-func testPairEarly(ctx context.Context, rel *table.Relation, attr int, val, val2 int32, cfg Config, seed int64, capPerms int) ([]statOutcome, int, int, error) {
+func testPair(ctx context.Context, rel *table.Relation, attr int, val, val2 int32, cfg Config, seed int64, threads, nperm int, alpha float64) (out []statOutcome, tested, minPerms int, err error) {
 	col := rel.CatCol(attr)
 	var xRows, yRows []int
 	for i, c := range col {
@@ -393,14 +324,42 @@ func testPairEarly(ctx context.Context, rel *table.Relation, attr int, val, val2
 		return nil, 0, 0, nil
 	}
 
-	var out []statOutcome
-	tested, minPerms := 0, 0
+	// The current stream: its sides, its seed, and the tests and
+	// outcomes queued on it, scored together when the stream ends.
+	sides := [2]int{-1, -1}
+	var streamSeed int64
+	var tests []stats.PermTest
+	var pending []statOutcome
+	flush := func() error {
+		if len(tests) == 0 {
+			return nil
+		}
+		res, err := stats.PermTests(ctx, sides[0], sides[1], nperm, streamSeed, threads, alpha, tests)
+		if err != nil {
+			return err
+		}
+		for i, r := range res {
+			if minPerms == 0 || r.Perms < minPerms {
+				minPerms = r.Perms
+			}
+			pending[i].p = r.P
+		}
+		out = append(out, pending...)
+		tests, pending = tests[:0], pending[:0]
+		return nil
+	}
 	for m := 0; m < rel.NumMeasures(); m++ {
 		mcol := rel.MeasCol(m)
 		xs := gather(mcol, xRows)
 		ys := gather(mcol, yRows)
 		if len(xs) < cfg.MinSideRows || len(ys) < cfg.MinSideRows {
 			continue
+		}
+		if sides != [2]int{len(xs), len(ys)} {
+			if err := flush(); err != nil {
+				return nil, 0, 0, err
+			}
+			sides, streamSeed = [2]int{len(xs), len(ys)}, jobSeed(seed, m)
 		}
 		pooled := make([]float64, 0, len(xs)+len(ys))
 		pooled = append(pooled, xs...)
@@ -411,19 +370,15 @@ func testPairEarly(ctx context.Context, rel *table.Relation, attr int, val, val2
 				continue
 			}
 			tested++
-			_, p, used, err := stats.PValueEarlyStop(ctx, len(xs), len(ys), capPerms, jobSeed(seed, m), pooled, typ.TestStat(), cfg.Alpha)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			if minPerms == 0 || used < minPerms {
-				minPerms = used
-			}
-			out = append(out, statOutcome{
+			tests = append(tests, stats.PermTest{Pooled: pooled, Stat: typ.TestStat()})
+			pending = append(pending, statOutcome{
 				key:    insight.Key{Meas: m, Attr: attr, Val: v, Val2: v2, Type: typ},
-				p:      p,
 				effect: effect,
 			})
 		}
+	}
+	if err := flush(); err != nil {
+		return nil, 0, 0, err
 	}
 	return out, tested, minPerms, nil
 }

@@ -144,12 +144,17 @@ func TestCrashRecoveryAtFaultSites(t *testing.T) {
 
 			wantIpynb, _, _ := oneShot(t, csv, crashJobRequest(), Options{MaxConcurrent: 1})
 
-			s, base, shutdown := startDurableServer(t, stateDir, Options{MaxConcurrent: 1})
+			s, err := New(Options{StateDir: stateDir, MaxConcurrent: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Nothing half-renamed may survive the restart sweep, which New
+			// runs as it opens the store. Checked before Run starts the
+			// workers: job 2's re-run then writes temp files of its own.
+			assertNoTempFiles(t, stateDir)
+			base, shutdown := serveTestServer(t, s)
 			defer shutdown()
 			waitReady(t, base)
-
-			// Nothing half-renamed may survive the restart sweep.
-			assertNoTempFiles(t, stateDir)
 
 			var jobs []jobStatusView
 			if err := json.Unmarshal(mustGet(t, base+"/v1/jobs"), &jobs); err != nil {

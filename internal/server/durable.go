@@ -216,14 +216,14 @@ func (s *Server) recoverJob(js *durable.JobState) {
 		j := recoveredJob(js, req, state)
 		j.failCode = js.Code
 		j.errMsg = js.Error
-		s.registerRecovered(j)
 		j.publish("error", errorEvent{Error: js.Error, Code: js.Code})
+		s.registerRecovered(j)
 		return
 	case durable.RecJobCancelled:
 		j := recoveredJob(js, req, stateCancelled)
 		j.errMsg = "cancelled (recovered from journal)"
-		s.registerRecovered(j)
 		j.publish("state", stateEvent{State: stateCancelled})
+		s.registerRecovered(j)
 		return
 	}
 
@@ -304,14 +304,15 @@ func (s *Server) restoreDoneJob(js *durable.JobState, req jobRequest) bool {
 	j := recoveredJob(js, req, stateDone)
 	j.artifacts = arts
 	j.summary = &sum
-	s.registerRecovered(j)
 	j.publish("done", sum)
+	s.registerRecovered(j)
 	return true
 }
 
 // recoveredJob builds a job in a recovered terminal state. The caller
-// finishes populating it and then publishes it with registerRecovered —
-// jobs must be complete before they are visible to HTTP handlers.
+// finishes populating it, logs its terminal event, and only then makes
+// it visible with registerRecovered — jobs must be complete before HTTP
+// handlers can see them.
 func recoveredJob(js *durable.JobState, req jobRequest, state string) *job {
 	now := time.Now()
 	return &job{
@@ -354,7 +355,7 @@ func (s *Server) quarantineJob(js *durable.JobState, req jobRequest, reason stri
 	j := recoveredJob(js, req, stateFailedPermanent)
 	j.failCode = http.StatusInternalServerError
 	j.errMsg = reason
-	s.registerRecovered(j)
 	j.publish("error", errorEvent{Error: reason, Code: http.StatusInternalServerError})
+	s.registerRecovered(j)
 	s.cQuarantined.Inc()
 }

@@ -27,6 +27,14 @@ func startTestServer(t *testing.T, opts Options) (*Server, string, func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	base, shutdown := serveTestServer(t, s)
+	return s, base, shutdown
+}
+
+// serveTestServer runs s and an HTTP front end for it until the returned
+// shutdown is called.
+func serveTestServer(t *testing.T, s *Server) (string, func()) {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- s.Run(ctx) }()
@@ -38,7 +46,7 @@ func startTestServer(t *testing.T, opts Options) (*Server, string, func()) {
 			t.Errorf("server Run returned %v", err)
 		}
 	}
-	return s, hs.URL, shutdown
+	return hs.URL, shutdown
 }
 
 // writeTinyCSV materialises a deterministic datagen dataset as a CSV

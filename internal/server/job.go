@@ -250,19 +250,35 @@ const maxJobEvents = 1024
 // notify send never waits — a slow or never-reading subscriber cannot
 // stall job completion.
 func (j *job) publish(name string, payload any) {
+	data := eventData(payload)
+	j.mu.Lock()
+	subs := j.appendLocked(name, data)
+	j.mu.Unlock()
+	wake(subs)
+}
+
+func eventData(payload any) string {
 	data, err := json.Marshal(payload)
 	if err != nil {
-		data = []byte(`{"error":"event marshal failed"}`)
+		return `{"error":"event marshal failed"}`
 	}
-	j.mu.Lock()
-	j.events = append(j.events, sseEvent{name: name, data: string(data)})
+	return string(data)
+}
+
+// appendLocked appends one event to the bounded log and returns the
+// subscribers to wake once j.mu is released. The caller holds j.mu.
+func (j *job) appendLocked(name, data string) []chan struct{} {
+	j.events = append(j.events, sseEvent{name: name, data: data})
 	if drop := len(j.events) - maxJobEvents; drop > 0 {
 		// Copy to a fresh slice so the dropped prefix is actually freed.
 		j.events = append([]sseEvent(nil), j.events[drop:]...)
 		j.firstIdx += drop
 	}
-	subs := append([]chan struct{}(nil), j.notify...)
-	j.mu.Unlock()
+	return append([]chan struct{}(nil), j.notify...)
+}
+
+// wake signals each subscriber without blocking.
+func wake(subs []chan struct{}) {
 	for _, ch := range subs {
 		select {
 		case ch <- struct{}{}:
@@ -350,37 +366,37 @@ func (j *job) requestCancel() bool {
 	return true
 }
 
-// complete records a successful run and its artifacts.
-func (j *job) complete(artifacts map[string]artifact, sum jobSummary) {
-	j.mu.Lock()
-	j.state = stateDone
-	j.finished = time.Now()
-	j.artifacts = artifacts
-	j.summary = &sum
-	j.mu.Unlock()
-	j.publish("done", sum)
+// jobEnd explains a terminal transition: the artifacts and summary of a
+// done job, the HTTP status (code) and message of a failed one, the
+// message of a cancelled one.
+type jobEnd struct {
+	artifacts map[string]artifact
+	summary   *jobSummary
+	code      int
+	msg       string
 }
 
-// fail records a terminal failure; code is the HTTP status the result
-// endpoint will explain it with.
-func (j *job) fail(code int, msg string) {
+// finish moves the job to a terminal state and announces it. The state,
+// its explanation and the terminal event (done, error, or a cancelled
+// state event) land in one j.mu critical section, so a subscriber that
+// reads a terminal state always finds the terminal event already logged.
+func (j *job) finish(state string, end jobEnd) {
+	name, payload := "state", any(stateEvent{State: state})
+	switch state {
+	case stateDone:
+		name, payload = "done", end.summary
+	case stateFailed:
+		name, payload = "error", errorEvent{Error: end.msg, Code: end.code}
+	}
+	data := eventData(payload)
 	j.mu.Lock()
-	j.state = stateFailed
+	j.state = state
 	j.finished = time.Now()
-	j.failCode = code
-	j.errMsg = msg
+	j.artifacts, j.summary = end.artifacts, end.summary
+	j.failCode, j.errMsg = end.code, end.msg
+	subs := j.appendLocked(name, data)
 	j.mu.Unlock()
-	j.publish("error", errorEvent{Error: msg, Code: code})
-}
-
-// cancelled records a client- or shutdown-driven cancellation.
-func (j *job) cancelled(msg string) {
-	j.mu.Lock()
-	j.state = stateCancelled
-	j.finished = time.Now()
-	j.errMsg = msg
-	j.mu.Unlock()
-	j.publish("state", stateEvent{State: stateCancelled})
+	wake(subs)
 }
 
 // runJob executes one admitted job on the calling worker goroutine: a
@@ -407,7 +423,7 @@ func (s *Server) runJob(jobsCtx context.Context, j *job) {
 	defer cancel()
 	if !j.armCancel(cancel) {
 		s.journalAppend(durable.Record{Type: durable.RecJobCancelled, ID: j.id})
-		j.cancelled("cancelled while queued")
+		j.finish(stateCancelled, jobEnd{msg: "cancelled while queued"})
 		s.cCancelled.Inc()
 		s.finishJob(j, nil, tn, stateCancelled, queueWait, 0)
 		return
@@ -454,12 +470,12 @@ func (s *Server) runJob(jobsCtx context.Context, j *job) {
 			// Shutdown interruption is deliberately NOT journaled as
 			// terminal: the open-ended entry makes a durable server
 			// re-enqueue the job on the next boot.
-			j.fail(http.StatusServiceUnavailable, "server shut down mid-job")
+			j.finish(stateFailed, jobEnd{code: http.StatusServiceUnavailable, msg: "server shut down mid-job"})
 			s.cFailed.Inc()
 			s.finishJob(j, reg, tn, stateFailed, queueWait, wall)
 		case errors.Is(err, context.Canceled):
 			s.journalAppend(durable.Record{Type: durable.RecJobCancelled, ID: j.id})
-			j.cancelled("cancelled by client")
+			j.finish(stateCancelled, jobEnd{msg: "cancelled by client"})
 			s.cCancelled.Inc()
 			s.finishJob(j, reg, tn, stateCancelled, queueWait, wall)
 		default:
@@ -467,7 +483,7 @@ func (s *Server) runJob(jobsCtx context.Context, j *job) {
 				Type: durable.RecJobFailed, ID: j.id,
 				Code: http.StatusInternalServerError, Error: err.Error(),
 			})
-			j.fail(http.StatusInternalServerError, err.Error())
+			j.finish(stateFailed, jobEnd{code: http.StatusInternalServerError, msg: err.Error()})
 			s.cFailed.Inc()
 			s.finishJob(j, reg, tn, stateFailed, queueWait, wall)
 		}
@@ -522,7 +538,7 @@ func (s *Server) runJob(jobsCtx context.Context, j *job) {
 	}
 	tn.jobs.Inc()
 	s.cDone.Inc()
-	j.complete(artifacts, sum)
+	j.finish(stateDone, jobEnd{artifacts: artifacts, summary: &sum})
 	s.finishJob(j, reg, tn, stateDone, queueWait, wall)
 }
 
@@ -586,7 +602,7 @@ func (s *Server) finishJob(j *job, reg *obs.Registry, tn *tenantState, state str
 // and on the job.
 func (s *Server) failJournaled(j *job, code int, msg string) {
 	s.journalAppend(durable.Record{Type: durable.RecJobFailed, ID: j.id, Code: code, Error: msg})
-	j.fail(code, msg)
+	j.finish(stateFailed, jobEnd{code: code, msg: msg})
 	s.cFailed.Inc()
 }
 
@@ -820,7 +836,7 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 	if j.state == stateQueued {
 		j.mu.Unlock()
 		s.journalAppend(durable.Record{Type: durable.RecJobCancelled, ID: j.id})
-		j.cancelled("cancelled by client")
+		j.finish(stateCancelled, jobEnd{msg: "cancelled by client"})
 		s.cCancelled.Inc()
 	} else {
 		j.mu.Unlock()

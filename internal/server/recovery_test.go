@@ -406,7 +406,7 @@ func TestSlowSubscriberDoesNotBlockPublish(t *testing.T) {
 		for i := 0; i < 3000; i++ {
 			j.publish("log", logEvent{Line: "spam"})
 		}
-		j.complete(map[string]artifact{}, jobSummary{})
+		j.finish(stateDone, jobEnd{artifacts: map[string]artifact{}, summary: &jobSummary{}})
 		close(doneCh)
 	}()
 	select {

@@ -388,7 +388,7 @@ func (s *Server) beginDrain() {
 	s.gQueued.Set(0)
 	s.mu.Unlock()
 	for _, j := range queued {
-		j.fail(http.StatusServiceUnavailable, "server shutting down before job started")
+		j.finish(stateFailed, jobEnd{code: http.StatusServiceUnavailable, msg: "server shutting down before job started"})
 		s.cFailed.Inc()
 	}
 	s.pokeAll()

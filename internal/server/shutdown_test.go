@@ -45,7 +45,7 @@ func bootServer(t *testing.T, opts Options) (s *Server, base string, cancel func
 }
 
 // blockStats parks the first job that reaches its stats phase: started
-// closes when the job is provably mid-pipeline, and every StatsPermEval
+// closes when the job is provably mid-pipeline, and every StatsPermBlock
 // firing then blocks until release is called. release is idempotent and
 // also registered as cleanup, so a failing test cannot wedge the worker.
 func blockStats(t *testing.T) (started chan struct{}, release func()) {
@@ -55,7 +55,7 @@ func blockStats(t *testing.T) (started chan struct{}, release func()) {
 	var startOnce, relOnce sync.Once
 	release = func() { relOnce.Do(func() { close(gate) }) }
 	t.Cleanup(release)
-	t.Cleanup(faultinject.Set(faultinject.StatsPermEval, func(string) {
+	t.Cleanup(faultinject.Set(faultinject.StatsPermBlock, func(string) {
 		startOnce.Do(func() { close(started) })
 		<-gate
 	}))

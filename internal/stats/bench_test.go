@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -15,35 +16,24 @@ func benchPool(n int, seed int64) []float64 {
 	return out
 }
 
-func BenchmarkPermTestMean(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	pooled := benchPool(2000, 2)
-	pp := NewPairPerm(1000, 1000, 200, rng)
+// benchPermTest times one PermTests call per iteration — the draw and
+// the scoring, as the pipeline pays them.
+func benchPermTest(b *testing.B, n, nperm, threads int, stat TestStat) {
+	tests := []PermTest{{Pooled: benchPool(2*n, 2), Stat: stat}}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pp.PValue(pooled, MeanDiff)
+		if _, err := PermTests(context.Background(), n, n, nperm, 1, threads, 0, tests); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
-func BenchmarkPermTestVariance(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	pooled := benchPool(2000, 2)
-	pp := NewPairPerm(1000, 1000, 200, rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pp.PValue(pooled, VarDiff)
-	}
-}
+func BenchmarkPermTestMean(b *testing.B) { benchPermTest(b, 1000, 200, 1, MeanDiff) }
 
-func BenchmarkPermTestMedian(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	pooled := benchPool(400, 2)
-	pp := NewPairPerm(200, 200, 100, rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pp.PValue(pooled, MedianDiff)
-	}
-}
+func BenchmarkPermTestVariance(b *testing.B) { benchPermTest(b, 1000, 200, 1, VarDiff) }
+
+func BenchmarkPermTestMedian(b *testing.B) { benchPermTest(b, 200, 100, 1, MedianDiff) }
 
 func BenchmarkBenjaminiHochberg(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
@@ -65,24 +55,12 @@ func BenchmarkMedianQuickselect(b *testing.B) {
 	}
 }
 
-// BenchmarkPermSeededGen measures drawing the block-seeded permutation set
-// (the NewPairPermSeeded path the pipeline uses).
-func BenchmarkPermSeededGen(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		NewPairPermSeeded(1000, 1000, 200, 1, 1)
-	}
-}
-
-// BenchmarkPermTestMeanParallel evaluates the same seeded permutation set
-// at several worker widths; the p-value is bit-identical at every width.
+// BenchmarkPermTestMeanParallel runs the same test at several worker
+// widths; the p-value is bit-identical at every width.
 func BenchmarkPermTestMeanParallel(b *testing.B) {
-	pooled := benchPool(2000, 2)
-	pp := NewPairPermSeeded(1000, 1000, 200, 1, 1)
 	for _, threads := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				pp.PValueThreads(pooled, MeanDiff, threads)
-			}
+			benchPermTest(b, 1000, 200, threads, MeanDiff)
 		})
 	}
 }

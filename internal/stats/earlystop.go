@@ -1,15 +1,6 @@
 package stats
 
-import (
-	"context"
-	"math"
-	"math/rand"
-
-	"comparenb/internal/faultinject"
-	// Aliased: `obs` is the conventional name of the observed statistic in
-	// this package's named returns, which would shadow the package.
-	obspkg "comparenb/internal/obs"
-)
+import "math"
 
 // earlyStopDelta is the per-check confidence parameter δ of the
 // sequential Monte-Carlo bound: each block-boundary check uses a
@@ -22,7 +13,7 @@ const earlyStopDelta = 0.01
 
 // PermBlock is the draw-block width of the seeded permutation streams,
 // exported so budget-pressure callers can align truncation caps to whole
-// blocks (the early-stopping kernel only checks its bound at block
+// blocks (PermTests only checks its early-stop bound at block
 // boundaries).
 const PermBlock = permBlock
 
@@ -46,97 +37,4 @@ func earlyStopDecided(ge, m int, alpha float64) bool {
 	phat := float64(ge) / float64(m)
 	eps := math.Sqrt(math.Log(2/earlyStopDelta) / (2 * float64(m)))
 	return phat+eps < alpha || phat-eps > alpha
-}
-
-// PValueEarlyStop is the budget-pressure variant of the permutation
-// test: it draws and evaluates the same block-seeded permutation
-// sequence as NewPairPermSeeded (block b from mixSeed(seed, b)), but
-// lazily, one block at a time, stopping at the first block boundary
-// where earlyStopDecided says the verdict relative to alpha cannot
-// flip. It returns the observed statistic, the p-value estimate
-// (1+ge)/(1+m) over the m permutations actually evaluated, and m
-// itself (the `perms_effective` the run report records).
-//
-// Determinism: the truncation point is a pure function of
-// (pooled, stat, nx, ny, nperm, seed, alpha) — blocks are evaluated in
-// order on one goroutine and the bound is checked only at fixed block
-// boundaries — so degraded runs that force this kernel everywhere are
-// still byte-identical across thread counts. What the kernel does NOT
-// promise is equality with the full test: sharing permutations across
-// measures is skipped and the p-value is a truncated estimate, which is
-// why the pipeline only selects it under budget pressure and records
-// the switch in the report.
-//
-// Cancelling ctx aborts at the next block boundary with ctx's error.
-// The StatsEarlyStop fault-injection site fires before every block.
-func PValueEarlyStop(ctx context.Context, nx, ny, nperm int, seed int64, pooled []float64, stat TestStat, alpha float64) (obs, pvalue float64, permsUsed int, err error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if len(pooled) != nx+ny {
-		panic("stats: pooled length does not match early-stop sides")
-	}
-	if nx == 0 || ny == 0 || nperm <= 0 {
-		return math.NaN(), 1, 0, ctx.Err()
-	}
-	p := &PairPerm{nx: nx, ny: ny}
-	var total, totalSq float64
-	for _, v := range pooled {
-		total += v
-		totalSq += v * v
-	}
-	scratch := newPermScratch(p, stat)
-	obs = p.statistic(pooled, nil, stat, total, totalSq, scratch)
-	if math.IsNaN(obs) {
-		return obs, 1, 0, ctx.Err()
-	}
-	reg := obspkg.FromContext(ctx)
-	sp := obspkg.StartSpan(ctx, "stats/pair/earlystop")
-	defer sp.End()
-	ge, m := 0, 0
-	stopped := false
-	nblocks := (nperm + permBlock - 1) / permBlock
-	blocksRun := 0
-	for b := 0; b < nblocks; b++ {
-		faultinject.Fire(faultinject.StatsEarlyStop)
-		if err := ctx.Err(); err != nil {
-			return obs, 1, m, err
-		}
-		bsp := obspkg.StartSpan(ctx, "stats/pair/permblock")
-		// Identical draws to NewPairPermSeeded's block b: same stream
-		// seed, same partial Fisher–Yates over a persistent scratch —
-		// the evaluated prefix is the full test's permutation prefix.
-		rng := rand.New(rand.NewSource(mixSeed(seed, int64(b))))
-		pool := identityScratch(nx + ny)
-		hi := (b + 1) * permBlock
-		if hi > nperm {
-			hi = nperm
-		}
-		for k := b * permBlock; k < hi; k++ {
-			n := len(pool)
-			for i := 0; i < nx && i < n-1; i++ {
-				j := i + rng.Intn(n-i)
-				pool[i], pool[j] = pool[j], pool[i]
-			}
-			if p.statistic(pooled, pool[:nx], stat, total, totalSq, scratch) >= obs {
-				ge++
-			}
-		}
-		bsp.End()
-		m = hi
-		blocksRun = b + 1
-		if earlyStopDecided(ge, m, alpha) {
-			stopped = b+1 < nblocks
-			break
-		}
-	}
-	// Accounting is one handle fetch + bulk adds per test; every quantity
-	// is a pure function of the inputs, so the sums are thread-invariant.
-	reg.Counter("stats_earlystop_tests").Inc()
-	reg.Counter("stats_perm_blocks_drawn").Add(int64(blocksRun))
-	reg.Counter("stats_perms_evaluated").Add(int64(m))
-	if stopped {
-		reg.Counter("stats_earlystop_triggers").Inc()
-	}
-	return obs, float64(1+ge) / float64(1+m), m, ctx.Err()
 }

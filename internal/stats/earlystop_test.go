@@ -40,70 +40,105 @@ func pooled(xs, ys []float64) []float64 {
 	return append(append(make([]float64, 0, len(xs)+len(ys)), xs...), ys...)
 }
 
+// clearTests scores a clear pair of n-row sides by mean and by median:
+// their exceedance estimates stay near 0, so an alpha below every
+// Hoeffding interval never stops them.
+func clearTests(n int) []PermTest {
+	pl := pooled(clearPair(n))
+	return []PermTest{{Pooled: pl, Stat: MeanDiff}, {Pooled: pl, Stat: MedianDiff}}
+}
+
 func TestEarlyStopTruncatesNullPair(t *testing.T) {
 	xs, ys := nullPair(60)
 	const nperm = 2048
-	obs, p, used, err := PValueEarlyStop(context.Background(), len(xs), len(ys), nperm, 7, pooled(xs, ys), MeanDiff, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.IsNaN(obs) {
+	r := permTest1(t, len(xs), len(ys), nperm, 7, 1, 0.05, pooled(xs, ys), MeanDiff)
+	if math.IsNaN(r.Obs) {
 		t.Fatal("observed statistic is NaN on finite data")
 	}
-	if used >= nperm {
-		t.Errorf("null pair evaluated all %d permutations; early stop never triggered", used)
+	if r.Perms >= nperm {
+		t.Errorf("null pair evaluated all %d permutations; early stop never triggered", r.Perms)
 	}
-	if used%permBlock != 0 && used != nperm {
-		t.Errorf("truncation point %d is not a block boundary", used)
+	if r.Perms%permBlock != 0 && r.Perms != nperm {
+		t.Errorf("truncation point %d is not a block boundary", r.Perms)
 	}
-	if p <= 0.05 {
-		t.Errorf("null pair p = %v, want clearly insignificant", p)
+	if r.P <= 0.05 {
+		t.Errorf("null pair p = %v, want clearly insignificant", r.P)
 	}
 }
 
-func TestEarlyStopPrefixMatchesFullTest(t *testing.T) {
-	// When no stop triggers (alpha = 0 disables the "significant" side
-	// and the pair is decisively significant so phat stays at 0 — with
-	// alpha 0 the insignificant side needs phat > eps too), force full
-	// evaluation by using an alpha no interval can clear: the verdict
-	// interval always straddles it, so all nperm permutations run and
-	// the p-value must equal the eager kernel's bit for bit.
+// TestEarlyStopClearPairRunsInFull: a decisively significant pair at a
+// stop level far below its p-value resolution can never be certified
+// either way, so the early policy evaluates every permutation.
+func TestEarlyStopClearPairRunsInFull(t *testing.T) {
 	xs, ys := clearPair(40)
-	const nperm, seed = 200, 99
-	pl := pooled(xs, ys)
+	const nperm = 300
+	r := permTest1(t, len(xs), len(ys), nperm, 5, 1, 0.001, pooled(xs, ys), MeanDiff)
+	if r.Perms != nperm {
+		t.Errorf("clear pair stopped at %d of %d permutations", r.Perms, nperm)
+	}
+	if want := 1 / float64(nperm+1); r.P != want { // exact: no exceedance gives exactly 1/(nperm+1)
+		t.Errorf("clear pair p = %v, want %v", r.P, want)
+	}
+}
 
-	// alpha = 0.5 with a decisively significant pair: phat = 0, and
-	// 0 + eps < 0.5 requires m >= ln(2/δ)/(2·0.25) ≈ 11 — one block
-	// decides. So use the *same seed* eager kernel truncated never:
-	// compare against the early kernel run with an unreachable alpha.
-	unreachable := math.Nextafter(0, 1) // no interval fits below it, phat-eps>alpha needs phat>eps
-	obsE, pE, used, err := PValueEarlyStop(context.Background(), len(xs), len(ys), nperm, seed, pl, MeanDiff, unreachable)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if used != nperm {
-		t.Fatalf("unreachable alpha still stopped early at %d of %d", used, nperm)
-	}
-	pp := NewPairPermSeeded(len(xs), len(ys), nperm, seed, 3)
-	obsF, pF := pp.PValueThreads(pl, MeanDiff, 3)
-	if obsE != obsF { // exact: bit-identity is the contract under test
-		t.Errorf("observed statistic differs: early %v, full %v", obsE, obsF)
-	}
-	if pE != pF { // exact: bit-identity is the contract under test
-		t.Errorf("untruncated early-stop p = %v differs from full kernel p = %v", pE, pF)
+// TestEarlyStopPrefixMatchesFullTest: on clear pairs with an alpha no
+// interval can clear (phat-eps > alpha needs phat > eps, and nothing fits
+// below the smallest positive float), the early policy evaluates all
+// nperm permutations and must equal the eager policy bit for bit, on the
+// shared stream, at any thread count.
+func TestEarlyStopPrefixMatchesFullTest(t *testing.T) {
+	const n, nperm, seed = 40, 200, 99
+	tests := clearTests(n)
+	unreachable := math.Nextafter(0, 1)
+	for _, threads := range []int{1, 3} {
+		early, err := PermTests(context.Background(), n, n, nperm, seed, threads, unreachable, tests)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := PermTests(context.Background(), n, n, nperm, seed, threads, 0, tests)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameResults(early, full) {
+			t.Errorf("threads=%d: untruncated early policy %+v differs from eager %+v", threads, early, full)
+		}
 	}
 }
 
 func TestEarlyStopDeterministic(t *testing.T) {
 	xs, ys := nullPair(48)
 	pl := pooled(xs, ys)
-	_, p1, used1, err1 := PValueEarlyStop(context.Background(), len(xs), len(ys), 1024, 3, pl, VarDiff, 0.05)
-	_, p2, used2, err2 := PValueEarlyStop(context.Background(), len(xs), len(ys), 1024, 3, pl, VarDiff, 0.05)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
+	r1 := permTest1(t, len(xs), len(ys), 1024, 3, 1, 0.05, pl, VarDiff)
+	for _, threads := range []int{1, 2, 8} {
+		r2 := permTest1(t, len(xs), len(ys), 1024, 3, threads, 0.05, pl, VarDiff)
+		if r1.Perms != r2.Perms || r1.P != r2.P { // exact: determinism is the contract under test
+			t.Errorf("threads=%d: (%v, %d) vs serial (%v, %d)", threads, r2.P, r2.Perms, r1.P, r1.Perms)
+		}
 	}
-	if used1 != used2 || p1 != p2 { // exact: determinism is the contract under test
-		t.Errorf("two identical runs disagree: (%v, %d) vs (%v, %d)", p1, used1, p2, used2)
+}
+
+// TestEarlyStopSharedStream: tests on one stream stop independently — a
+// null test truncating never changes a clear test scored on the same
+// blocks, which matches its own single-test run bit for bit.
+func TestEarlyStopSharedStream(t *testing.T) {
+	nx, ny := 60, 60
+	nxs, nys := nullPair(nx)
+	cxs, cys := clearPair(nx)
+	tests := []PermTest{{Pooled: pooled(nxs, nys), Stat: MeanDiff}, {Pooled: pooled(cxs, cys), Stat: MeanDiff}}
+	for _, threads := range []int{1, 2, 8} {
+		res, err := PermTests(context.Background(), nx, ny, 1024, 13, threads, 0.001, tests)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res[0].Perms >= 1024 || res[1].Perms != 1024 {
+			t.Fatalf("threads=%d: perms (null %d, clear %d), want null truncated and clear in full", threads, res[0].Perms, res[1].Perms)
+		}
+		for i, pt := range tests {
+			alone := permTest1(t, nx, ny, 1024, 13, threads, 0.001, pt.Pooled, pt.Stat)
+			if !sameResults([]PermResult{alone}, res[i:i+1]) {
+				t.Errorf("threads=%d test %d: shared %+v, alone %+v", threads, i, res[i], alone)
+			}
+		}
 	}
 }
 
@@ -111,38 +146,44 @@ func TestEarlyStopCancellation(t *testing.T) {
 	xs, ys := clearPair(40)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	defer faultinject.Set(faultinject.StatsEarlyStop, faultinject.OnCall(2, cancel))()
-	_, _, used, err := PValueEarlyStop(ctx, len(xs), len(ys), 2048, 1, pooled(xs, ys), MeanDiff, math.Nextafter(0, 1))
-	if err == nil {
-		t.Fatal("cancelled early-stop test returned no error")
-	}
-	if used >= 2048 {
-		t.Errorf("cancellation did not abort the loop: %d permutations ran", used)
+	defer faultinject.Set(faultinject.StatsPermBlock, faultinject.OnCall(2, cancel))()
+	res, err := PermTests(ctx, len(xs), len(ys), 2048, 1, 1, math.Nextafter(0, 1), []PermTest{{Pooled: pooled(xs, ys), Stat: MeanDiff}})
+	if err == nil || res != nil {
+		t.Fatalf("cancelled early-stop test returned (%v, %v), want no results and an error", res, err)
 	}
 }
 
+// TestEarlyStopFiresSitePerBlock: the fault site fires once per block
+// the serial path evaluates, and the early stop ends the stream there.
 func TestEarlyStopFiresSitePerBlock(t *testing.T) {
 	var fired atomic.Int64
-	defer faultinject.Set(faultinject.StatsEarlyStop,
+	defer faultinject.Set(faultinject.StatsPermBlock,
 		faultinject.Always(func() { fired.Add(1) }))()
-	xs, ys := clearPair(30)
-	_, _, used, err := PValueEarlyStop(context.Background(), len(xs), len(ys), 256, 5, pooled(xs, ys), MeanDiff, math.Nextafter(0, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := int64((used + permBlock - 1) / permBlock); fired.Load() != want {
-		t.Errorf("StatsEarlyStop fired %d times for %d perms, want %d", fired.Load(), used, want)
+	for _, tc := range []struct {
+		name  string
+		pair  func(n int) (xs, ys []float64)
+		alpha float64
+	}{
+		{"clear pair, unreachable alpha", clearPair, math.Nextafter(0, 1)},
+		{"null pair", nullPair, 0.05},
+	} {
+		xs, ys := tc.pair(30)
+		fired.Store(0)
+		r := permTest1(t, len(xs), len(ys), 256, 5, 1, tc.alpha, pooled(xs, ys), MeanDiff)
+		if want := int64((r.Perms + permBlock - 1) / permBlock); fired.Load() != want {
+			t.Errorf("%s: StatsPermBlock fired %d times for %d perms, want %d", tc.name, fired.Load(), r.Perms, want)
+		}
 	}
 }
 
 func TestEarlyStopDegenerateInputs(t *testing.T) {
-	obs, p, used, err := PValueEarlyStop(context.Background(), 0, 0, 100, 1, nil, MeanDiff, 0.05)
-	if err != nil || !math.IsNaN(obs) || p != 1 || used != 0 {
-		t.Errorf("empty sides: obs=%v p=%v used=%d err=%v, want NaN/1/0/nil", obs, p, used, err)
+	r := permTest1(t, 0, 0, 100, 1, 1, 0.05, nil, MeanDiff)
+	if !math.IsNaN(r.Obs) || r.P != 1 || r.Perms != 0 {
+		t.Errorf("empty sides: %+v, want NaN/1/0", r)
 	}
 	nan := []float64{math.NaN(), 1, 2, 3}
-	obs, p, _, err = PValueEarlyStop(context.Background(), 2, 2, 100, 1, nan, MeanDiff, 0.05)
-	if err != nil || !math.IsNaN(obs) || p != 1 {
-		t.Errorf("NaN pool: obs=%v p=%v err=%v, want NaN observed and p=1", obs, p, err)
+	r = permTest1(t, 2, 2, 100, 1, 1, 0.05, nan, MeanDiff)
+	if !math.IsNaN(r.Obs) || r.P != 1 || r.Perms != 0 {
+		t.Errorf("NaN pool: %+v, want NaN observed, p=1, no permutations", r)
 	}
 }

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -9,12 +10,12 @@ import (
 // O(nx+ny) way — materialise both sides, then call the descriptive
 // helpers — with none of the pooled-moment algebra the production path
 // uses. It is the differential reference for FuzzPValue.
-func naiveStatistic(p *PairPerm, pooled []float64, xIdx []int32, stat TestStat) float64 {
-	xs := make([]float64, 0, p.nx)
-	ys := make([]float64, 0, p.ny)
+func naiveStatistic(nx, ny int, pooled []float64, xIdx []int32, stat TestStat) float64 {
+	xs := make([]float64, 0, nx)
+	ys := make([]float64, 0, ny)
 	if xIdx == nil {
-		xs = append(xs, pooled[:p.nx]...)
-		ys = append(ys, pooled[p.nx:]...)
+		xs = append(xs, pooled[:nx]...)
+		ys = append(ys, pooled[nx:]...)
 	} else {
 		inX := make([]bool, len(pooled))
 		for _, i := range xIdx {
@@ -54,8 +55,9 @@ func naiveStatistic(p *PairPerm, pooled []float64, xIdx []int32, stat TestStat) 
 // Y side from pooled totals, so individual statistics are only equal up
 // to floating-point reordering; the assertion therefore brackets the
 // production exceedance count between the reference's strict and loose
-// counts instead of demanding bit equality. Thread counts 1 and 3 must
-// agree exactly — that IS bit-level.
+// counts over a replay of the same seeded draws, instead of demanding
+// bit equality. Thread counts 1 and 3 must agree exactly — that IS
+// bit-level.
 func FuzzPValue(f *testing.F) {
 	f.Add([]byte{4, 3, 0}, int64(1))
 	f.Add([]byte{2, 2, 1, 10, 20, 30, 250}, int64(42))
@@ -77,28 +79,39 @@ func FuzzPValue(f *testing.F) {
 			pooled[i] = float64(b) / 16.0
 		}
 		const nperm = 160
-		p := NewPairPermSeeded(nx, ny, nperm, seed, 2)
-
-		obs, pv := p.PValueThreads(pooled, stat, 1)
-		obs3, pv3 := p.PValueThreads(pooled, stat, 3)
+		tests := []PermTest{{Pooled: pooled, Stat: stat}}
+		res, err := PermTests(context.Background(), nx, ny, nperm, seed, 1, 0, tests)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res3, err := PermTests(context.Background(), nx, ny, nperm, seed, 3, 0, tests)
+		if err != nil {
+			t.Fatal(err)
+		}
+		obs, pv := res[0].Obs, res[0].P
 		// exact: thread-count independence is an exact, bit-level contract
-		if obs != obs3 || pv != pv3 {
-			t.Fatalf("thread dependence: (%v,%v) threads=1 vs (%v,%v) threads=3", obs, pv, obs3, pv3)
+		if obs != res3[0].Obs || pv != res3[0].P {
+			t.Fatalf("thread dependence: (%v,%v) threads=1 vs (%v,%v) threads=3", obs, pv, res3[0].Obs, res3[0].P)
 		}
 		if pv <= 0 || pv > 1 || math.IsNaN(pv) {
 			t.Fatalf("p-value out of (0,1]: %v", pv)
 		}
 
-		refObs := naiveStatistic(p, pooled, nil, stat)
+		refObs := naiveStatistic(nx, ny, pooled, nil, stat)
 		if math.Abs(obs-refObs) > 1e-9*(1+math.Abs(refObs)) {
 			t.Fatalf("observed statistic: production %v vs naive %v", obs, refObs)
 		}
 		// Bracket the production count: strict (naive stat clearly above
-		// obs) ≤ production ≤ loose (naive stat not clearly below).
+		// obs) ≤ production ≤ loose (naive stat not clearly below), over
+		// the kernel's own block draws replayed in order.
 		tol := 1e-9 * (1 + math.Abs(refObs))
 		strict, loose := 0, 0
-		for _, idx := range p.xIdx {
-			s := naiveStatistic(p, pooled, idx, stat)
+		w := newPermWorker(nx, ny, false)
+		for k := 0; k < nperm; k++ {
+			if k%permBlock == 0 {
+				w.startBlock(seed, k/permBlock)
+			}
+			s := naiveStatistic(nx, ny, pooled, w.nextPerm(nx), stat)
 			if s >= refObs+tol {
 				strict++
 			}

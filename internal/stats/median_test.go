@@ -99,8 +99,7 @@ func TestPermTestDetectsMedianShift(t *testing.T) {
 	for i := 0; i < ny; i++ {
 		pooled = append(pooled, rng.NormFloat64()+2)
 	}
-	pp := NewPairPerm(nx, ny, 300, rng)
-	obs, p := pp.PValue(pooled, MedianDiff)
+	obs, p := pvalue(t, rng, nx, ny, 300, pooled, MedianDiff)
 	if obs < 1.2 {
 		t.Errorf("observed |median diff| = %v, want ≈ 2", obs)
 	}
@@ -118,8 +117,7 @@ func TestMedianDiffNullUniformish(t *testing.T) {
 		for i := range pooled {
 			pooled[i] = rng.NormFloat64()
 		}
-		pp := NewPairPerm(20, 20, 100, rng)
-		if _, p := pp.PValue(pooled, MedianDiff); p < 0.05 {
+		if _, p := pvalue(t, rng, 20, 20, 100, pooled, MedianDiff); p < 0.05 {
 			small++
 		}
 	}

@@ -4,6 +4,12 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"sync"
+
+	"comparenb/internal/faultinject"
+	// Aliased: `obs` is the conventional name of the observed statistic in
+	// this package, which would shadow the package.
+	obspkg "comparenb/internal/obs"
 )
 
 // TestStat selects the permutation test statistic of Table 1.
@@ -34,73 +40,286 @@ func (s TestStat) String() string {
 	}
 }
 
-// PairPerm holds a fixed set of label permutations for a two-sample test
-// where side X has nx elements and side Y has ny. The paper's optimization
-// of §5.1.1 — "we use the same permutations to check all possible insights
-// on different measures for a given attribute" — is exactly reusing one
-// PairPerm across measures: the pooled rows are the same, only the measure
-// vector changes.
-//
-// Only the X-side index sets are stored (the Y side is the complement):
-// for the mean and variance statistics the Y-side moments are derived from
-// the pooled totals, so each permutation costs O(nx) instead of O(nx+ny).
-type PairPerm struct {
-	nx, ny int
-	xIdx   [][]int32 // per permutation: the pooled indexes labelled X
-}
-
-// permBlock is the resample-block width of the seeded generator: block b
-// of NewPairPermSeeded covers permutations [b*permBlock, (b+1)*permBlock)
-// and is drawn from its own RNG stream seeded by (seed, b). Because the
-// block layout depends only on nperm, the permutations — and therefore
-// every p-value computed from them — are bit-identical no matter how many
-// workers generate or evaluate the blocks.
+// permBlock is the resample-block width of the permutation streams: block
+// b covers permutations [b*permBlock, (b+1)*permBlock) and is drawn from
+// its own RNG stream seeded by mixSeed(seed, b). Because the block layout
+// depends only on nperm, the permutations — and therefore every p-value
+// computed from them — are bit-identical no matter how many workers draw
+// and score the blocks.
 const permBlock = 64
 
-// NewPairPerm draws nperm independent permutations of the pooled labels
-// from a single sequential RNG stream. Prefer NewPairPermSeeded, whose
-// block streams decouple the draw from any particular execution order;
-// this constructor remains for callers that already hold an *rand.Rand.
-func NewPairPerm(nx, ny, nperm int, rng *rand.Rand) *PairPerm {
-	p := &PairPerm{nx: nx, ny: ny, xIdx: make([][]int32, nperm)}
-	scratch := identityScratch(nx + ny)
-	for k := 0; k < nperm; k++ {
-		p.xIdx[k] = drawPerm(scratch, nx, rng)
+// PermTest is one two-sample permutation test: Pooled holds side X's
+// values followed by side Y's (NaN cells filtered by the caller) and Stat
+// is the statistic to compare.
+type PermTest struct {
+	Pooled []float64
+	Stat   TestStat
+}
+
+// PermResult is the outcome of one PermTest: the observed statistic, the
+// one-tailed p-value
+//
+//	P = (1 + #{permuted stat ≥ Obs}) / (1 + Perms)
+//
+// with the +1 smoothing that keeps P > 0, and Perms, the number of
+// permutations evaluated (fewer than requested only when the early stop
+// decided the test). When the statistic is undefined on the pool (an
+// empty side) Obs is NaN, P is 1 and Perms is 0: nothing can be
+// concluded.
+type PermResult struct {
+	Obs   float64
+	P     float64
+	Perms int
+}
+
+// PermTests runs every test against one shared stream of nperm label
+// permutations of the nx + ny pooled rows. This is the paper's §5.1.1
+// optimisation — "we use the same permutations to check all possible
+// insights on different measures for a given attribute" — pushed into
+// the inner loop: each permutation is drawn once, scored by every test
+// still running, and dropped, so a worker holds O(nx+ny) scratch rather
+// than the permutation set. For the mean and variance statistics the Y
+// side is derived from pooled totals, so scoring costs O(nx).
+//
+// The stream is cut into blocks of PermBlock permutations, block b drawn
+// from its own generator seeded by (seed, b); up to `threads` workers
+// draw and score whole blocks. Exceedances are integer counts folded in
+// block order, so every result is bit-identical at any thread count.
+//
+// alpha > 0 turns on early stopping: after each block, in block order, a
+// test whose verdict relative to alpha is already certain up to the
+// Hoeffding bound of earlyStopDecided stops, and its P is the estimate
+// over the permutations evaluated so far. The stop point is a pure
+// function of the inputs; blocks a parallel worker scored past it are
+// discarded. With alpha = 0 every test evaluates all nperm permutations.
+//
+// Cancelling ctx aborts at the next block boundary with ctx's error and
+// no results. The StatsPermBlock fault site fires before every block.
+func PermTests(ctx context.Context, nx, ny, nperm int, seed int64, threads int, alpha float64, tests []PermTest) ([]PermResult, error) {
+	nblocks := (nperm + permBlock - 1) / permBlock
+	r := &permRun{
+		nx: nx, ny: ny, nperm: nperm, seed: seed, alpha: alpha,
+		tests:  make([]testState, len(tests)),
+		counts: make([]int, nblocks*len(tests)),
+		scored: make([]bool, nblocks),
 	}
-	return p
+	var scratch *permScratch
+	for t, pt := range tests {
+		if len(pt.Pooled) != nx+ny {
+			panic("stats: pooled length does not match the permutation sides")
+		}
+		if pt.Stat == MedianDiff && scratch == nil {
+			scratch = newPermScratch(nx, ny)
+		}
+		ts := &r.tests[t]
+		ts.PermTest, ts.obs = pt, math.NaN()
+		if nx == 0 || ny == 0 {
+			continue
+		}
+		var total, totalSq float64
+		for _, v := range pt.Pooled {
+			total += v
+			totalSq += v * v
+		}
+		ts.total, ts.totalSq = total, totalSq
+		ts.obs = statistic(nx, ny, pt.Pooled, nil, pt.Stat, total, totalSq, scratch)
+		if !math.IsNaN(ts.obs) && nperm > 0 {
+			ts.open = true
+			r.nopen++
+		}
+	}
+	r.median = scratch != nil
+
+	switch workers := min(threads, nblocks); {
+	case r.nopen == 0: // nothing to score
+	case workers <= 1:
+		r.work(ctx)
+	default:
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				defer wg.Done()
+				r.work(obspkg.ForkTrack(ctx, "perm-block"))
+			}()
+		}
+		wg.Wait()
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+
+	// Accounting is one handle fetch and bulk add per call; every quantity
+	// is a pure function of the inputs, so the sums are thread-invariant.
+	out := make([]PermResult, len(tests))
+	evaluated, ran, stopped, blocks := 0, 0, 0, 0
+	for t, ts := range r.tests {
+		out[t] = PermResult{Obs: ts.obs, P: float64(1+ts.ge) / float64(1+ts.perms), Perms: ts.perms}
+		evaluated += ts.perms
+		if ts.perms > 0 {
+			ran++
+			if ts.perms < nperm {
+				stopped++
+			}
+		}
+		blocks = max(blocks, (ts.perms+permBlock-1)/permBlock)
+	}
+	reg := obspkg.FromContext(ctx)
+	reg.Counter("stats_perm_blocks_drawn").Add(int64(blocks))
+	reg.Counter("stats_perms_evaluated").Add(int64(evaluated))
+	if alpha > 0 {
+		reg.Counter("stats_earlystop_tests").Add(int64(ran))
+		reg.Counter("stats_earlystop_triggers").Add(int64(stopped))
+	}
+	return out, nil
 }
 
-// NewPairPermSeeded draws nperm permutations in blocks of permBlock, block
-// b from an RNG stream seeded with mix(seed, b), generating blocks on up
-// to `threads` workers. The output is a pure function of
-// (nx, ny, nperm, seed): thread count and scheduling cannot change a bit
-// of it — the property the pipeline's determinism-across-threads contract
-// rests on.
-func NewPairPermSeeded(nx, ny, nperm int, seed int64, threads int) *PairPerm {
-	// The background context never cancels, so the error is impossible.
-	p, _ := NewPairPermSeededCtx(context.Background(), nx, ny, nperm, seed, threads)
-	return p
+// permRun is the state one PermTests call shares between its workers.
+// Fields are written before the workers start, except those marked as
+// guarded by mu; each block's row of counts belongs to the worker that
+// claimed the block until it hands the block to fold.
+type permRun struct {
+	nx, ny, nperm int
+	seed          int64
+	alpha         float64
+	median        bool // some test needs the median scratch
+	tests         []testState
+
+	mu     sync.Mutex
+	next   int    // guarded: next block to hand out
+	folded int    // guarded: blocks folded so far, always a prefix
+	nopen  int    // guarded: tests the fold has not closed
+	scored []bool // guarded: per block, counts complete and awaiting the fold
+	counts []int  // block-major exceedance counts, len(tests) per block
 }
 
-// drawPerm labels side X by a partial Fisher–Yates over scratch: only the
-// first nx draws are needed to label side X uniformly. scratch keeps its
-// shuffled state between calls within one stream; the draw stays uniform
+// testState is one test with its pooled totals and observed statistic,
+// set before the workers start, and its progress, which only fold
+// writes (under permRun.mu).
+type testState struct {
+	PermTest
+	total, totalSq, obs float64
+
+	ge, perms int // exceedances and permutations folded so far
+	open      bool
+}
+
+// work claims blocks until none is left, every test is closed or ctx is
+// cancelled; it draws and scores each claimed block in its own scratch.
+func (r *permRun) work(ctx context.Context) {
+	w := newPermWorker(r.nx, r.ny, r.median)
+	nt := len(r.tests)
+	live := make([]bool, nt)
+	for {
+		b, ok := r.claim(live)
+		if !ok {
+			return
+		}
+		faultinject.Fire(faultinject.StatsPermBlock)
+		if ctx.Err() != nil {
+			return
+		}
+		sp := obspkg.StartSpan(ctx, "stats/pair/permblock")
+		cnt := r.counts[b*nt : (b+1)*nt]
+		w.startBlock(r.seed, b)
+		for k := b * permBlock; k < min((b+1)*permBlock, r.nperm); k++ {
+			xIdx := w.nextPerm(r.nx)
+			for t := range r.tests {
+				ts := &r.tests[t]
+				if live[t] && statistic(r.nx, r.ny, ts.Pooled, xIdx, ts.Stat, ts.total, ts.totalSq, w.scratch) >= ts.obs {
+					cnt[t]++
+				}
+			}
+		}
+		sp.End()
+		r.fold(b)
+	}
+}
+
+// claim hands out the next block and records in live which tests it must
+// score: those the fold has not closed yet. A test the fold later closes
+// at an earlier block simply never folds this block's count.
+func (r *permRun) claim(live []bool) (int, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.next >= len(r.scored) || r.nopen == 0 {
+		return 0, false
+	}
+	for t := range r.tests {
+		live[t] = r.tests[t].open
+	}
+	r.next++
+	return r.next - 1, true
+}
+
+// fold marks block b scored and folds every scored block at the head of
+// the unfolded suffix into the open tests, in block order, closing a test
+// at the end of the stream or when the early stop decides it.
+func (r *permRun) fold(b int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.scored[b] = true
+	nt := len(r.tests)
+	for ; r.folded < len(r.scored) && r.scored[r.folded]; r.folded++ {
+		m := min((r.folded+1)*permBlock, r.nperm)
+		for t := range r.tests {
+			ts := &r.tests[t]
+			if !ts.open {
+				continue
+			}
+			ts.ge += r.counts[r.folded*nt+t]
+			ts.perms = m
+			if m == r.nperm || r.alpha > 0 && earlyStopDecided(ts.ge, m, r.alpha) {
+				ts.open = false
+				r.nopen--
+			}
+		}
+	}
+}
+
+// permWorker is one worker's reusable draw and scoring scratch.
+type permWorker struct {
+	rng     *rand.Rand
+	pool    []int32 // pooled row indexes; pool[:nx] labels side X
+	scratch *permScratch
+}
+
+func newPermWorker(nx, ny int, median bool) *permWorker {
+	w := &permWorker{pool: make([]int32, nx+ny)}
+	if median {
+		w.scratch = newPermScratch(nx, ny)
+	}
+	return w
+}
+
+// startBlock rewinds the worker to the head of block b's stream: the
+// generator seeded by mixSeed(seed, b) over the identity pool. Reseeding
+// the worker's generator is bit-identical to a fresh
+// rand.New(rand.NewSource(...)), and saves its allocation.
+func (w *permWorker) startBlock(seed int64, b int) {
+	if w.rng == nil {
+		w.rng = rand.New(rand.NewSource(mixSeed(seed, int64(b))))
+	} else {
+		w.rng.Seed(mixSeed(seed, int64(b)))
+	}
+	for i := range w.pool {
+		w.pool[i] = int32(i)
+	}
+}
+
+// nextPerm draws the stream's next permutation by a partial Fisher–Yates
+// and returns its side-X indexes, valid until the next call: only the
+// first nx draws are needed to label side X uniformly. The pool keeps its
+// shuffled state between draws within a block; the draw stays uniform
 // because any starting arrangement of the pool is measure-preserving.
-func drawPerm(scratch []int32, nx int, rng *rand.Rand) []int32 {
-	n := len(scratch)
+func (w *permWorker) nextPerm(nx int) []int32 {
+	pool := w.pool
+	n := len(pool)
 	for i := 0; i < nx && i < n-1; i++ {
-		j := i + rng.Intn(n-i)
-		scratch[i], scratch[j] = scratch[j], scratch[i]
+		j := i + w.rng.Intn(n-i)
+		pool[i], pool[j] = pool[j], pool[i]
 	}
-	return append([]int32(nil), scratch[:nx]...)
-}
-
-func identityScratch(n int) []int32 {
-	scratch := make([]int32, n)
-	for i := range scratch {
-		scratch[i] = int32(i)
-	}
-	return scratch
+	return pool[:nx]
 }
 
 // mixSeed derives a well-spread per-block seed (splitmix64 finalizer).
@@ -112,32 +331,6 @@ func mixSeed(base, block int64) int64 {
 	return int64(z & 0x7FFFFFFFFFFFFFFF)
 }
 
-// NumPerms returns the number of stored permutations.
-func (p *PairPerm) NumPerms() int { return len(p.xIdx) }
-
-// PValue runs the permutation test on pooled, which must contain side X's
-// values followed by side Y's (len = nx+ny). It returns the observed
-// statistic and the one-tailed p-value
-//
-//	p = (1 + #{permuted stat ≥ observed}) / (nperm + 1)
-//
-// with the +1 smoothing that keeps p > 0. NaN values in pooled must have
-// been filtered by the caller; if the pool is too small for the statistic
-// the p-value is 1 (nothing can be concluded).
-func (p *PairPerm) PValue(pooled []float64, stat TestStat) (obs, pvalue float64) {
-	return p.PValueThreads(pooled, stat, 1)
-}
-
-// PValueThreads is PValue with the nperm resamples split across up to
-// `threads` workers. Each permutation's statistic is computed
-// independently and the exceedance count is an integer sum, so the
-// p-value is bit-identical for every thread count.
-func (p *PairPerm) PValueThreads(pooled []float64, stat TestStat, threads int) (obs, pvalue float64) {
-	// The background context never cancels, so the error is impossible.
-	obs, pvalue, _ = p.PValueThreadsCtx(context.Background(), pooled, stat, threads)
-	return obs, pvalue
-}
-
 // permScratch holds the per-worker buffers of the median statistic, so the
 // hot loop allocates nothing per permutation.
 type permScratch struct {
@@ -145,27 +338,24 @@ type permScratch struct {
 	inX    []bool
 }
 
-func newPermScratch(p *PairPerm, stat TestStat) *permScratch {
-	if stat != MedianDiff {
-		return nil
-	}
+func newPermScratch(nx, ny int) *permScratch {
 	return &permScratch{
-		xs:  make([]float64, p.nx),
-		ys:  make([]float64, 0, p.ny),
-		inX: make([]bool, p.nx+p.ny),
+		xs:  make([]float64, nx),
+		ys:  make([]float64, 0, ny),
+		inX: make([]bool, nx+ny),
 	}
 }
 
 // statistic computes the chosen statistic with side X being the pooled
 // positions in xIdx (or the first nx positions when xIdx is nil). scratch
 // is required for MedianDiff and ignored otherwise.
-func (p *PairPerm) statistic(pooled []float64, xIdx []int32, stat TestStat, total, totalSq float64, scratch *permScratch) float64 {
-	nx, ny := float64(p.nx), float64(p.ny)
+func statistic(nx, ny int, pooled []float64, xIdx []int32, stat TestStat, total, totalSq float64, scratch *permScratch) float64 {
+	fx, fy := float64(nx), float64(ny)
 	switch stat {
 	case MeanDiff:
 		sx := 0.0
 		if xIdx == nil {
-			for _, v := range pooled[:p.nx] {
+			for _, v := range pooled[:nx] {
 				sx += v
 			}
 		} else {
@@ -173,11 +363,11 @@ func (p *PairPerm) statistic(pooled []float64, xIdx []int32, stat TestStat, tota
 				sx += pooled[i]
 			}
 		}
-		return math.Abs(sx/nx - (total-sx)/ny)
+		return math.Abs(sx/fx - (total-sx)/fy)
 	case VarDiff:
 		sx, qx := 0.0, 0.0
 		if xIdx == nil {
-			for _, v := range pooled[:p.nx] {
+			for _, v := range pooled[:nx] {
 				sx += v
 				qx += v * v
 			}
@@ -188,17 +378,17 @@ func (p *PairPerm) statistic(pooled []float64, xIdx []int32, stat TestStat, tota
 				qx += v * v
 			}
 		}
-		mx := sx / nx
-		my := (total - sx) / ny
-		vx := qx/nx - mx*mx
-		vy := (totalSq-qx)/ny - my*my
+		mx := sx / fx
+		my := (total - sx) / fy
+		vx := qx/fx - mx*mx
+		vy := (totalSq-qx)/fy - my*my
 		return math.Abs(vx - vy)
 	case MedianDiff:
 		xs := scratch.xs
 		ys := scratch.ys[:0]
 		if xIdx == nil {
-			copy(xs, pooled[:p.nx])
-			ys = append(ys, pooled[p.nx:]...)
+			copy(xs, pooled[:nx])
+			ys = append(ys, pooled[nx:]...)
 		} else {
 			inX := scratch.inX
 			for i := range inX {

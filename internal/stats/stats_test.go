@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,6 +10,13 @@ import (
 
 func almostEqual(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*(1+math.Abs(b))
+}
+
+// pvalue runs one eager permutation test on a stream seeded from rng.
+func pvalue(t *testing.T, rng *rand.Rand, nx, ny, nperm int, pooled []float64, stat TestStat) (obs, p float64) {
+	t.Helper()
+	r := permTest1(t, nx, ny, nperm, rng.Int63(), 1, 0, pooled, stat)
+	return r.Obs, r.P
 }
 
 func TestDescriptive(t *testing.T) {
@@ -52,8 +60,7 @@ func TestPermTestDetectsMeanShift(t *testing.T) {
 	for i := 0; i < ny; i++ {
 		pooled = append(pooled, rng.NormFloat64()+2.0) // big shift
 	}
-	pp := NewPairPerm(nx, ny, 500, rng)
-	obs, p := pp.PValue(pooled, MeanDiff)
+	obs, p := pvalue(t, rng, nx, ny, 500, pooled, MeanDiff)
 	if obs < 1.5 {
 		t.Errorf("observed |mean diff| = %v, want around 2", obs)
 	}
@@ -75,8 +82,7 @@ func TestPermTestNullIsUniformish(t *testing.T) {
 		for i := range pooled {
 			pooled[i] = rng.NormFloat64()
 		}
-		pp := NewPairPerm(nx, ny, 120, rng)
-		_, p := pp.PValue(pooled, MeanDiff)
+		_, p := pvalue(t, rng, nx, ny, 120, pooled, MeanDiff)
 		sum += p
 		if p < 0.05 {
 			small++
@@ -100,32 +106,38 @@ func TestPermTestDetectsVarianceShift(t *testing.T) {
 	for i := 0; i < ny; i++ {
 		pooled = append(pooled, rng.NormFloat64()*0.5)
 	}
-	pp := NewPairPerm(nx, ny, 500, rng)
-	_, p := pp.PValue(pooled, VarDiff)
+	_, p := pvalue(t, rng, nx, ny, 500, pooled, VarDiff)
 	if p > 0.01 {
 		t.Errorf("variance-shift p = %v, want highly significant", p)
 	}
 }
 
 func TestPermSharedAcrossMeasures(t *testing.T) {
-	// The same PairPerm must be reusable for different measure vectors and
-	// give deterministic results.
-	rng := rand.New(rand.NewSource(5))
-	pp := NewPairPerm(10, 12, 100, rng)
+	// One stream must serve different measure vectors: every test's
+	// result depends only on its own pool and the stream, so sharing
+	// changes nothing and a repeated vector gives the same bits.
 	m1 := make([]float64, 22)
 	m2 := make([]float64, 22)
 	for i := range m1 {
 		m1[i] = float64(i)
 		m2[i] = float64(i * i)
 	}
-	_, p1a := pp.PValue(m1, MeanDiff)
-	_, p2 := pp.PValue(m2, MeanDiff)
-	_, p1b := pp.PValue(m1, MeanDiff)
-	if p1a != p1b {
-		t.Errorf("PValue not deterministic: %v vs %v", p1a, p1b)
+	shared, err := PermTests(context.Background(), 10, 12, 100, 5, 1, 0,
+		[]PermTest{{Pooled: m1, Stat: MeanDiff}, {Pooled: m2, Stat: MeanDiff}, {Pooled: m1, Stat: MeanDiff}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p1a == 0 || p2 == 0 {
-		t.Error("smoothed p-values must be strictly positive")
+	if shared[0] != shared[2] {
+		t.Errorf("same vector on one stream: %+v vs %+v", shared[0], shared[2])
+	}
+	for i, pooled := range [][]float64{m1, m2} {
+		alone := permTest1(t, 10, 12, 100, 5, 1, 0, pooled, MeanDiff)
+		if alone != shared[i] {
+			t.Errorf("measure %d: alone %+v, shared %+v", i, alone, shared[i])
+		}
+		if alone.P <= 0 {
+			t.Error("smoothed p-values must be strictly positive")
+		}
 	}
 }
 
@@ -139,9 +151,8 @@ func TestPermPValueBounds(t *testing.T) {
 		for i := range pooled {
 			pooled[i] = r.NormFloat64()
 		}
-		pp := NewPairPerm(nx, ny, 60, rng)
 		for _, st := range []TestStat{MeanDiff, VarDiff} {
-			_, p := pp.PValue(pooled, st)
+			_, p := pvalue(t, rng, nx, ny, 60, pooled, st)
 			if p <= 0 || p > 1 {
 				return false
 			}
@@ -154,23 +165,19 @@ func TestPermPValueBounds(t *testing.T) {
 }
 
 func TestPermEmptySide(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	pp := NewPairPerm(0, 5, 10, rng)
-	obs, p := pp.PValue(make([]float64, 5), MeanDiff)
-	if !math.IsNaN(obs) || p != 1 {
-		t.Errorf("empty side: obs=%v p=%v, want NaN, 1", obs, p)
+	r := permTest1(t, 0, 5, 10, 1, 1, 0, make([]float64, 5), MeanDiff)
+	if !math.IsNaN(r.Obs) || r.P != 1 {
+		t.Errorf("empty side: obs=%v p=%v, want NaN, 1", r.Obs, r.P)
 	}
 }
 
 func TestPermPooledLengthPanics(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	pp := NewPairPerm(3, 3, 10, rng)
 	defer func() {
 		if recover() == nil {
 			t.Error("mismatched pooled length did not panic")
 		}
 	}()
-	pp.PValue(make([]float64, 5), MeanDiff)
+	_, _ = PermTests(context.Background(), 3, 3, 10, 1, 1, 0, []PermTest{{Pooled: make([]float64, 5), Stat: MeanDiff}})
 }
 
 func TestBenjaminiHochbergKnown(t *testing.T) {

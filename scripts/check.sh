@@ -25,6 +25,11 @@ go run ./cmd/comparenb-vet ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
+echo "==> perfbench: go vet + go test -race (its own module)"
+# The benchmark module is invisible to the root ./... patterns, so a
+# refactor of an API it calls would otherwise break it unnoticed.
+(cd perfbench && go vet ./... && go test -race ./...)
+
 echo "==> bench smoke (every benchmark once)"
 go test -run '^$' -bench . -benchtime=1x ./... > /dev/null
 
