@@ -51,7 +51,7 @@ func run() error {
 		cacheBudget = flag.Int64("cache-budget", 64<<20, "cube-cache bound in bytes (0 = unbounded)")
 		timeBudget  = flag.Duration("time-budget", 0, "soft wall-clock budget, e.g. 30s: the governor splits it across the stats/hypothesis/TAP phases and each degrades gracefully when its share expires (0 = unbudgeted)")
 		memBudget   = flag.Int64("mem-budget", 0, "hard cube-cache memory budget in bytes: cubes that would exceed it are answered but not cached (0 = disarmed)")
-		noCompress  = flag.Bool("no-compress", false, "disable the compressed columnar storage layer (cubes build from raw columns; outputs are identical either way)")
+		noCompress  = flag.Bool("no-compress", false, "disable the compressed columnar storage layer (the cube kernel reads every column raw-alias, uncompressed; outputs are identical either way)")
 		maxRows     = flag.Int("max-rows", 0, "refuse CSV inputs with more data rows than this instead of loading them (0 = unlimited)")
 		cats        = flag.String("categorical", "", "comma-separated columns to force categorical")
 		nums        = flag.String("numeric", "", "comma-separated columns to force numeric")

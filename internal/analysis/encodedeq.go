@@ -17,7 +17,7 @@ import (
 // comparison with //nolint:encodedeq.
 //
 // Unlike floateq this analyzer deliberately covers _test.go files —
-// differential tests asserting the encoded and raw kernels agree are
+// differential tests asserting the compressed and raw-alias views agree are
 // exactly where a value-level == silently waves NaN regressions
 // through.
 var EncodedEq = &Analyzer{

@@ -14,7 +14,7 @@
 //
 // Functions are keyed by their stable full name
 // ("comparenb/internal/pipeline.parallelForCtx",
-// "(comparenb/internal/engine.CubeCache).GetOrBuildCtx") rather than by
+// "(comparenb/internal/engine.CubeCache).GetOrBuild") rather than by
 // types.Object identity, because a package is type-checked twice — once
 // plain for the import cache, once with its test files folded in — and
 // the two variants produce distinct objects for the same function.

@@ -11,7 +11,7 @@ func TestEstimateCubeBytesNeverUnderCounts(t *testing.T) {
 	rel := randomRelation(3, []int{6, 5, 4}, 2, 2500, 9)
 	for _, attrs := range [][]int{{0}, {1}, {2}, {0, 1}, {0, 2}, {1, 2}, {0, 1, 2}} {
 		est := EstimateCubeBytes(rel, attrs)
-		actual := BuildCube(rel, attrs).MemoryFootprint()
+		actual := mustBuildCube(t, rel, attrs, 1).MemoryFootprint()
 		if est < actual {
 			t.Errorf("attrs %v: estimate %d < actual footprint %d", attrs, est, actual)
 		}
@@ -29,8 +29,8 @@ func TestAdmitRefusesOversizedCube(t *testing.T) {
 	rel := randomRelation(2, []int{6, 6}, 1, 2000, 2)
 	cc := NewCubeCache(0)
 	cc.SetMemBudget(1) // nothing fits
-	c1 := cc.GetOrBuild(rel, []int{0, 1}, 1)
-	c2 := cc.GetOrBuild(rel, []int{0, 1}, 1)
+	c1 := mustGetOrBuild(t, cc, rel, []int{0, 1})
+	c2 := mustGetOrBuild(t, cc, rel, []int{0, 1})
 	if c1 == nil || c2 == nil {
 		t.Fatal("refusal must not refuse the answer, only the caching")
 	}
@@ -51,17 +51,17 @@ func TestAdmitRefusesOversizedCube(t *testing.T) {
 
 func TestAdmitEvictsLargestFirstToFit(t *testing.T) {
 	rel := randomRelation(3, []int{6, 6, 6}, 1, 4000, 5)
-	big := BuildCube(rel, []int{0, 1, 2})
+	big := mustBuildCube(t, rel, []int{0, 1, 2}, 1)
 	cc := NewCubeCache(0)
 	// Room for roughly one big cube. The relation is large enough that
-	// builds run on the encoded path, whose retained payload also charges
+	// builds read the compressed view, whose retained payload also charges
 	// against the budget — budget for it explicitly so the cube math
 	// below is unchanged.
 	cc.SetMemBudget(big.MemoryFootprint() + int64(rel.Encoded().RetainedBytes()))
 	for _, attrs := range [][]int{{0, 1, 2}, {0, 1}, {0, 2}, {0}} {
 		// BuildThrough, not GetOrBuild: rollups of the wide cube would
 		// change which entries exist depending on eviction timing.
-		if cc.BuildThrough(rel, attrs, 1) == nil {
+		if mustBuildThrough(t, cc, rel, attrs) == nil {
 			t.Fatalf("build of %v failed under the memory budget", attrs)
 		}
 	}
@@ -85,7 +85,7 @@ func TestAdmitDisarmedKeepsTrimOnlyBehaviour(t *testing.T) {
 	rel := randomRelation(2, []int{4, 4}, 1, 1000, 3)
 	cc := NewCubeCache(0) // no soft budget, no mem budget
 	for _, attrs := range [][]int{{0, 1}, {0}, {1}} {
-		cc.GetOrBuild(rel, attrs, 1)
+		mustGetOrBuild(t, cc, rel, attrs)
 	}
 	s := cc.Stats()
 	if s.AdmitEvictions != 0 || s.AdmitRefusals != 0 {
@@ -103,16 +103,16 @@ func TestAdmitFiresCacheAdmitSite(t *testing.T) {
 	rel := randomRelation(2, []int{4, 4}, 1, 500, 1)
 
 	unarmed := NewCubeCache(0)
-	unarmed.GetOrBuild(rel, []int{0}, 1)
+	mustGetOrBuild(t, unarmed, rel, []int{0})
 	if fired.Load() != 0 {
 		t.Fatalf("CacheAdmit fired %d times with no memory budget armed", fired.Load())
 	}
 
 	armed := NewCubeCache(0)
 	armed.SetMemBudget(1 << 30)
-	armed.GetOrBuild(rel, []int{0}, 1)
-	armed.BuildThrough(rel, []int{1}, 1)
-	armed.GetOrBuild(rel, []int{0}, 1) // exact hit: no admission decision
+	mustGetOrBuild(t, armed, rel, []int{0})
+	mustBuildThrough(t, armed, rel, []int{1})
+	mustGetOrBuild(t, armed, rel, []int{0}) // exact hit: no admission decision
 	if fired.Load() != 2 {
 		t.Errorf("CacheAdmit fired %d times, want 2 (one per build-path admission)", fired.Load())
 	}

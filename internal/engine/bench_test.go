@@ -18,7 +18,7 @@ func BenchmarkBuildCube2Attrs(b *testing.B) {
 	rel := benchRelation(b, 50000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BuildCube(rel, []int{0, 3})
+		mustBuildCube(b, rel, []int{0, 3}, 1)
 	}
 }
 
@@ -26,19 +26,18 @@ func BenchmarkBuildCube4Attrs(b *testing.B) {
 	rel := benchRelation(b, 50000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BuildCube(rel, []int{0, 1, 2, 3})
+		mustBuildCube(b, rel, []int{0, 1, 2, 3}, 1)
 	}
 }
 
-// BenchmarkBuildCube4AttrsRaw pins the raw float64 kernel (the
-// -no-compress path) on the same fixture as BenchmarkBuildCube4Attrs, so
-// the encoded kernels' speedup stays measurable after they became the
-// default.
+// BenchmarkBuildCube4AttrsRaw times the kernel over the raw-alias view
+// (the -no-compress path) on the same fixture as BenchmarkBuildCube4Attrs,
+// so the compressed view's speedup stays measurable.
 func BenchmarkBuildCube4AttrsRaw(b *testing.B) {
 	rel := benchRelation(b, 50000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BuildCubeParallelOptsCtx(context.Background(), rel, []int{0, 1, 2, 3}, 1, BuildOptions{NoEncode: true}); err != nil {
+		if _, _, err := buildCube(context.Background(), rel, []int{0, 1, 2, 3}, 1, true); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -46,7 +45,7 @@ func BenchmarkBuildCube4AttrsRaw(b *testing.B) {
 
 func BenchmarkRollup(b *testing.B) {
 	rel := benchRelation(b, 50000)
-	wide := BuildCube(rel, []int{0, 1, 2, 3})
+	wide := mustBuildCube(b, rel, []int{0, 1, 2, 3}, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		wide.Rollup([]int{0, 3})
@@ -55,7 +54,7 @@ func BenchmarkRollup(b *testing.B) {
 
 func BenchmarkCompareFromCube(b *testing.B) {
 	rel := benchRelation(b, 50000)
-	cube := BuildCube(rel, []int{0, 1})
+	cube := mustBuildCube(b, rel, []int{0, 1}, 1)
 	dom := rel.SortedDomain(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -112,7 +111,7 @@ func BenchmarkBuildCubeParallel(b *testing.B) {
 	for _, threads := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				BuildCubeParallel(rel, []int{0, 3}, threads)
+				mustBuildCube(b, rel, []int{0, 3}, threads)
 			}
 		})
 	}
@@ -121,10 +120,10 @@ func BenchmarkBuildCubeParallel(b *testing.B) {
 func BenchmarkCubeCacheExactHit(b *testing.B) {
 	rel := benchRelation(b, 50000)
 	cc := NewCubeCache(0)
-	cc.GetOrBuild(rel, []int{0, 3}, 1)
+	mustGetOrBuild(b, cc, rel, []int{0, 3})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cc.GetOrBuild(rel, []int{0, 3}, 1)
+		mustGetOrBuild(b, cc, rel, []int{0, 3})
 	}
 }
 
@@ -133,13 +132,13 @@ func BenchmarkCubeCacheExactHit(b *testing.B) {
 func BenchmarkCubeCacheRollupHit(b *testing.B) {
 	rel := benchRelation(b, 50000)
 	cc := NewCubeCache(0)
-	cc.GetOrBuild(rel, []int{0, 1, 2, 3}, 1)
+	mustGetOrBuild(b, cc, rel, []int{0, 1, 2, 3})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		fresh := NewCubeCache(0)
 		fresh.Add(cc.Get(rel, []int{0, 1, 2, 3}))
 		b.StartTimer()
-		fresh.GetOrBuild(rel, []int{0, 3}, 1)
+		mustGetOrBuild(b, fresh, rel, []int{0, 3})
 	}
 }

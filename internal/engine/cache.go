@@ -27,10 +27,10 @@ type CacheStats struct {
 	Entries        int   `json:"entries"`
 	AdmitEvictions int64 `json:"admit_evictions,omitempty"`
 	AdmitRefusals  int64 `json:"admit_refusals,omitempty"`
-	// EncodedBytes is the retained payload of encoded relations whose
-	// builds went through this cache (see table.EncodedRelation). It is
-	// charged against the hard memory budget at admission time and stays
-	// zero — and absent from JSON — when no build used the encoded path.
+	// EncodedBytes is the retained payload of the compressed views this
+	// cache's own builds read (see table.EncodedRelation). It is charged
+	// against the hard memory budget at admission time and stays zero —
+	// and absent from JSON — when no build read a compressed view.
 	EncodedBytes int64 `json:"encoded_bytes,omitempty"`
 }
 
@@ -87,13 +87,14 @@ type CubeCache struct {
 	bytes     int64 // current footprint, guarded by mu
 	nEntries  int   // len(entries), guarded by mu
 
-	// noEncode forces every build issued through this cache onto the raw
-	// float64 kernels (pipeline Config.NoCompress / -no-compress).
+	// noEncode makes every build issued through this cache read the
+	// raw-alias view (pipeline Config.NoCompress / -no-compress).
 	noEncode bool
-	// encSeen/encBytes track the retained payload of relations whose
-	// builds used the encoded path, so the hard memory budget sees the
-	// compressed columns as part of the engine's footprint. Guarded by mu.
-	encSeen  map[*table.Relation]bool
+	// encSeen/encBytes track the retained payload of the compressed views
+	// this cache's builds read, charged once per relation, so the hard
+	// memory budget sees the compressed columns as part of the engine's
+	// footprint. Guarded by mu.
+	encSeen  map[*table.Relation]int64
 	encBytes int64
 
 	// Counters live in obs handles so the cache is its own single source
@@ -114,7 +115,7 @@ func NewCubeCache(budget int64) *CubeCache {
 	return &CubeCache{
 		budget:         budget,
 		entries:        make(map[cacheKey]*cacheEntry),
-		encSeen:        make(map[*table.Relation]bool),
+		encSeen:        make(map[*table.Relation]int64),
 		hits:           obs.NewCounter(),
 		rollupHits:     obs.NewCounter(),
 		misses:         obs.NewCounter(),
@@ -143,37 +144,26 @@ func (cc *CubeCache) Instrument(reg *obs.Registry) {
 	cc.admitRefusals = reg.Counter("engine_cache_admit_refusals")
 }
 
-// SetNoEncode routes every subsequent build issued through the cache onto
-// the raw float64 kernels. Results are bit-identical either way (the
-// encoded kernels are differential-tested against the raw path), so this
-// is purely a performance/debugging escape hatch.
+// SetNoEncode makes every subsequent build issued through the cache read
+// the raw-alias view instead of the compressed one. Cubes are bit-identical
+// either way, so this is purely a performance/debugging escape hatch.
 func (cc *CubeCache) SetNoEncode(b bool) {
 	cc.mu.Lock()
 	cc.noEncode = b
 	cc.mu.Unlock()
 }
 
-// buildOpts snapshots the cache's kernel options for one build.
-func (cc *CubeCache) buildOpts() BuildOptions {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	return BuildOptions{NoEncode: cc.noEncode}
-}
-
-// noteEncodedLocked charges the retained payload of rel's encoded view
-// against the cache's admission accounting, once per relation. Callers
-// hold cc.mu and call this after a build, when any lazy encode has
-// already happened (EncodedCached never triggers one).
-func (cc *CubeCache) noteEncodedLocked(rel *table.Relation) {
-	if cc.encSeen[rel] {
+// chargeEncodedLocked charges the retained payload of enc, the compressed
+// view of rel that one of this cache's builds read (nil when it read the
+// raw-alias view), against the cache's admission accounting, once per
+// relation. Callers hold cc.mu.
+func (cc *CubeCache) chargeEncodedLocked(rel *table.Relation, enc *table.EncodedRelation) {
+	if _, seen := cc.encSeen[rel]; seen || enc == nil {
 		return
 	}
-	enc := rel.EncodedCached()
-	if enc == nil {
-		return
-	}
-	cc.encSeen[rel] = true
-	cc.encBytes += int64(enc.RetainedBytes())
+	b := int64(enc.RetainedBytes())
+	cc.encSeen[rel] = b
+	cc.encBytes += b
 }
 
 // attrsKey canonicalises a sorted attribute set as a string map key.
@@ -211,24 +201,69 @@ func (cc *CubeCache) Get(rel *table.Relation, attrs []int) *Cube {
 
 // GetOrBuild returns a cube over attrs, in order of preference: the exact
 // cached cube, a roll-up of the cheapest cached strict superset, or a fresh
-// sharded build from the relation (threads as in BuildCubeParallel). The
-// result is inserted into the cache. The superset choice — fewest groups,
-// then fewest attributes, then smallest key string — is a deterministic
-// function of the cache contents.
-func (cc *CubeCache) GetOrBuild(rel *table.Relation, attrs []int, threads int) *Cube {
-	// The background context never cancels, so the error is impossible.
-	cube, _ := cc.GetOrBuildCtx(context.Background(), rel, attrs, threads)
-	return cube
+// BuildCube from the relation. The result is inserted into the cache. The
+// superset choice — fewest groups, then fewest attributes, then smallest
+// key string — is a deterministic function of the cache contents. Only a
+// fresh build observes ctx: lookups and roll-ups are cheap and never
+// interrupted. A cancelled build inserts nothing, so the cache never holds
+// a partial cube.
+func (cc *CubeCache) GetOrBuild(ctx context.Context, rel *table.Relation, attrs []int, threads int) (*Cube, error) {
+	return cc.getOrBuild(ctx, rel, attrs, threads, true)
 }
 
-// BuildThrough returns the exact cached cube or builds one from the base
-// relation, never answering via roll-up. Algorithm 2 uses it for the base
-// cubes of the chosen cover, whose bit-exact provenance must be "built from
-// the relation" regardless of what else the cache holds.
-func (cc *CubeCache) BuildThrough(rel *table.Relation, attrs []int, threads int) *Cube {
-	// The background context never cancels, so the error is impossible.
-	cube, _ := cc.BuildThroughCtx(context.Background(), rel, attrs, threads)
-	return cube
+// BuildThrough is GetOrBuild without the roll-up: it returns the exact
+// cached cube or builds one from the base relation. Algorithm 2 uses it for
+// the base cubes of the chosen cover, whose bit-exact provenance must be
+// "built from the relation" regardless of what else the cache holds.
+func (cc *CubeCache) BuildThrough(ctx context.Context, rel *table.Relation, attrs []int, threads int) (*Cube, error) {
+	return cc.getOrBuild(ctx, rel, attrs, threads, false)
+}
+
+func (cc *CubeCache) getOrBuild(ctx context.Context, rel *table.Relation, attrs []int, threads int, rollup bool) (*Cube, error) {
+	sorted := sortedAttrs(attrs)
+	key := cacheKey{rel: rel, attrs: attrsKey(sorted)}
+
+	cc.mu.Lock()
+	if e, ok := cc.entries[key]; ok {
+		cc.hits.Inc()
+		cc.mu.Unlock()
+		return e.cube, nil
+	}
+	var super *Cube
+	if rollup {
+		super = cc.bestSupersetLocked(rel, sorted)
+	}
+	noEncode := cc.noEncode
+	cc.mu.Unlock()
+
+	admitted := cc.admitPrepare(rel, sorted)
+	var cube *Cube
+	var enc *table.EncodedRelation
+	if super != nil {
+		sp := obs.StartSpan(ctx, "engine/cube/rollup")
+		cube = super.Rollup(sorted)
+		sp.End()
+	} else {
+		var err error
+		if cube, enc, err = buildCube(ctx, rel, sorted, threads, noEncode); err != nil {
+			return nil, err
+		}
+	}
+
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	if e, ok := cc.entries[key]; ok {
+		cc.hits.Inc()
+		return e.cube, nil
+	}
+	if super != nil {
+		cc.rollupHits.Inc()
+	} else {
+		cc.misses.Inc()
+		cc.chargeEncodedLocked(rel, enc)
+	}
+	cc.admitInsertLocked(key, cube, sorted, admitted)
+	return cube, nil
 }
 
 // Add inserts a cube built elsewhere. It never evicts (see Trim).
@@ -352,12 +387,8 @@ func (cc *CubeCache) DropRelation(rel *table.Relation) int {
 		cc.evictions.Inc()
 	}
 	cc.nEntries = len(cc.entries)
-	if cc.encSeen[rel] {
-		delete(cc.encSeen, rel)
-		if enc := rel.EncodedCached(); enc != nil {
-			cc.encBytes -= int64(enc.RetainedBytes())
-		}
-	}
+	cc.encBytes -= cc.encSeen[rel]
+	delete(cc.encSeen, rel)
 	return len(victims)
 }
 

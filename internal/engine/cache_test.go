@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -9,8 +10,8 @@ import (
 func TestCacheExactHitReturnsSameCube(t *testing.T) {
 	rel := randomRelation(2, []int{4, 5}, 1, 300, 1)
 	cc := NewCubeCache(0)
-	c1 := cc.GetOrBuild(rel, []int{0, 1}, 1)
-	c2 := cc.GetOrBuild(rel, []int{1, 0}, 1) // order-insensitive key
+	c1 := mustGetOrBuild(t, cc, rel, []int{0, 1})
+	c2 := mustGetOrBuild(t, cc, rel, []int{1, 0}) // order-insensitive key
 	if c1 != c2 {
 		t.Fatal("second GetOrBuild did not return the cached cube")
 	}
@@ -29,13 +30,13 @@ func TestCacheExactHitReturnsSameCube(t *testing.T) {
 func TestCacheRollupAnswersSubset(t *testing.T) {
 	rel := randomRelation(3, []int{4, 5, 3}, 2, 2000, 7)
 	cc := NewCubeCache(0)
-	cc.GetOrBuild(rel, []int{0, 1, 2}, 1)
-	rolled := cc.GetOrBuild(rel, []int{0, 2}, 1)
+	mustGetOrBuild(t, cc, rel, []int{0, 1, 2})
+	rolled := mustGetOrBuild(t, cc, rel, []int{0, 2})
 	s := cc.Stats()
 	if s.RollupHits != 1 || s.Misses != 1 {
 		t.Fatalf("stats = %+v, want 1 rollup hit + 1 miss", s)
 	}
-	direct := BuildCube(rel, []int{0, 2})
+	direct := mustBuildCube(t, rel, []int{0, 2}, 1)
 	if rolled.NumGroups() != direct.NumGroups() {
 		t.Fatalf("rolled groups = %d, direct = %d", rolled.NumGroups(), direct.NumGroups())
 	}
@@ -66,26 +67,26 @@ func TestCacheRollupAnswersSubset(t *testing.T) {
 func TestCacheBuildThroughIgnoresSupersets(t *testing.T) {
 	rel := randomRelation(3, []int{4, 5, 3}, 1, 1500, 3)
 	cc := NewCubeCache(0)
-	cc.GetOrBuild(rel, []int{0, 1, 2}, 1)
-	through := cc.BuildThrough(rel, []int{0, 1}, 1)
-	requireCubesBitIdentical(t, "BuildThrough", BuildCube(rel, []int{0, 1}), through)
+	mustGetOrBuild(t, cc, rel, []int{0, 1, 2})
+	through := mustBuildThrough(t, cc, rel, []int{0, 1})
+	requireCubesBitIdentical(t, "BuildThrough", mustBuildCube(t, rel, []int{0, 1}, 1), through)
 	s := cc.Stats()
 	if s.RollupHits != 0 || s.Misses != 2 {
 		t.Errorf("stats = %+v, want 2 misses and no rollup hits", s)
 	}
 	// A second call is an exact hit on the now-cached cube.
-	if cc.BuildThrough(rel, []int{0, 1}, 1) != through {
+	if mustBuildThrough(t, cc, rel, []int{0, 1}) != through {
 		t.Error("second BuildThrough did not return the cached cube")
 	}
 }
 
 func TestCacheTrimRespectsBudget(t *testing.T) {
 	rel := randomRelation(3, []int{6, 6, 6}, 1, 4000, 5)
-	big := BuildCube(rel, []int{0, 1, 2})
+	big := mustBuildCube(t, rel, []int{0, 1, 2}, 1)
 	budget := big.MemoryFootprint() // room for roughly one big cube
 	cc := NewCubeCache(budget)
 	for _, attrs := range [][]int{{0, 1, 2}, {0, 1}, {0, 2}, {1, 2}, {0}} {
-		cc.GetOrBuild(rel, attrs, 1)
+		mustGetOrBuild(t, cc, rel, attrs)
 	}
 	before := cc.Stats()
 	cc.Trim()
@@ -114,16 +115,16 @@ func TestCacheTrimRespectsBudget(t *testing.T) {
 func TestCacheTrimVictimsIndependentOfInsertionOrder(t *testing.T) {
 	rel := randomRelation(3, []int{5, 5, 5}, 1, 3000, 8)
 	sets := [][]int{{0, 1, 2}, {0, 1}, {0, 2}, {1, 2}, {0}, {1}, {2}}
-	budget := BuildCube(rel, []int{0, 1}).MemoryFootprint() * 2
+	budget := mustBuildCube(t, rel, []int{0, 1}, 1).MemoryFootprint() * 2
 	a := NewCubeCache(budget)
 	b := NewCubeCache(budget)
 	for _, s := range sets {
-		a.GetOrBuild(rel, s, 1)
+		mustGetOrBuild(t, a, rel, s)
 	}
 	for i := len(sets) - 1; i >= 0; i-- {
 		// Reverse order, and rollups now resolve differently — force exact
 		// builds so both caches hold the same entry set.
-		b.BuildThrough(rel, sets[i], 1)
+		mustBuildThrough(t, b, rel, sets[i])
 	}
 	a.Trim()
 	b.Trim()
@@ -154,7 +155,11 @@ func TestCacheConcurrentGetOrBuild(t *testing.T) {
 			defer wg.Done()
 			out := make([]*Cube, len(sets))
 			for i := range sets {
-				out[(i+w)%len(sets)] = cc.GetOrBuild(rel, sets[(i+w)%len(sets)], 1)
+				c, err := cc.GetOrBuild(context.Background(), rel, sets[(i+w)%len(sets)], 1)
+				if err != nil {
+					t.Error(err)
+				}
+				out[(i+w)%len(sets)] = c
 			}
 			got[w] = out
 		}(w)

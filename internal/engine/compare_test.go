@@ -25,7 +25,7 @@ func codes(t *testing.T, rel *table.Relation, attr int, vals ...string) []int32 
 func TestComparePaperExample(t *testing.T) {
 	rel := covidRelation()
 	cs := codes(t, rel, 1, "4", "5")
-	cube := BuildCube(rel, []int{0, 1})
+	cube := mustBuildCube(t, rel, []int{0, 1}, 1)
 	res := CompareFromCube(cube, 0, 1, cs[0], cs[1], 0, Sum)
 	if res.Len() != 5 {
 		t.Fatalf("rows = %d, want 5", res.Len())
@@ -47,7 +47,7 @@ func TestComparePaperExample(t *testing.T) {
 // literal two-scan join plan on random data, for all aggregates.
 func TestCompareCubeMatchesDirect(t *testing.T) {
 	rel := randomRelation(3, []int{5, 4, 6}, 2, 800, 23)
-	cube := BuildCube(rel, []int{0, 1, 2})
+	cube := mustBuildCube(t, rel, []int{0, 1, 2}, 1)
 	for attrA := 0; attrA < 3; attrA++ {
 		for attrB := 0; attrB < 3; attrB++ {
 			if attrA == attrB {
@@ -97,7 +97,7 @@ func TestCompareInnerJoinDropsOneSidedGroups(t *testing.T) {
 
 func TestCompareEmptySelection(t *testing.T) {
 	rel := covidRelation()
-	cube := BuildCube(rel, []int{0, 1})
+	cube := mustBuildCube(t, rel, []int{0, 1}, 1)
 	// month "4" vs month "4" is a degenerate but well-defined comparison.
 	cs := codes(t, rel, 1, "4")
 	res := CompareFromCube(cube, 0, 1, cs[0], cs[0], 0, Sum)

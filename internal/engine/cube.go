@@ -2,10 +2,12 @@ package engine
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
+	"comparenb/internal/obs"
 	"comparenb/internal/table"
 )
 
@@ -101,229 +103,280 @@ func (c *Cube) MemoryFootprint() int64 {
 // for the determinism argument).
 const buildShardRows = 16384
 
-// maxDenseCells bounds the composite-code space for which the group
-// indexer uses a dense table (one int32 per possible key) instead of a
-// hash map. 1<<20 cells is a 4 MiB scratch table.
-const maxDenseCells = 1 << 20
-
-// groupIndexer assigns dense group ids to composite keys in first-come
-// order. Three regimes, fastest first: a dense table over the mixed-radix
-// code space when it is small, a hash map over the mixed-radix code when it
-// fits uint64, and a string-keyed map over the raw code bytes otherwise.
-type groupIndexer struct {
-	stride int
-	radix  []uint64
-	dense  []int32 // code → group+1 (0 = unassigned) when the space is small
-	m      map[uint64]int32
-	ms     map[string]int32
-	buf    []byte
-	n      int32
-}
-
-func newGroupIndexer(rel *table.Relation, sorted []int, sizeHint int) *groupIndexer {
-	ix := &groupIndexer{stride: len(sorted)}
-	radix, ok := mixedRadix(rel, sorted)
-	if !ok {
-		ix.ms = make(map[string]int32, sizeHint)
-		ix.buf = make([]byte, 4*len(sorted))
-		return ix
-	}
-	ix.radix = radix
-	cells := uint64(1)
-	for _, a := range sorted {
-		d := uint64(rel.DomSize(a))
-		if d == 0 {
-			d = 1
-		}
-		cells *= d
-	}
-	if cells <= maxDenseCells {
-		ix.dense = make([]int32, cells)
-		return ix
-	}
-	ix.m = make(map[uint64]int32, sizeHint)
-	return ix
-}
-
-// lookupOrAdd returns the group id for key, assigning the next id when the
-// key is new. Ids are dense and ordered by first occurrence of the key in
-// the call sequence.
-func (ix *groupIndexer) lookupOrAdd(key []int32) (g int32, isNew bool) {
-	switch {
-	case ix.dense != nil:
-		h := uint64(0)
-		for k, code := range key {
-			h += uint64(code) * ix.radix[k]
-		}
-		if id := ix.dense[h]; id != 0 {
-			return id - 1, false
-		}
-		ix.dense[h] = ix.n + 1
-	case ix.m != nil:
-		h := uint64(0)
-		for k, code := range key {
-			h += uint64(code) * ix.radix[k]
-		}
-		if id, found := ix.m[h]; found {
-			return id, false
-		}
-		ix.m[h] = ix.n
-	default:
-		for k, code := range key {
-			ix.buf[4*k] = byte(code)
-			ix.buf[4*k+1] = byte(code >> 8)
-			ix.buf[4*k+2] = byte(code >> 16)
-			ix.buf[4*k+3] = byte(code >> 24)
-		}
-		if id, found := ix.ms[string(ix.buf)]; found {
-			return id, false
-		}
-		ix.ms[string(ix.buf)] = ix.n
-	}
-	g = ix.n
-	ix.n++
-	return g, true
-}
-
-// cubeAccum is one accumulator of the sharded build: either a shard's
-// private partial aggregate or the global merge target.
-type cubeAccum struct {
-	ix      *groupIndexer
-	stride  int
-	keyData []int32
-	counts  []int64
-	sums    [][]float64
-	mins    [][]float64
-	maxs    [][]float64
-	rows    int
-}
-
-func newCubeAccum(rel *table.Relation, sorted []int, sizeHint int) *cubeAccum {
-	m := rel.NumMeasures()
-	a := &cubeAccum{
-		ix:     newGroupIndexer(rel, sorted, sizeHint),
-		stride: len(sorted),
-		sums:   make([][]float64, m),
-		mins:   make([][]float64, m),
-		maxs:   make([][]float64, m),
-	}
-	return a
-}
-
-// addGroup appends a fresh group with the given key and empty statistics.
-func (a *cubeAccum) addGroup(key []int32) {
-	a.keyData = append(a.keyData, key...)
-	a.counts = append(a.counts, 0)
-	for j := range a.sums {
-		a.sums[j] = append(a.sums[j], 0)
-		a.mins[j] = append(a.mins[j], math.NaN())
-		a.maxs[j] = append(a.maxs[j], math.NaN())
-	}
-}
-
-// scan aggregates rows [lo, hi) of the relation into the accumulator.
-func (a *cubeAccum) scan(cols [][]int32, meas [][]float64, lo, hi int) {
-	keyBuf := make([]int32, a.stride)
-	for row := lo; row < hi; row++ {
-		for k := range cols {
-			keyBuf[k] = cols[k][row]
-		}
-		g, isNew := a.ix.lookupOrAdd(keyBuf)
-		if isNew {
-			a.addGroup(keyBuf)
-		}
-		a.counts[g]++
-		for j := range meas {
-			v := meas[j][row]
-			if math.IsNaN(v) {
-				continue
-			}
-			a.sums[j][g] += v
-			if math.IsNaN(a.mins[j][g]) || v < a.mins[j][g] {
-				a.mins[j][g] = v
-			}
-			if math.IsNaN(a.maxs[j][g]) || v > a.maxs[j][g] {
-				a.maxs[j][g] = v
-			}
-		}
-	}
-	a.rows += hi - lo
-}
-
-// merge folds a shard's partial aggregate into the accumulator. Shards must
-// be merged in ascending shard order: the per-group sum then accumulates
-// the shard partials left to right, which is what makes the result
-// independent of the number of workers.
-func (a *cubeAccum) merge(s *cubeAccum) {
-	for sg := 0; sg < len(s.counts); sg++ {
-		key := s.keyData[sg*s.stride : (sg+1)*s.stride]
-		g, isNew := a.ix.lookupOrAdd(key)
-		if isNew {
-			a.addGroup(key)
-		}
-		a.counts[g] += s.counts[sg]
-		for j := range a.sums {
-			a.sums[j][g] += s.sums[j][sg]
-			if v := s.mins[j][sg]; !math.IsNaN(v) && (math.IsNaN(a.mins[j][g]) || v < a.mins[j][g]) {
-				a.mins[j][g] = v
-			}
-			if v := s.maxs[j][sg]; !math.IsNaN(v) && (math.IsNaN(a.maxs[j][g]) || v > a.maxs[j][g]) {
-				a.maxs[j][g] = v
-			}
-		}
-	}
-	a.rows += s.rows
-}
-
-func (a *cubeAccum) toCube(rel *table.Relation, sorted []int) *Cube {
-	return &Cube{
-		rel: rel, attrs: sorted, stride: len(sorted),
-		keyData: a.keyData, counts: a.counts,
-		sums: a.sums, mins: a.mins, maxs: a.maxs,
-		SourceRows: a.rows,
-	}
-}
+// minEncodeRows gates the compressed view: relations with fewer rows build
+// over the raw-alias view, where encoding the relation would not pay for
+// itself.
+const minEncodeRows = 2048
 
 // BuildCube aggregates the relation over the given categorical attributes
 // (order-insensitive; the cube stores them sorted). NaN measure values are
 // ignored by Sum/Min/Max but still counted, matching SQL aggregates over a
-// table where the dirty cells were NULL. It is the zero-goroutine serial
-// path of BuildCubeParallel and produces bit-identical output.
-func BuildCube(rel *table.Relation, attrs []int) *Cube {
-	return BuildCubeParallel(rel, attrs, 1)
+// table where the dirty cells were NULL.
+//
+// The build is sharded: the row range is cut into fixed-width shards
+// (buildShardRows), up to `threads` workers aggregate them into private
+// partials, and the partials merge in shard order. Shard boundaries depend
+// only on the relation size and the merge order is fixed, so the cube is
+// bit-identical for every thread count; threads <= 1 runs the same shards
+// with zero goroutines. Workers poll ctx before each shard and the build
+// returns ctx's error once cancelled; a started shard runs to completion,
+// so no partial cube ever escapes.
+func BuildCube(ctx context.Context, rel *table.Relation, attrs []int, threads int) (*Cube, error) {
+	cube, _, err := buildCube(ctx, rel, attrs, threads, false)
+	return cube, err
 }
 
-// BuildCubeParallel is the sharded cube build: the row range is cut into
-// fixed-width shards (buildShardRows), each shard aggregates into a private
-// accumulator, and the shard partials are merged in shard order. Because
-// the shard boundaries depend only on the relation size and the merge order
-// is fixed, the output is bit-identical for every thread count — including
-// threads <= 1, which runs the same shards sequentially with zero
-// goroutines. Relations of at most one shard skip the merge entirely.
-func BuildCubeParallel(rel *table.Relation, attrs []int, threads int) *Cube {
-	// The background context never cancels, so the error is impossible.
-	cube, _ := BuildCubeParallelCtx(context.Background(), rel, attrs, threads)
-	return cube
+// buildCube picks the view the kernel reads. The compressed view serves
+// relations of at least minEncodeRows rows whose composite codes fit
+// uint64, unless noEncode (-no-compress) is set or the encode was
+// fault-aborted; every other build reads the raw-alias view. The cube is
+// bit-identical either way. buildCube also returns the compressed view
+// when the build read it, so a cache can charge its bytes.
+func buildCube(ctx context.Context, rel *table.Relation, attrs []int, threads int, noEncode bool) (*Cube, *table.EncodedRelation, error) {
+	sorted := sortedAttrs(attrs)
+	mustUniqueAttrs(sorted)
+	ks := newKeySpace(rel, sorted)
+	var enc *table.EncodedRelation
+	if !noEncode && rel.NumRows() >= minEncodeRows && ks.radix != nil {
+		enc = rel.Encoded()
+	}
+	view, counter := enc, "engine_cube_build_encoded"
+	if enc == nil {
+		view, counter = rel.RawView(), "engine_cube_build_raw"
+	}
+	if reg := obs.FromContext(ctx); reg != nil {
+		reg.Counter(counter).Inc()
+	}
+	cube, err := buildCubeView(ctx, rel, view, sorted, ks, threads)
+	return cube, enc, err
 }
 
-// mixedRadix returns per-position multipliers so that composite keys over
-// the given attributes are unique uint64s, or ok=false if the combined code
-// space overflows.
-func mixedRadix(rel *table.Relation, attrs []int) ([]uint64, bool) {
-	radix := make([]uint64, len(attrs))
+// maxDenseCells bounds the composite-code space for which the group index
+// uses a dense table (one int32 per possible key) instead of a hash map.
+// 1<<20 cells is a 4 MiB table.
+const maxDenseCells = 1 << 20
+
+// keySpace is the composite-key space of one group-by, fixed once per
+// build from the active-domain sizes: mixed-radix multipliers that make
+// every key a unique uint64 cell below `cells`, or radix == nil when the
+// space overflows uint64 and keys compare as raw code bytes.
+type keySpace struct {
+	radix []uint64
+	cells uint64
+}
+
+func newKeySpace(rel *table.Relation, sorted []int) keySpace {
+	radix := make([]uint64, len(sorted))
 	prod := uint64(1)
-	for i, a := range attrs {
+	for i, a := range sorted {
 		radix[i] = prod
 		d := uint64(rel.DomSize(a))
 		if d == 0 {
 			d = 1
 		}
 		if prod > (1<<63)/d {
-			return nil, false
+			return keySpace{}
 		}
 		prod *= d
 	}
-	return radix, true
+	return keySpace{radix: radix, cells: prod}
+}
+
+// capHint bounds the group count of a group-by over `rows` rows by the
+// size of the code space, capped at maxEncCapHint, for preallocation.
+func (ks keySpace) capHint(rows int) int {
+	h := min(rows, maxEncCapHint)
+	if ks.radix != nil && ks.cells < uint64(h) {
+		h = int(ks.cells)
+	}
+	return h
+}
+
+// groupIndex numbers the composite group keys of one group-by in
+// first-occurrence order and keeps them, flat (key of group id at
+// keys[id*stride:]). It is the one place the key regime lives, chosen once
+// from the keySpace: a dense table over the mixed-radix cells when there
+// are at most denseCells of them, a map over the cells when they fit
+// uint64, and a map over the raw code bytes when they do not. Ids do not
+// depend on the regime.
+type groupIndex struct {
+	stride int
+	radix  []uint64         // nil in the byte-key regime
+	dense  []int32          // cell → id+1, 0 = unseen
+	m      map[uint64]int32 // cell → id
+	ms     map[string]int32 // code bytes → id
+	keys   []int32
+	n      int32
+	key    []int32 // scratch: one key
+	kbytes []byte  // scratch: one key's code bytes
+}
+
+func newGroupIndex(ks keySpace, stride, capHint int, denseCells uint64) *groupIndex {
+	ix := &groupIndex{
+		stride: stride,
+		radix:  ks.radix,
+		keys:   make([]int32, 0, capHint*stride),
+		key:    make([]int32, stride),
+	}
+	switch {
+	case ks.radix == nil:
+		ix.ms = make(map[string]int32, capHint)
+		ix.kbytes = make([]byte, 4*stride)
+	case ks.cells <= denseCells:
+		ix.dense = make([]int32, ks.cells)
+	default:
+		ix.m = make(map[uint64]int32, capHint)
+	}
+	return ix
+}
+
+// groupKey returns the key of group id, aliasing the index.
+func (ix *groupIndex) groupKey(id int) []int32 {
+	return ix.keys[id*ix.stride : (id+1)*ix.stride]
+}
+
+func (ix *groupIndex) cell(key []int32) uint64 {
+	h := uint64(0)
+	for k, code := range key {
+		h += uint64(uint32(code)) * ix.radix[k]
+	}
+	return h
+}
+
+// lookupOrAdd returns the id of key, adding a copy of key as the next id
+// when it is unseen.
+func (ix *groupIndex) lookupOrAdd(key []int32) (id int32, isNew bool) {
+	switch {
+	case ix.dense != nil:
+		cell := ix.cell(key)
+		if id := ix.dense[cell]; id != 0 {
+			return id - 1, false
+		}
+		return ix.addDense(cell, key) - 1, true
+	case ix.m != nil:
+		cell := ix.cell(key)
+		if id, ok := ix.m[cell]; ok {
+			return id, false
+		}
+		ix.m[cell] = ix.n
+	default:
+		b := ix.kbytes
+		for k, code := range key {
+			binary.LittleEndian.PutUint32(b[4*k:], uint32(code))
+		}
+		if id, ok := ix.ms[string(b)]; ok {
+			return id, false
+		}
+		ix.ms[string(b)] = ix.n
+	}
+	ix.keys = append(ix.keys, key...)
+	ix.n++
+	return ix.n - 1, true
+}
+
+// addDense adds key, whose unseen cell is cell, in the dense regime and
+// returns its id + 1 (the dense table's entry).
+func (ix *groupIndex) addDense(cell uint64, key []int32) int32 {
+	ix.keys = append(ix.keys, key...)
+	ix.n++
+	ix.dense[cell] = ix.n
+	return ix.n
+}
+
+// assign sets gids[i] to the id of row i of a block whose key codes are
+// codes[k][i], adding unseen keys in row order. With a mixed radix the
+// block's cells are computed first, fused over the key positions (cells is
+// scratch), so the dense regime costs one table load per row.
+func (ix *groupIndex) assign(codes [][]int32, cells []uint64, gids []int32) {
+	if ix.radix == nil {
+		for i := range gids {
+			gids[i], _ = ix.lookupOrAdd(ix.keyAt(codes, i))
+		}
+		return
+	}
+	cells = cells[:len(gids)]
+	if len(codes) == 0 {
+		clear(cells)
+	}
+	// The first key position assigns (no zeroing pass), the rest add.
+	for k, ck := range codes {
+		rk := ix.radix[k]
+		ck = ck[:len(cells)]
+		if k == 0 {
+			for i := range cells {
+				cells[i] = uint64(uint32(ck[i])) * rk
+			}
+			continue
+		}
+		for i := range cells {
+			cells[i] += uint64(uint32(ck[i])) * rk
+		}
+	}
+	if ix.dense != nil {
+		for i, cell := range cells {
+			id := ix.dense[cell]
+			if id == 0 {
+				id = ix.addDense(cell, ix.keyAt(codes, i))
+			}
+			gids[i] = id - 1
+		}
+		return
+	}
+	for i, cell := range cells {
+		id, ok := ix.m[cell]
+		if !ok {
+			id, _ = ix.lookupOrAdd(ix.keyAt(codes, i))
+		}
+		gids[i] = id
+	}
+}
+
+// mapFrom sets ids[sg] to the id here of src's group sg, adding src's
+// unseen keys in src order, and returns ids. A group is new here iff its
+// id is at least the n the index had before the call. The dense regime
+// probes inline, as assign does.
+func (ix *groupIndex) mapFrom(src *groupIndex, ids []int32) []int32 {
+	ids = slices.Grow(ids[:0], int(src.n))
+	for sg := 0; sg < int(src.n); sg++ {
+		key := src.groupKey(sg)
+		if ix.dense == nil {
+			id, _ := ix.lookupOrAdd(key)
+			ids = append(ids, id)
+			continue
+		}
+		cell := ix.cell(key)
+		id := ix.dense[cell]
+		if id == 0 {
+			id = ix.addDense(cell, key)
+		}
+		ids = append(ids, id-1)
+	}
+	return ids
+}
+
+// keyAt gathers row i's key from column-major codes into scratch.
+func (ix *groupIndex) keyAt(codes [][]int32, i int) []int32 {
+	for k := range ix.key {
+		ix.key[k] = codes[k][i]
+	}
+	return ix.key
+}
+
+// reset forgets every key and keeps the allocations. The dense table is
+// wiped through the stored keys, so the cost is O(groups), not O(cells).
+func (ix *groupIndex) reset() {
+	switch {
+	case ix.dense != nil:
+		for id := 0; id < int(ix.n); id++ {
+			ix.dense[ix.cell(ix.groupKey(id))] = 0
+		}
+	case ix.m != nil:
+		clear(ix.m)
+	default:
+		clear(ix.ms)
+	}
+	ix.keys = ix.keys[:0]
+	ix.n = 0
 }
 
 // Rollup aggregates the cube down to a subset of its attributes. All stored
@@ -331,38 +384,58 @@ func mixedRadix(rel *table.Relation, attrs []int) ([]uint64, bool) {
 // sum/count, so roll-up is exact. Rollup panics if attrs is not a subset of
 // the cube's attributes.
 func (c *Cube) Rollup(attrs []int) *Cube {
-	sorted := append([]int(nil), attrs...)
-	sort.Ints(sorted)
+	sorted := sortedAttrs(attrs)
 	pos := make([]int, len(sorted))
 	for i, want := range sorted {
 		pos[i] = mustAttrPos(c.attrs, want)
 	}
 
-	out := newCubeAccum(c.rel, sorted, c.NumGroups())
-	keyBuf := make([]int32, len(sorted))
+	ks := newKeySpace(c.rel, sorted)
+	ix := newGroupIndex(ks, len(sorted), ks.capHint(c.NumGroups()), maxDenseCells)
+	nm := c.rel.NumMeasures()
+	out := &Cube{
+		rel: c.rel, attrs: sorted, stride: len(sorted),
+		sums: make([][]float64, nm), mins: make([][]float64, nm), maxs: make([][]float64, nm),
+		SourceRows: c.SourceRows,
+	}
+	key := make([]int32, len(sorted))
 	for src := 0; src < c.NumGroups(); src++ {
 		srcKey := c.GroupKey(src)
 		for i, p := range pos {
-			keyBuf[i] = srcKey[p]
+			key[i] = srcKey[p]
 		}
-		g, isNew := out.ix.lookupOrAdd(keyBuf)
+		g, isNew := ix.lookupOrAdd(key)
 		if isNew {
-			out.addGroup(keyBuf)
+			out.counts = append(out.counts, 0)
+			for j := range out.sums {
+				out.sums[j] = append(out.sums[j], 0)
+				out.mins[j] = append(out.mins[j], math.NaN())
+				out.maxs[j] = append(out.maxs[j], math.NaN())
+			}
 		}
 		out.counts[g] += c.counts[src]
 		for j := range out.sums {
 			out.sums[j][g] += c.sums[j][src]
-			if v := c.mins[j][src]; !math.IsNaN(v) && (math.IsNaN(out.mins[j][g]) || v < out.mins[j][g]) {
-				out.mins[j][g] = v
-			}
-			if v := c.maxs[j][src]; !math.IsNaN(v) && (math.IsNaN(out.maxs[j][g]) || v > out.maxs[j][g]) {
-				out.maxs[j][g] = v
-			}
+			foldMin(&out.mins[j][g], c.mins[j][src])
+			foldMax(&out.maxs[j][g], c.maxs[j][src])
 		}
 	}
-	cube := out.toCube(c.rel, sorted)
-	cube.SourceRows = c.SourceRows
-	return cube
+	out.keyData = ix.keys
+	return out
+}
+
+// foldMin and foldMax merge a partial min/max v into *dst. NaN is the
+// empty partial (a group with no non-NaN value), so it never wins.
+func foldMin(dst *float64, v float64) {
+	if !math.IsNaN(v) && (math.IsNaN(*dst) || v < *dst) {
+		*dst = v
+	}
+}
+
+func foldMax(dst *float64, v float64) {
+	if !math.IsNaN(v) && (math.IsNaN(*dst) || v > *dst) {
+		*dst = v
+	}
 }
 
 // mustUniqueAttrs panics when a sorted group-by attribute set contains a

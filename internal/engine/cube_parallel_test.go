@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -8,74 +9,125 @@ import (
 )
 
 // refGroup / referenceBuildCube is an independent, deliberately naive cube
-// builder used as ground truth for the sharded kernel: one full sequential
-// scan, string-keyed map, first-occurrence group order. Sums accumulate in
-// row order, so they may differ from the sharded build's merged partials in
-// the last ulps — equivalence checks use a relative tolerance for sums and
-// exact equality for everything else.
+// builder used as ground truth for the kernel: a map keyed by the codes'
+// bytes, value-by-value accumulation. Group order is first occurrence in
+// row order, taken straight from the rows. Sums follow the one summation
+// order the kernel promises — each fixed buildShardRows shard summed from
+// +0.0, the shard partials folded in shard order — so it compares bit for
+// bit.
 type refGroup struct {
 	key   []int32
 	count int64
-	sums  []float64
-	mins  []float64
-	maxs  []float64
+	stats []float64 // measure j: sum, min, max at stats[3j:3j+3]
 }
 
-func referenceBuildCube(rel *table.Relation, attrs []int) []*refGroup {
-	cols := make([][]int32, len(attrs))
-	for i, a := range attrs {
-		cols[i] = rel.CatCol(a)
-	}
-	meas := make([][]float64, rel.NumMeasures())
-	for j := range meas {
-		meas[j] = rel.MeasCol(j)
-	}
-	index := map[string]*refGroup{}
-	var order []*refGroup
+func referenceBuildCube(rel *table.Relation, attrs []int) []refGroup {
+	nmeas, n := rel.NumMeasures(), rel.NumRows()
 	buf := make([]byte, 4*len(attrs))
-	for row := 0; row < rel.NumRows(); row++ {
-		for k := range cols {
-			c := cols[k][row]
-			buf[4*k] = byte(c)
-			buf[4*k+1] = byte(c >> 8)
-			buf[4*k+2] = byte(c >> 16)
-			buf[4*k+3] = byte(c >> 24)
+	keyBytes := func(row int) string {
+		for k, a := range attrs {
+			c := rel.CatCol(a)[row]
+			buf[4*k], buf[4*k+1], buf[4*k+2], buf[4*k+3] = byte(c), byte(c>>8), byte(c>>16), byte(c>>24)
 		}
-		g := index[string(buf)]
-		if g == nil {
-			key := make([]int32, len(attrs))
-			for k := range cols {
-				key[k] = cols[k][row]
-			}
-			g = &refGroup{
-				key:  key,
-				sums: make([]float64, len(meas)),
-				mins: make([]float64, len(meas)),
-				maxs: make([]float64, len(meas)),
-			}
-			for j := range meas {
-				g.mins[j] = math.NaN()
-				g.maxs[j] = math.NaN()
-			}
-			index[string(buf)] = g
-			order = append(order, g)
+		return string(buf)
+	}
+	empty := func(st []float64) {
+		for j := 0; j < nmeas; j++ {
+			st[3*j], st[3*j+1], st[3*j+2] = 0, math.NaN(), math.NaN()
 		}
-		g.count++
-		for j := range meas {
-			v := meas[j][row]
-			if math.IsNaN(v) {
-				continue
-			}
-			g.sums[j] += v
-			if math.IsNaN(g.mins[j]) || v < g.mins[j] {
-				g.mins[j] = v
-			}
-			if math.IsNaN(g.maxs[j]) || v > g.maxs[j] {
-				g.maxs[j] = v
+	}
+
+	// Pass 1: group ids in first-occurrence order.
+	ids := map[string]int{}
+	var keys []int32
+	for row := 0; row < n; row++ {
+		if _, ok := ids[keyBytes(row)]; !ok {
+			ids[keyBytes(row)] = len(ids)
+			for _, a := range attrs {
+				keys = append(keys, rel.CatCol(a)[row])
 			}
 		}
 	}
-	return order
+	groups := make([]refGroup, len(ids))
+	stats := make([]float64, 3*nmeas*len(ids))
+	for g := range groups {
+		groups[g] = refGroup{key: keys[g*len(attrs) : (g+1)*len(attrs)], stats: stats[3*nmeas*g : 3*nmeas*(g+1)]}
+		empty(groups[g].stats)
+	}
+
+	// Pass 2: per-shard partials, folded in shard order. A zero partial
+	// count marks a group the current shard has not reached yet.
+	pcount := make([]int64, len(ids))
+	pstats := make([]float64, 3*nmeas*len(ids))
+	touched := make([]int, 0, len(ids))
+	for lo := 0; lo < n; lo += buildShardRows {
+		touched = touched[:0]
+		for row := lo; row < min(lo+buildShardRows, n); row++ {
+			g := ids[keyBytes(row)]
+			st := pstats[3*nmeas*g : 3*nmeas*(g+1)]
+			if pcount[g] == 0 {
+				touched = append(touched, g)
+				empty(st)
+			}
+			pcount[g]++
+			for j := 0; j < nmeas; j++ {
+				v := rel.MeasCol(j)[row]
+				if math.IsNaN(v) {
+					continue
+				}
+				st[3*j] += v
+				if math.IsNaN(st[3*j+1]) || v < st[3*j+1] {
+					st[3*j+1] = v
+				}
+				if math.IsNaN(st[3*j+2]) || v > st[3*j+2] {
+					st[3*j+2] = v
+				}
+			}
+		}
+		for _, g := range touched {
+			p, gl := pstats[3*nmeas*g:3*nmeas*(g+1)], &groups[g]
+			gl.count += pcount[g]
+			pcount[g] = 0
+			for j := 0; j < nmeas; j++ {
+				gl.stats[3*j] += p[3*j]
+				if v := p[3*j+1]; !math.IsNaN(v) && (math.IsNaN(gl.stats[3*j+1]) || v < gl.stats[3*j+1]) {
+					gl.stats[3*j+1] = v
+				}
+				if v := p[3*j+2]; !math.IsNaN(v) && (math.IsNaN(gl.stats[3*j+2]) || v > gl.stats[3*j+2]) {
+					gl.stats[3*j+2] = v
+				}
+			}
+		}
+	}
+	return groups
+}
+
+// requireMatchesReference fails unless the cube equals the reference bit
+// for bit: group order, keys, counts, and every sum, min and max compared
+// through Float64bits.
+func requireMatchesReference(t *testing.T, label string, want []refGroup, got *Cube) {
+	t.Helper()
+	if got.NumGroups() != len(want) {
+		t.Fatalf("%s: groups %d, reference %d", label, got.NumGroups(), len(want))
+	}
+	for g, ref := range want {
+		key := got.GroupKey(g)
+		for k := range key {
+			if key[k] != ref.key[k] {
+				t.Fatalf("%s: group %d key %v, reference %v (first-occurrence order broken)", label, g, key, ref.key)
+			}
+		}
+		if got.Count(g) != ref.count {
+			t.Fatalf("%s: group %d count %d, reference %d", label, g, got.Count(g), ref.count)
+		}
+		for i, v := range ref.stats {
+			agg := []Agg{Sum, Min, Max}[i%3]
+			if c := got.Value(g, i/3, agg); math.Float64bits(c) != math.Float64bits(v) {
+				t.Fatalf("%s: group %d %s(m%d) = %v (bits %x), reference %v (bits %x)",
+					label, g, agg, i/3, c, math.Float64bits(c), v, math.Float64bits(v))
+			}
+		}
+	}
 }
 
 // requireCubesBitIdentical fails unless the two cubes are bit-for-bit the
@@ -118,9 +170,9 @@ func TestBuildCubeParallelBitIdentical(t *testing.T) {
 	rows := 3*buildShardRows + 123 // 4 shards, last one partial
 	rel := randomRelation(3, []int{7, 13, 5}, 2, rows, 42)
 	for _, attrs := range [][]int{{0}, {0, 1}, {0, 1, 2}} {
-		serial := BuildCube(rel, attrs)
+		serial := mustBuildCube(t, rel, attrs, 1)
 		for _, threads := range []int{2, 3, 4, 8} {
-			par := BuildCubeParallel(rel, attrs, threads)
+			par := mustBuildCube(t, rel, attrs, threads)
 			requireCubesBitIdentical(t, "attrs/threads", serial, par)
 		}
 	}
@@ -130,15 +182,14 @@ func TestBuildCubeParallelBitIdentical(t *testing.T) {
 // relation that fits one shard takes the merge-free route at any width.
 func TestBuildCubeParallelSingleShard(t *testing.T) {
 	rel := randomRelation(2, []int{4, 6}, 1, 500, 9)
-	serial := BuildCube(rel, []int{0, 1})
-	par := BuildCubeParallel(rel, []int{0, 1}, 8)
+	serial := mustBuildCube(t, rel, []int{0, 1}, 1)
+	par := mustBuildCube(t, rel, []int{0, 1}, 8)
 	requireCubesBitIdentical(t, "single shard", serial, par)
 }
 
 // TestBuildCubeMatchesReference is the property test against the naive
 // ground-truth builder, over several seeded random relations that cross
-// shard boundaries: group order, keys, counts and min/max must be exact;
-// sums within relative tolerance (shard merge reassociates the FP adds).
+// shard boundaries: the cube over either view must match it bit for bit.
 func TestBuildCubeMatchesReference(t *testing.T) {
 	for _, tc := range []struct {
 		seed int64
@@ -152,34 +203,8 @@ func TestBuildCubeMatchesReference(t *testing.T) {
 		rel := randomRelation(len(tc.doms), tc.doms, 2, tc.rows, tc.seed)
 		attrs := []int{0, 1}
 		want := referenceBuildCube(rel, attrs)
-		got := BuildCube(rel, attrs)
-		if got.NumGroups() != len(want) {
-			t.Fatalf("seed %d: groups %d, reference %d", tc.seed, got.NumGroups(), len(want))
-		}
-		for g := 0; g < got.NumGroups(); g++ {
-			ref := want[g]
-			key := got.GroupKey(g)
-			for k := range key {
-				if key[k] != ref.key[k] {
-					t.Fatalf("seed %d: group %d key %v, reference %v (first-occurrence order broken)",
-						tc.seed, g, key, ref.key)
-				}
-			}
-			if got.Count(g) != ref.count {
-				t.Fatalf("seed %d: group %d count %d, reference %d", tc.seed, g, got.Count(g), ref.count)
-			}
-			for m := 0; m < rel.NumMeasures(); m++ {
-				if s := got.Value(g, m, Sum); math.Abs(s-ref.sums[m]) > 1e-9*(1+math.Abs(ref.sums[m])) {
-					t.Errorf("seed %d: group %d Sum(m%d) = %v, reference %v", tc.seed, g, m, s, ref.sums[m])
-				}
-				if v := got.Value(g, m, Min); math.Float64bits(v) != math.Float64bits(ref.mins[m]) {
-					t.Errorf("seed %d: group %d Min(m%d) = %v, reference %v", tc.seed, g, m, v, ref.mins[m])
-				}
-				if v := got.Value(g, m, Max); math.Float64bits(v) != math.Float64bits(ref.maxs[m]) {
-					t.Errorf("seed %d: group %d Max(m%d) = %v, reference %v", tc.seed, g, m, v, ref.maxs[m])
-				}
-			}
-		}
+		requireMatchesReference(t, fmt.Sprintf("seed %d", tc.seed), want, mustBuildCube(t, rel, attrs, 1))
+		requireMatchesReference(t, fmt.Sprintf("seed %d raw-alias", tc.seed), want, mustBuildView(t, rel, rel.RawView(), attrs, 1))
 	}
 }
 
@@ -203,8 +228,8 @@ func TestBuildCubeParallelNaN(t *testing.T) {
 		b.AddRow([]string{g}, []float64{val})
 	}
 	rel := b.Build()
-	serial := BuildCube(rel, []int{0})
-	par := BuildCubeParallel(rel, []int{0}, 4)
+	serial := mustBuildCube(t, rel, []int{0}, 1)
+	par := mustBuildCube(t, rel, []int{0}, 4)
 	requireCubesBitIdentical(t, "NaN merge", serial, par)
 	for g := 0; g < par.NumGroups(); g++ {
 		switch rel.Value(0, par.GroupKey(g)[0]) {

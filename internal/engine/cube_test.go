@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -30,7 +31,7 @@ func covidRelation() *table.Relation {
 
 func TestBuildCubeGroups(t *testing.T) {
 	rel := covidRelation()
-	c := BuildCube(rel, []int{0, 1})
+	c := mustBuildCube(t, rel, []int{0, 1}, 1)
 	if c.NumGroups() != 10 {
 		t.Errorf("NumGroups = %d, want 10", c.NumGroups())
 	}
@@ -46,7 +47,7 @@ func TestCubeValueAggregates(t *testing.T) {
 	}
 	b.AddRow([]string{"y"}, []float64{10})
 	rel := b.Build()
-	c := BuildCube(rel, []int{0})
+	c := mustBuildCube(t, rel, []int{0}, 1)
 	var gx = -1
 	for g := 0; g < c.NumGroups(); g++ {
 		if rel.Value(0, c.GroupKey(g)[0]) == "x" {
@@ -73,7 +74,7 @@ func TestCubeNaNHandling(t *testing.T) {
 	b.AddRow([]string{"x"}, []float64{5})
 	b.AddRow([]string{"z"}, []float64{math.NaN()})
 	rel := b.Build()
-	c := BuildCube(rel, []int{0})
+	c := mustBuildCube(t, rel, []int{0}, 1)
 	for g := 0; g < c.NumGroups(); g++ {
 		switch rel.Value(0, c.GroupKey(g)[0]) {
 		case "x":
@@ -96,10 +97,10 @@ func TestCubeNaNHandling(t *testing.T) {
 
 func TestRollupMatchesDirectCube(t *testing.T) {
 	rel := randomRelation(3, []int{4, 5, 3}, 2, 500, 11)
-	wide := BuildCube(rel, []int{0, 1, 2})
+	wide := mustBuildCube(t, rel, []int{0, 1, 2}, 1)
 	for _, attrs := range [][]int{{0}, {1}, {2}, {0, 1}, {0, 2}, {1, 2}} {
 		up := wide.Rollup(attrs)
-		direct := BuildCube(rel, attrs)
+		direct := mustBuildCube(t, rel, attrs, 1)
 		if up.NumGroups() != direct.NumGroups() {
 			t.Fatalf("Rollup(%v) groups = %d, direct = %d", attrs, up.NumGroups(), direct.NumGroups())
 		}
@@ -132,7 +133,7 @@ func TestRollupMatchesDirectCube(t *testing.T) {
 
 func TestRollupPanicsOnBadAttr(t *testing.T) {
 	rel := covidRelation()
-	c := BuildCube(rel, []int{0})
+	c := mustBuildCube(t, rel, []int{0}, 1)
 	defer func() {
 		if recover() == nil {
 			t.Error("Rollup with attribute outside cube did not panic")
@@ -148,13 +149,13 @@ func TestBuildCubeDuplicateAttrPanics(t *testing.T) {
 			t.Error("BuildCube with duplicate attrs did not panic")
 		}
 	}()
-	BuildCube(rel, []int{0, 0})
+	mustBuildCube(t, rel, []int{0, 0}, 1)
 }
 
 func TestMemoryFootprintGrowsWithGroups(t *testing.T) {
 	rel := randomRelation(2, []int{10, 10}, 1, 2000, 3)
-	small := BuildCube(rel, []int{0})
-	big := BuildCube(rel, []int{0, 1})
+	small := mustBuildCube(t, rel, []int{0}, 1)
+	big := mustBuildCube(t, rel, []int{0, 1}, 1)
 	if small.MemoryFootprint() >= big.MemoryFootprint() {
 		t.Errorf("footprint(1 attr)=%d >= footprint(2 attrs)=%d", small.MemoryFootprint(), big.MemoryFootprint())
 	}
@@ -185,4 +186,48 @@ func randomRelation(ncat int, domSizes []int, nmeas, rows int, seed int64) *tabl
 		b.AddRow(cats, meas)
 	}
 	return b.Build()
+}
+
+// mustBuildCube is BuildCube under a context that never cancels.
+func mustBuildCube(tb testing.TB, rel *table.Relation, attrs []int, threads int) *Cube {
+	tb.Helper()
+	c, err := BuildCube(context.Background(), rel, attrs, threads)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
+// mustGetOrBuild is cc.GetOrBuild at threads=1 under a context that never
+// cancels.
+func mustGetOrBuild(tb testing.TB, cc *CubeCache, rel *table.Relation, attrs []int) *Cube {
+	tb.Helper()
+	c, err := cc.GetOrBuild(context.Background(), rel, attrs, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
+// mustBuildThrough is cc.BuildThrough at threads=1 under a context that
+// never cancels.
+func mustBuildThrough(tb testing.TB, cc *CubeCache, rel *table.Relation, attrs []int) *Cube {
+	tb.Helper()
+	c, err := cc.BuildThrough(context.Background(), rel, attrs, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
+// mustBuildView runs the kernel over one view of rel: rel.Encoded() (the
+// compressed view, at any row count) or rel.RawView().
+func mustBuildView(tb testing.TB, rel *table.Relation, view *table.EncodedRelation, attrs []int, threads int) *Cube {
+	tb.Helper()
+	sorted := sortedAttrs(attrs)
+	c, err := buildCubeView(context.Background(), rel, view, sorted, newKeySpace(rel, sorted), threads)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
 }

@@ -1,14 +1,15 @@
-// Encoded cube kernels: the sharded cube build specialised to the
-// compressed columnar layer of internal/table. Group keys are computed by
-// fusing the mixed radix directly over blocks of unpacked dictionary codes
-// (no per-row key slice, no per-row indexer call), and measures accumulate
-// from encoded blocks — exactly-integer columns entirely in int64.
+// The block cube kernel: the engine's one cube build. It aggregates over
+// an EncodedRelation view of the relation — the compressed view
+// (rel.Encoded) or the raw-alias view (rel.RawView) — block by block:
+// group ids come from the groupIndex over blocks of unpacked dictionary
+// codes (no per-row key slice, no per-row indexer call in the uint64
+// regimes), and measures accumulate from encoded blocks, exactly-integer
+// columns entirely in int64.
 //
-// The kernels preserve every invariant of the raw float64 path: the fixed
-// shard width (buildShardRows), first-occurrence group order, in-order
-// shard merge, and SQL NULL semantics for NaN. Output is bit-identical to
-// the raw path at every thread count; see docs/PERFORMANCE.md ("Encoded
-// columnar storage") for the argument.
+// The kernel keeps the fixed shard width (buildShardRows), first-occurrence
+// group order, in-order shard merge, and SQL NULL semantics for NaN, so its
+// output is bit-identical over either view and at every thread count; see
+// docs/PERFORMANCE.md ("Determinism discipline") for the argument.
 //
 // Memory layout: shard accumulators pack each group's statistics into one
 // contiguous line ([sum,min,max] per measure), so the random-access writes
@@ -20,17 +21,11 @@ package engine
 import (
 	"context"
 	"math"
-	"sort"
 
 	"comparenb/internal/faultinject"
 	"comparenb/internal/obs"
 	"comparenb/internal/table"
 )
-
-// minEncodeRows gates the encoded kernels: relations with fewer rows build
-// from raw columns, where encoding overhead would not pay for itself. A var
-// so tests can lower it to exercise the encoded path on small fixtures.
-var minEncodeRows = 2048
 
 // encBlock is the number of rows unpacked per kernel block. The scratch
 // working set (codes + cells + gids + one value buffer) stays around 36 KiB
@@ -43,52 +38,15 @@ const encBlock = 1024
 // a relation has more distinct groups than this.
 const maxEncCapHint = 1 << 16
 
-// BuildOptions selects between the encoded and raw cube kernels.
-type BuildOptions struct {
-	// NoEncode forces the raw float64 path (the -no-compress escape
-	// hatch). Results are bit-identical either way; this is a
-	// performance/debugging knob, not a semantic one.
-	NoEncode bool
-}
-
-// BuildCubeParallelOptsCtx is BuildCubeParallelCtx with explicit kernel
-// options. The encoded kernels engage when the relation is large enough
-// (minEncodeRows), the composite code space fits uint64 (the string-keyed
-// indexer regime has no encoded equivalent), and the lazy encode was not
-// fault-injected; anything else falls back to the raw path.
-func BuildCubeParallelOptsCtx(ctx context.Context, rel *table.Relation, attrs []int, threads int, opts BuildOptions) (*Cube, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	sorted := append([]int(nil), attrs...)
-	sort.Ints(sorted)
-	mustUniqueAttrs(sorted)
-
-	if !opts.NoEncode && rel.NumRows() >= minEncodeRows {
-		if radix, ok := mixedRadix(rel, sorted); ok {
-			if enc := rel.Encoded(); enc != nil {
-				if reg := obs.FromContext(ctx); reg != nil {
-					reg.Counter("engine_cube_build_encoded").Inc()
-				}
-				return buildCubeEncodedCtx(ctx, rel, enc, sorted, radix, threads)
-			}
-		}
-	}
-	if reg := obs.FromContext(ctx); reg != nil {
-		reg.Counter("engine_cube_build_raw").Inc()
-	}
-	return buildCubeRawCtx(ctx, rel, sorted, threads)
-}
-
-// encMeasKind classifies how the encoded kernels accumulate one measure.
+// encMeasKind classifies how the kernel accumulates one measure.
 type encMeasKind uint8
 
 const (
 	// encMeasRaw: the float64 slice shared with the relation; accumulate
-	// exactly like the raw path.
+	// value by value in row order.
 	encMeasRaw encMeasKind = iota
 	// encMeasDecode: an integer encoding whose sums are not provably
-	// exact; decode blocks to float64 and accumulate like the raw path.
+	// exact; decode blocks to float64 and accumulate like encMeasRaw.
 	encMeasDecode
 	// encMeasConst: one shared bit pattern for every row.
 	encMeasConst
@@ -183,99 +141,42 @@ func newEncScratch(stride int, l *encLayout) *encScratch {
 	return sc
 }
 
-func encCapHint(rows int, cells uint64) int {
-	h := rows
-	if cells < uint64(h) {
-		h = int(cells)
-	}
-	if h > maxEncCapHint {
-		h = maxEncCapHint
-	}
-	return h
-}
-
 // encShard is a shard's private partial aggregate with packed per-group
 // statistics lines. Arrays are preallocated at the group-count upper
 // bound, so hot-path appends never reallocate for typical shapes.
 type encShard struct {
-	stride int
-	dense  []int32 // cell → group+1 (0 = unassigned) when cells is small
-	m      map[uint64]int32
-	cells  []uint64 // cells[g] = composite cell of group g
-
-	keyData []int32
-	counts  []int64
-	fstats  []float64 // group g: fstats[g*fw : (g+1)*fw]
-	istats  []uint64  // group g: istats[g*iw : (g+1)*iw]
-	l       *encLayout
-	n       int
-	rows    int
+	ix     *groupIndex
+	counts []int64
+	fstats []float64 // group g: fstats[g*fw : (g+1)*fw]
+	istats []uint64  // group g: istats[g*iw : (g+1)*iw]
+	l      *encLayout
+	rows   int
 }
 
-func newEncShard(l *encLayout, stride int, cells uint64, capHint int) *encShard {
-	s := &encShard{stride: stride, l: l}
-	if cells <= maxDenseCells {
-		s.dense = make([]int32, cells)
-	} else {
-		s.m = make(map[uint64]int32, capHint)
+func newEncShard(b *encBuilder, capHint int) *encShard {
+	return &encShard{
+		ix:     newGroupIndex(b.ks, len(b.cats), capHint, maxDenseCells),
+		counts: make([]int64, 0, capHint),
+		fstats: make([]float64, 0, capHint*b.l.fw),
+		istats: make([]uint64, 0, capHint*b.l.iw),
+		l:      b.l,
 	}
-	s.cells = make([]uint64, 0, capHint)
-	s.keyData = make([]int32, 0, capHint*stride)
-	s.counts = make([]int64, 0, capHint)
-	s.fstats = make([]float64, 0, capHint*l.fw)
-	s.istats = make([]uint64, 0, capHint*l.iw)
-	return s
-}
-
-// addGroup assigns the next group id to cell, taking the key from position
-// i of the unpacked code buffers. Returns the 1-based id.
-func (s *encShard) addGroup(cell uint64, codes [][]int32, i int) int32 {
-	for k := 0; k < s.stride; k++ {
-		s.keyData = append(s.keyData, codes[k][i])
-	}
-	s.cells = append(s.cells, cell)
-	s.counts = append(s.counts, 0)
-	s.fstats = append(s.fstats, s.l.finit...)
-	s.istats = append(s.istats, s.l.iinit...)
-	s.n++
-	id := int32(s.n)
-	if s.dense != nil {
-		s.dense[cell] = id
-	} else {
-		s.m[cell] = id - 1
-	}
-	return id
 }
 
 // reset clears the accumulator for reuse on the next shard (serial build).
-// The dense table is wiped via the group cell list, so the cost is
-// O(groups), not O(cells).
 func (s *encShard) reset() {
-	if s.dense != nil {
-		for _, cell := range s.cells {
-			s.dense[cell] = 0
-		}
-	} else {
-		clear(s.m)
-	}
-	s.cells = s.cells[:0]
-	s.keyData = s.keyData[:0]
+	s.ix.reset()
 	s.counts = s.counts[:0]
 	s.fstats = s.fstats[:0]
 	s.istats = s.istats[:0]
-	s.n = 0
 	s.rows = 0
 }
 
 // scan aggregates rows [lo, hi) into the shard, block by block, in row
-// order — the same visit order as the raw path's cubeAccum.scan.
+// order.
 func (s *encShard) scan(b *encBuilder, sc *encScratch, lo, hi int) {
 	for blo := lo; blo < hi; blo += encBlock {
-		bhi := blo + encBlock
-		if bhi > hi {
-			bhi = hi
-		}
-		s.scanBlock(b, sc, blo, bhi)
+		s.scanBlock(b, sc, blo, min(blo+encBlock, hi))
 	}
 	s.rows += hi - lo
 }
@@ -285,47 +186,12 @@ func (s *encShard) scanBlock(b *encBuilder, sc *encScratch, blo, bhi int) {
 	for k, c := range b.cats {
 		c.UnpackCodes(sc.codes[k][:bn], blo, bhi)
 	}
-
-	// Fused mixed-radix: composite cells for the whole block. The first
-	// key position assigns (no zeroing pass), the rest accumulate.
-	cells := sc.cells[:bn]
-	if len(b.cats) == 0 {
-		for i := range cells {
-			cells[i] = 0
-		}
-	}
-	for k := range b.cats {
-		rk := b.radix[k]
-		ck := sc.codes[k]
-		if k == 0 {
-			for i := 0; i < bn; i++ {
-				cells[i] = uint64(uint32(ck[i])) * rk
-			}
-			continue
-		}
-		for i := 0; i < bn; i++ {
-			cells[i] += uint64(uint32(ck[i])) * rk
-		}
-	}
-
-	// Group ids, assigning fresh ids in first-occurrence order.
 	gids := sc.gids[:bn]
-	if s.dense != nil {
-		for i, cell := range cells {
-			id := s.dense[cell]
-			if id == 0 {
-				id = s.addGroup(cell, sc.codes, i)
-			}
-			gids[i] = id - 1
-		}
-	} else {
-		for i, cell := range cells {
-			id, ok := s.m[cell]
-			if !ok {
-				id = s.addGroup(cell, sc.codes, i) - 1
-			}
-			gids[i] = id
-		}
+	s.ix.assign(sc.codes, sc.cells, gids)
+	for len(s.counts) < int(s.ix.n) {
+		s.counts = append(s.counts, 0)
+		s.fstats = append(s.fstats, s.l.finit...)
+		s.istats = append(s.istats, s.l.iinit...)
 	}
 
 	counts := s.counts
@@ -353,9 +219,9 @@ func (s *encShard) scanBlock(b *encBuilder, sc *encScratch, blo, bhi int) {
 	}
 }
 
-// accumFloatBlock replays the raw path's per-row float accumulation over
-// one block: same values, same order, same NaN skip — bit-identical. Each
-// group's [sum,min,max] slot is contiguous, so a row touches one line.
+// accumFloatBlock accumulates one block of float values in row order,
+// skipping NaN. Each group's [sum,min,max] slot is contiguous, so a row
+// touches one line.
 func accumFloatBlock(stats []float64, fw, off int, vals []float64, gids []int32) {
 	for i, v := range vals {
 		if math.IsNaN(v) {
@@ -404,7 +270,7 @@ func accumDeltaBlock(stats []uint64, iw, off int, deltas []uint64, gids []int32)
 // toCube materialises a single-shard build: the packed statistics unpack
 // into the Cube's per-statistic arrays bit-for-bit.
 func (s *encShard) toCube(rel *table.Relation, sorted []int) *Cube {
-	n := s.n
+	n := int(s.ix.n)
 	l := s.l
 	sums := make([][]float64, len(l.plans))
 	mins := make([][]float64, len(l.plans))
@@ -433,8 +299,8 @@ func (s *encShard) toCube(rel *table.Relation, sorted []int) *Cube {
 		sums[m], mins[m], maxs[m] = sm, mn, mx
 	}
 	return &Cube{
-		rel: rel, attrs: sorted, stride: s.stride,
-		keyData: s.keyData, counts: s.counts,
+		rel: rel, attrs: sorted, stride: len(sorted),
+		keyData: s.ix.keys, counts: s.counts,
 		sums: sums, mins: mins, maxs: maxs,
 		SourceRows: s.rows,
 	}
@@ -447,29 +313,23 @@ func (s *encShard) toCube(rel *table.Relation, sorted []int) *Cube {
 // 3j of the shard's fstats), is[j] of the j-th int-exact measure — the
 // merge loops run over exactly the slots that exist, branch-free.
 type encGlobal struct {
-	stride int
-	dense  []int32
-	m      map[uint64]int32
-
-	keyData      []int32
+	ix           *groupIndex
 	counts       []int64
 	fs, fmn, fmx [][]float64
 	is           [][]int64
 	imn, imx     [][]uint64 // delta domain (monotone in the value)
 	l            *encLayout
-	n            int
 	rows         int
+	ids          []int32 // merge scratch: shard group → global id
 }
 
-func newEncGlobal(l *encLayout, stride int, cells uint64, capHint int) *encGlobal {
-	g := &encGlobal{stride: stride, l: l}
-	if cells <= maxDenseCells {
-		g.dense = make([]int32, cells)
-	} else {
-		g.m = make(map[uint64]int32, capHint)
+func newEncGlobal(b *encBuilder, capHint int) *encGlobal {
+	l := b.l
+	g := &encGlobal{
+		ix:     newGroupIndex(b.ks, len(b.cats), capHint, maxDenseCells),
+		counts: make([]int64, 0, capHint),
+		l:      l,
 	}
-	g.keyData = make([]int32, 0, capHint*stride)
-	g.counts = make([]int64, 0, capHint)
 	nf, ni := l.fw/3, l.iw/3
 	g.fs = make([][]float64, nf)
 	g.fmn = make([][]float64, nf)
@@ -490,86 +350,30 @@ func newEncGlobal(l *encLayout, stride int, cells uint64, capHint int) *encGloba
 	return g
 }
 
-// initFrom seeds an empty global accumulator from the first shard. It is
-// merge specialised to the empty target — every group is new, ids land in
-// shard order — so the group data copies over in bulk, with no lookups.
-func (a *encGlobal) initFrom(s *encShard) {
-	l := a.l
-	a.keyData = append(a.keyData, s.keyData...)
-	a.counts = append(a.counts, s.counts[:s.n]...)
-	for j := range a.fs {
-		o := 3 * j
-		fs, fmn, fmx := a.fs[j], a.fmn[j], a.fmx[j]
-		for g := 0; g < s.n; g++ {
-			st := s.fstats[g*l.fw+o:]
-			fs = append(fs, st[0])
-			fmn = append(fmn, st[1])
-			fmx = append(fmx, st[2])
-		}
-		a.fs[j], a.fmn[j], a.fmx[j] = fs, fmn, fmx
-	}
-	for j := range a.is {
-		o := 3 * j
-		is, imn, imx := a.is[j], a.imn[j], a.imx[j]
-		for g := 0; g < s.n; g++ {
-			st := s.istats[g*l.iw+o:]
-			is = append(is, int64(st[0]))
-			imn = append(imn, st[1])
-			imx = append(imx, st[2])
-		}
-		a.is[j], a.imn[j], a.imx[j] = is, imn, imx
-	}
-	if a.dense != nil {
-		for sg, cell := range s.cells[:s.n] {
-			a.dense[cell] = int32(sg + 1)
-		}
-	} else {
-		for sg, cell := range s.cells[:s.n] {
-			a.m[cell] = int32(sg)
-		}
-	}
-	a.n = s.n
-	a.rows = s.rows
-}
-
-// merge folds a shard partial into the global accumulator, in ascending
-// shard order — the same discipline, and the same float operation order,
-// as the raw path's cubeAccum.merge. A first-seen group adopts the shard's
+// merge folds a shard partial into the global accumulator. Shards must be
+// merged in ascending shard order: each group's sum then accumulates the
+// shard partials left to right, which is what makes the result independent
+// of the number of workers. A first-seen group adopts the shard's
 // statistics wholesale, which is bit-identical to merging into the empty
-// stats: min/max start NaN, and a shard sum is never -0.0 (it starts from
-// +0.0, and IEEE addition from +0.0 cannot produce -0.0), so copying it
-// equals adding it to +0.0.
+// statistics: min/max start NaN, and a shard sum is never -0.0 (it starts
+// from +0.0, and IEEE addition from +0.0 cannot produce -0.0), so copying
+// it equals adding it to +0.0.
 func (a *encGlobal) merge(s *encShard) {
 	l := a.l
-	for sg := 0; sg < s.n; sg++ {
-		cell := s.cells[sg]
-		var g int32
-		if a.dense != nil {
-			id := a.dense[cell]
-			if id == 0 {
-				a.addGroupFromShard(cell, s, sg)
-				continue
-			}
-			g = id - 1
-		} else {
-			id, ok := a.m[cell]
-			if !ok {
-				a.addGroupFromShard(cell, s, sg)
-				continue
-			}
-			g = id
+	fresh := a.ix.n
+	a.ids = a.ix.mapFrom(s.ix, a.ids)
+	for sg, g := range a.ids {
+		if g >= fresh {
+			a.adopt(s, sg)
+			continue
 		}
 		sf := s.fstats[sg*l.fw : (sg+1)*l.fw]
 		a.counts[g] += s.counts[sg]
 		for j := range a.fs {
 			o := 3 * j
 			a.fs[j][g] += sf[o]
-			if v := sf[o+1]; !math.IsNaN(v) && (math.IsNaN(a.fmn[j][g]) || v < a.fmn[j][g]) {
-				a.fmn[j][g] = v
-			}
-			if v := sf[o+2]; !math.IsNaN(v) && (math.IsNaN(a.fmx[j][g]) || v > a.fmx[j][g]) {
-				a.fmx[j][g] = v
-			}
+			foldMin(&a.fmn[j][g], sf[o+1])
+			foldMax(&a.fmx[j][g], sf[o+2])
 		}
 		if l.iw == 0 {
 			continue
@@ -589,12 +393,9 @@ func (a *encGlobal) merge(s *encShard) {
 	a.rows += s.rows
 }
 
-// addGroupFromShard appends a fresh group carrying shard group sg's
-// statistics directly — one write per statistic instead of an empty
-// append immediately overwritten.
-func (a *encGlobal) addGroupFromShard(cell uint64, s *encShard, sg int) {
+// adopt appends shard group sg's statistics as the newest global group.
+func (a *encGlobal) adopt(s *encShard, sg int) {
 	l := a.l
-	a.keyData = append(a.keyData, s.keyData[sg*s.stride:(sg+1)*s.stride]...)
 	a.counts = append(a.counts, s.counts[sg])
 	sf := s.fstats[sg*l.fw:]
 	for j := range a.fs {
@@ -612,13 +413,6 @@ func (a *encGlobal) addGroupFromShard(cell uint64, s *encShard, sg int) {
 			a.imx[j] = append(a.imx[j], si[o+2])
 		}
 	}
-	a.n++
-	id := int32(a.n)
-	if a.dense != nil {
-		a.dense[cell] = id
-	} else {
-		a.m[cell] = id - 1
-	}
 }
 
 // toCube finalises the global accumulator. Float-accumulated measures hand
@@ -626,7 +420,7 @@ func (a *encGlobal) addGroupFromShard(cell uint64, s *encShard, sg int) {
 // from the integer state (exact, hence bit-identical to float
 // accumulation).
 func (a *encGlobal) toCube(rel *table.Relation, sorted []int) *Cube {
-	n := a.n
+	n := int(a.ix.n)
 	nm := len(a.l.plans)
 	sums := make([][]float64, nm)
 	mins := make([][]float64, nm)
@@ -651,44 +445,32 @@ func (a *encGlobal) toCube(rel *table.Relation, sorted []int) *Cube {
 		sums[m], mins[m], maxs[m] = sm, mn, mx
 	}
 	return &Cube{
-		rel: rel, attrs: sorted, stride: a.stride,
-		keyData: a.keyData, counts: a.counts,
+		rel: rel, attrs: sorted, stride: len(sorted),
+		keyData: a.ix.keys, counts: a.counts,
 		sums: sums, mins: mins, maxs: maxs,
 		SourceRows: a.rows,
 	}
 }
 
-// encBuilder carries the immutable inputs of one encoded build.
+// encBuilder carries the immutable inputs of one build.
 type encBuilder struct {
-	rel   *table.Relation
-	enc   *table.EncodedRelation
-	attrs []int
-	cats  []table.CatColumn
-	l     *encLayout
-	radix []uint64
-	cells uint64
+	cats []table.CatColumn
+	l    *encLayout
+	ks   keySpace
 }
 
-// buildCubeEncodedCtx is the encoded counterpart of buildCubeRawCtx: same
-// shard layout, same faultinject site, same cancellation points, same
-// in-order merge — different kernels.
-func buildCubeEncodedCtx(ctx context.Context, rel *table.Relation, enc *table.EncodedRelation, sorted []int, radix []uint64, threads int) (*Cube, error) {
-	cells := uint64(1)
-	for _, at := range sorted {
-		d := uint64(rel.DomSize(at))
-		if d == 0 {
-			d = 1
-		}
-		cells *= d // mixedRadix already proved this cannot overflow
-	}
+// buildCubeView runs the kernel over view — rel.Encoded() or
+// rel.RawView() — for the sorted attribute set whose key space is ks:
+// fixed-width shards, the EngineCubeShard fault site and a ctx poll before
+// every shard, and an in-order merge.
+func buildCubeView(ctx context.Context, rel *table.Relation, view *table.EncodedRelation, sorted []int, ks keySpace, threads int) (*Cube, error) {
 	b := &encBuilder{
-		rel: rel, enc: enc, attrs: sorted,
-		cats:  make([]table.CatColumn, len(sorted)),
-		l:     planMeasures(rel, enc),
-		radix: radix, cells: cells,
+		cats: make([]table.CatColumn, len(sorted)),
+		l:    planMeasures(rel, view),
+		ks:   ks,
 	}
 	for k, at := range sorted {
-		b.cats[k] = enc.Cat(at)
+		b.cats[k] = view.Cat(at)
 	}
 
 	sp := obs.StartSpan(ctx, "engine/cube/build")
@@ -696,15 +478,14 @@ func buildCubeEncodedCtx(ctx context.Context, rel *table.Relation, enc *table.En
 
 	n := rel.NumRows()
 	numShards := (n + buildShardRows - 1) / buildShardRows
-
+	shardRows := func(s int) (lo, hi int) {
+		lo = s * buildShardRows
+		return lo, min(lo+buildShardRows, n)
+	}
 	scanShard := func(ctx context.Context, s int, acc *encShard, sc *encScratch) {
 		ssp := obs.StartSpan(ctx, "engine/cube/shard")
 		defer ssp.End()
-		lo := s * buildShardRows
-		hi := lo + buildShardRows
-		if hi > n {
-			hi = n
-		}
+		lo, hi := shardRows(s)
 		acc.scan(b, sc, lo, hi)
 	}
 
@@ -713,24 +494,22 @@ func buildCubeEncodedCtx(ctx context.Context, rel *table.Relation, enc *table.En
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		acc := newEncShard(b.l, len(sorted), cells, encCapHint(n, cells))
-		sc := newEncScratch(len(sorted), b.l)
-		acc.scan(b, sc, 0, n)
+		acc := newEncShard(b, ks.capHint(n))
+		acc.scan(b, newEncScratch(len(sorted), b.l), 0, n)
 		return acc.toCube(rel, sorted), nil
 	}
 
+	global := newEncGlobal(b, ks.capHint(n))
 	if threads > numShards {
 		threads = numShards
 	}
 	if threads <= 1 {
-		// Serial: one shard accumulator, reset and reused across shards
-		// (the dense table is wiped via the group cell list), merged into
-		// the global accumulator after each shard — the same shard-order
-		// accumulation as batching the merges, with a fraction of the
-		// allocations.
+		// Serial: one shard accumulator, reset and reused across shards,
+		// merged into the global accumulator after each shard — the same
+		// shard-order accumulation as batching the merges, with a fraction
+		// of the allocations.
 		sc := newEncScratch(len(sorted), b.l)
-		shard := newEncShard(b.l, len(sorted), cells, encCapHint(buildShardRows, cells))
-		global := newEncGlobal(b.l, len(sorted), cells, encCapHint(n, cells))
+		shard := newEncShard(b, ks.capHint(buildShardRows))
 		for s := 0; s < numShards; s++ {
 			faultinject.Fire(faultinject.EngineCubeShard)
 			if err := ctx.Err(); err != nil {
@@ -738,11 +517,7 @@ func buildCubeEncodedCtx(ctx context.Context, rel *table.Relation, enc *table.En
 			}
 			shard.reset()
 			scanShard(ctx, s, shard, sc)
-			if s == 0 {
-				global.initFrom(shard)
-			} else {
-				global.merge(shard)
-			}
+			global.merge(shard)
 		}
 		return global.toCube(rel, sorted), nil
 	}
@@ -759,12 +534,8 @@ func buildCubeEncodedCtx(ctx context.Context, rel *table.Relation, enc *table.En
 				if wctx.Err() != nil {
 					return
 				}
-				lo := s * buildShardRows
-				hi := lo + buildShardRows
-				if hi > n {
-					hi = n
-				}
-				acc := newEncShard(b.l, len(sorted), cells, encCapHint(hi-lo, cells))
+				lo, hi := shardRows(s)
+				acc := newEncShard(b, ks.capHint(hi-lo))
 				scanShard(wctx, s, acc, sc)
 				shards[s] = acc
 			}
@@ -776,9 +547,7 @@ func buildCubeEncodedCtx(ctx context.Context, rel *table.Relation, enc *table.En
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	global := newEncGlobal(b.l, len(sorted), cells, encCapHint(n, cells))
-	global.initFrom(shards[0])
-	for _, s := range shards[1:] {
+	for _, s := range shards {
 		global.merge(s)
 	}
 	return global.toCube(rel, sorted), nil

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -44,28 +45,24 @@ func mixedRelation(rows int, seed int64) *table.Relation {
 	return b.Build()
 }
 
-// TestEncodedCubeBitIdenticalToRaw is the differential gate of the encoded
-// kernels: on a multi-shard relation spanning every measure regime, the
-// encoded build must equal the raw build bit-for-bit, at every thread
-// count, for single- and multi-attribute group-bys.
+// TestEncodedCubeBitIdenticalToRaw is the differential gate of the two
+// views: on a multi-shard relation spanning every measure regime, the
+// kernel over the compressed view and over the raw-alias view must both
+// equal the shard-aware reference bit for bit, at every thread count, for
+// single- and multi-attribute group-bys.
 func TestEncodedCubeBitIdenticalToRaw(t *testing.T) {
 	rows := 2*buildShardRows + 777 // 3 shards, last partial
 	rel := mixedRelation(rows, 17)
-	if rel.Encoded() == nil {
+	enc := rel.Encoded()
+	if enc == nil {
 		t.Fatal("fixture relation failed to encode")
 	}
-	ctx := context.Background()
 	for _, attrs := range [][]int{{0}, {2}, {0, 1}, {0, 1, 2}} {
-		raw, err := BuildCubeParallelOptsCtx(ctx, rel, attrs, 1, BuildOptions{NoEncode: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := referenceBuildCube(rel, attrs)
 		for _, threads := range []int{1, 2, 8} {
-			enc, err := BuildCubeParallelOptsCtx(ctx, rel, attrs, threads, BuildOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireCubesBitIdentical(t, "encoded vs raw", raw, enc)
+			label := fmt.Sprintf("attrs %v threads %d", attrs, threads)
+			requireMatchesReference(t, label+" encoded", want, mustBuildView(t, rel, enc, attrs, threads))
+			requireMatchesReference(t, label+" raw-alias", want, mustBuildView(t, rel, rel.RawView(), attrs, threads))
 		}
 	}
 }
@@ -74,54 +71,61 @@ func TestEncodedCubeBitIdenticalToRaw(t *testing.T) {
 // (rows between minEncodeRows and buildShardRows).
 func TestEncodedCubeSingleShard(t *testing.T) {
 	rel := mixedRelation(minEncodeRows+137, 3)
-	raw, err := BuildCubeParallelOptsCtx(context.Background(), rel, []int{0, 1}, 1, BuildOptions{NoEncode: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc, err := BuildCubeParallelOptsCtx(context.Background(), rel, []int{0, 1}, 4, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireCubesBitIdentical(t, "single shard", raw, enc)
+	want := referenceBuildCube(rel, []int{0, 1})
+	requireMatchesReference(t, "encoded", want, mustBuildCube(t, rel, []int{0, 1}, 4))
+	requireMatchesReference(t, "raw-alias", want, mustBuildView(t, rel, rel.RawView(), []int{0, 1}, 4))
 }
 
-// TestEncodedKernelGate pins when the encoded path engages: the obs
-// counters distinguish the two kernels, small relations and NoEncode use
-// raw, and large encodable relations use the encoded kernels.
+// TestEncodedKernelGate pins which view the kernel reads: the obs counters
+// name the view, small relations, noEncode and composite codes that
+// overflow uint64 read the raw-alias view, and large encodable relations
+// read the compressed view.
 func TestEncodedKernelGate(t *testing.T) {
 	reg := obs.New()
 	ctx := obs.NewContext(context.Background(), reg)
 	count := func(name string) int64 {
 		return reg.Counter(name).Value()
 	}
+	build := func(rel *table.Relation, attrs []int, noEncode bool) {
+		t.Helper()
+		if _, _, err := buildCube(ctx, rel, attrs, 1, noEncode); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	small := randomRelation(2, []int{4, 4}, 1, minEncodeRows-1, 1)
-	if _, err := BuildCubeParallelOptsCtx(ctx, small, []int{0}, 1, BuildOptions{}); err != nil {
-		t.Fatal(err)
-	}
+	build(small, []int{0}, false)
 	if got := count("engine_cube_build_raw"); got != 1 {
-		t.Fatalf("small relation: raw builds = %d, want 1", got)
+		t.Fatalf("small relation: raw-alias builds = %d, want 1", got)
+	}
+	if small.EncodedCached() != nil {
+		t.Fatal("small relation: the raw-alias build encoded the relation")
 	}
 
 	big := randomRelation(2, []int{4, 4}, 1, minEncodeRows, 1)
-	if _, err := BuildCubeParallelOptsCtx(ctx, big, []int{0}, 1, BuildOptions{}); err != nil {
-		t.Fatal(err)
-	}
+	build(big, []int{0}, false)
 	if got := count("engine_cube_build_encoded"); got != 1 {
 		t.Fatalf("large relation: encoded builds = %d, want 1", got)
 	}
 
-	if _, err := BuildCubeParallelOptsCtx(ctx, big, []int{0}, 1, BuildOptions{NoEncode: true}); err != nil {
-		t.Fatal(err)
-	}
+	build(big, []int{0}, true)
 	if got := count("engine_cube_build_raw"); got != 2 {
-		t.Fatalf("NoEncode: raw builds = %d, want 2", got)
+		t.Fatalf("noEncode: raw-alias builds = %d, want 2", got)
+	}
+
+	wide := overflowRelation(minEncodeRows, 1)
+	build(wide, overflowAttrs, false)
+	if got := count("engine_cube_build_raw"); got != 3 {
+		t.Fatalf("overflowing key space: raw-alias builds = %d, want 3", got)
+	}
+	if wide.EncodedCached() != nil {
+		t.Fatal("overflowing key space: the raw-alias build encoded the relation")
 	}
 }
 
 // TestEncodeAbortFallsBackToRawKernel: a fault-injected encode abort must
-// leave builds on the raw path with identical results — degradation, not
-// failure.
+// leave builds on the raw-alias view with identical results — degradation,
+// not failure.
 func TestEncodeAbortFallsBackToRawKernel(t *testing.T) {
 	rel := mixedRelation(minEncodeRows+50, 29)
 	restore := faultinject.Set(faultinject.TableEncodeColumn,
@@ -131,28 +135,24 @@ func TestEncodeAbortFallsBackToRawKernel(t *testing.T) {
 
 	reg := obs.New()
 	ctx := obs.NewContext(context.Background(), reg)
-	got, err := BuildCubeParallelOptsCtx(ctx, rel, []int{0, 1}, 2, BuildOptions{})
+	got, enc, err := buildCube(ctx, rel, []int{0, 1}, 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := reg.Counter("engine_cube_build_raw").Value(); n != 1 {
-		t.Fatalf("raw builds = %d, want 1 (encode aborted)", n)
+	if n := reg.Counter("engine_cube_build_raw").Value(); n != 1 || enc != nil {
+		t.Fatalf("raw-alias builds = %d, compressed view %v; want 1 and nil (encode aborted)", n, enc)
 	}
-	want, err := BuildCubeParallelOptsCtx(ctx, rel, []int{0, 1}, 1, BuildOptions{NoEncode: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireCubesBitIdentical(t, "aborted encode", want, got)
+	requireMatchesReference(t, "aborted encode", referenceBuildCube(rel, []int{0, 1}), got)
 }
 
-// TestCacheChargesEncodedBytes: after a build that used the encoded path,
-// the cache stats expose the retained payload, and it is charged once per
-// relation no matter how many cubes build from it.
+// TestCacheChargesEncodedBytes: after a build that read the compressed
+// view, the cache stats expose the retained payload, and it is charged once
+// per relation no matter how many cubes build from it.
 func TestCacheChargesEncodedBytes(t *testing.T) {
 	rel := mixedRelation(minEncodeRows+10, 41)
 	cc := NewCubeCache(0)
-	cc.GetOrBuild(rel, []int{0}, 1)
-	cc.GetOrBuild(rel, []int{1}, 1)
+	mustGetOrBuild(t, cc, rel, []int{0})
+	mustGetOrBuild(t, cc, rel, []int{1})
 	enc := rel.EncodedCached()
 	if enc == nil {
 		t.Fatal("builds above minEncodeRows left no cached encoding")
@@ -164,11 +164,40 @@ func TestCacheChargesEncodedBytes(t *testing.T) {
 	off := NewCubeCache(0)
 	off.SetNoEncode(true)
 	rel2 := mixedRelation(minEncodeRows+10, 43)
-	off.GetOrBuild(rel2, []int{0}, 1)
+	mustGetOrBuild(t, off, rel2, []int{0})
 	if got := off.Stats().EncodedBytes; got != 0 {
 		t.Fatalf("EncodedBytes = %d with SetNoEncode(true), want 0", got)
 	}
 	if rel2.EncodedCached() != nil {
 		t.Error("SetNoEncode cache still triggered a lazy encode")
+	}
+}
+
+// TestCacheChargesOnlyViewsItRead: a cache charges a compressed view only
+// when one of its own builds read it. A -no-compress cache building over a
+// relation that another cache already encoded must not inherit that
+// encoding's bytes, and dropping the relation refunds exactly what was
+// charged.
+func TestCacheChargesOnlyViewsItRead(t *testing.T) {
+	rel := mixedRelation(minEncodeRows+10, 41)
+	enc := NewCubeCache(0)
+	mustGetOrBuild(t, enc, rel, []int{0})
+	if rel.EncodedCached() == nil {
+		t.Fatal("the encoding cache left no cached encoding")
+	}
+
+	off := NewCubeCache(0)
+	off.SetNoEncode(true)
+	mustGetOrBuild(t, off, rel, []int{1})
+	if got := off.Stats().EncodedBytes; got != 0 {
+		t.Fatalf("SetNoEncode(true) cache: EncodedBytes = %d after another cache encoded the relation, want 0", got)
+	}
+	off.DropRelation(rel)
+	if got := off.Stats().EncodedBytes; got != 0 {
+		t.Fatalf("SetNoEncode(true) cache: EncodedBytes = %d after DropRelation, want 0", got)
+	}
+	enc.DropRelation(rel)
+	if got := enc.Stats().EncodedBytes; got != 0 {
+		t.Fatalf("encoding cache: EncodedBytes = %d after DropRelation, want 0", got)
 	}
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"math"
 	"math/rand"
-	"sort"
 
 	"comparenb/internal/table"
 )
@@ -26,49 +25,15 @@ func EstimateGroups(rel *table.Relation, attrs []int, sampleSize int, rng *rand.
 	if sampleSize <= 0 || sampleSize >= n {
 		return float64(CountGroups(rel, attrs))
 	}
-	rows := sampleRows(n, sampleSize, rng)
-	sorted := append([]int(nil), attrs...)
-	sort.Ints(sorted)
-	radix, ok := mixedRadix(rel, sorted)
-
-	freq := make(map[uint64]int)
-	var freqStr map[string]int
-	if !ok {
-		freqStr = make(map[string]int)
-	}
-	byteBuf := make([]byte, 4*len(sorted))
-	for _, row := range rows {
-		if ok {
-			h := uint64(0)
-			for k, a := range sorted {
-				h += uint64(rel.CatCol(a)[row]) * radix[k]
-			}
-			freq[h]++
-		} else {
-			for k, a := range sorted {
-				code := rel.CatCol(a)[row]
-				byteBuf[4*k] = byte(code)
-				byteBuf[4*k+1] = byte(code >> 8)
-				byteBuf[4*k+2] = byte(code >> 16)
-				byteBuf[4*k+3] = byte(code >> 24)
-			}
-			freqStr[string(byteBuf)]++
-		}
-	}
-	d, f1 := 0, 0
-	count := func(c int) {
-		d++
+	sorted := sortedAttrs(attrs)
+	freq := groupFreqs(rel, sorted, sampleRows(n, sampleSize, rng))
+	d, f1 := len(freq), 0
+	for _, c := range freq {
 		if c == 1 {
 			f1++
 		}
 	}
-	for _, c := range freq {
-		count(c)
-	}
-	for _, c := range freqStr {
-		count(c)
-	}
-	est := float64(d) + (math.Sqrt(float64(n)/float64(len(rows)))-1)*float64(f1)
+	est := float64(d) + (math.Sqrt(float64(n)/float64(sampleSize))-1)*float64(f1)
 
 	// The estimate can never exceed the product of the active-domain sizes
 	// nor the relation size.
@@ -86,33 +51,45 @@ func EstimateGroups(rel *table.Relation, attrs []int, sampleSize int, rng *rand.
 
 // CountGroups counts the exact number of distinct groups over attrs.
 func CountGroups(rel *table.Relation, attrs []int) int {
-	sorted := append([]int(nil), attrs...)
-	sort.Ints(sorted)
-	radix, ok := mixedRadix(rel, sorted)
-	if ok {
-		seen := make(map[uint64]struct{})
-		for row := 0; row < rel.NumRows(); row++ {
-			h := uint64(0)
-			for k, a := range sorted {
-				h += uint64(rel.CatCol(a)[row]) * radix[k]
-			}
-			seen[h] = struct{}{}
-		}
-		return len(seen)
+	return len(groupFreqs(rel, sortedAttrs(attrs), nil))
+}
+
+// groupFreqs returns the row count of every distinct group over the sorted
+// attributes among rows (every row when rows is nil), in first-occurrence
+// order. The group index takes a dense table only when the code space is
+// no larger than the row count, so the table never costs more than a map
+// over the rows would.
+func groupFreqs(rel *table.Relation, sorted []int, rows []int) []int {
+	count := len(rows)
+	if rows == nil {
+		count = rel.NumRows()
 	}
-	seen := make(map[string]struct{})
-	byteBuf := make([]byte, 4*len(sorted))
-	for row := 0; row < rel.NumRows(); row++ {
-		for k, a := range sorted {
-			code := rel.CatCol(a)[row]
-			byteBuf[4*k] = byte(code)
-			byteBuf[4*k+1] = byte(code >> 8)
-			byteBuf[4*k+2] = byte(code >> 16)
-			byteBuf[4*k+3] = byte(code >> 24)
-		}
-		seen[string(byteBuf)] = struct{}{}
+	ks := newKeySpace(rel, sorted)
+	ix := newGroupIndex(ks, len(sorted), ks.capHint(count), min(uint64(count), maxDenseCells))
+	cols := make([][]int32, len(sorted))
+	for k, a := range sorted {
+		cols[k] = rel.CatCol(a)
 	}
-	return len(seen)
+	var freq []int
+	add := func(row int) {
+		for k, col := range cols {
+			ix.key[k] = col[row]
+		}
+		g, isNew := ix.lookupOrAdd(ix.key)
+		if isNew {
+			freq = append(freq, 0)
+		}
+		freq[g]++
+	}
+	if rows == nil {
+		for row := 0; row < count; row++ {
+			add(row)
+		}
+	}
+	for _, row := range rows {
+		add(row)
+	}
+	return freq
 }
 
 // sampleRows draws k distinct row indexes uniformly without replacement

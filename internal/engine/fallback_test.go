@@ -36,14 +36,10 @@ func wideRelation(t *testing.T) *table.Relation {
 	if prod < 1e19 {
 		t.Fatalf("test premise broken: code space %.3g does not overflow uint64", prod)
 	}
-	if _, ok := mixedRadixForTest(rel, attrs); ok {
+	if newKeySpace(rel, attrs).radix != nil {
 		t.Fatal("mixed radix unexpectedly fits; fallback not exercised")
 	}
 	return rel
-}
-
-func mixedRadixForTest(rel *table.Relation, attrs []int) ([]uint64, bool) {
-	return mixedRadix(rel, attrs)
 }
 
 func TestBuildCubeStringKeyFallback(t *testing.T) {
@@ -52,7 +48,10 @@ func TestBuildCubeStringKeyFallback(t *testing.T) {
 	for i := range attrs {
 		attrs[i] = i
 	}
-	c := BuildCube(rel, attrs)
+	c := mustBuildCube(t, rel, attrs, 1)
+	want := referenceBuildCube(rel, attrs)
+	requireMatchesReference(t, "string keys", want, c)
+	requireMatchesReference(t, "string keys, encoded", want, mustBuildView(t, rel, rel.Encoded(), attrs, 1))
 	// Every row has a distinct composite key by construction? Not
 	// necessarily — but group count must match the exact distinct count.
 	if got, want := c.NumGroups(), CountGroups(rel, attrs); got != want {
@@ -64,7 +63,7 @@ func TestBuildCubeStringKeyFallback(t *testing.T) {
 	// Rolling the wide cube down to two attributes must agree with a
 	// direct cube (the rollup also runs through the radix/fallback choice).
 	up := c.Rollup([]int{0, 10})
-	direct := BuildCube(rel, []int{0, 10})
+	direct := mustBuildCube(t, rel, []int{0, 10}, 1)
 	if up.NumGroups() != direct.NumGroups() {
 		t.Errorf("rollup groups = %d, direct = %d", up.NumGroups(), direct.NumGroups())
 	}
@@ -84,7 +83,7 @@ func TestEstimateGroupsFallbackPath(t *testing.T) {
 	for i := range attrs {
 		attrs[i] = i
 	}
-	if got, want := CountGroups(rel, attrs), BuildCube(rel, attrs).NumGroups(); got != want {
+	if got, want := CountGroups(rel, attrs), mustBuildCube(t, rel, attrs, 1).NumGroups(); got != want {
 		t.Errorf("CountGroups fallback = %d, cube = %d", got, want)
 	}
 }

@@ -37,9 +37,9 @@ import (
 // string doubles as the registry key and as documentation of where the
 // hook fires.
 const (
-	// EngineCubeShard fires once per shard scan of the parallel cube
-	// build (internal/engine.BuildCubeParallelCtx), before the shard's
-	// rows are aggregated.
+	// EngineCubeShard fires once per shard scan of the cube build
+	// (internal/engine.BuildCube, over either column view), before the
+	// shard's rows are aggregated.
 	EngineCubeShard = "engine.cube.shard"
 	// StatsPermBlock fires once per permutation block of
 	// stats.PermTests, before the block is drawn and scored — i.e. at
@@ -62,8 +62,9 @@ const (
 	// encoding pass (table.(*Relation).Encoded), before the column is
 	// scanned and encoded. A hook that panics table.EncodeAbort aborts
 	// the encode permanently — Encoded recovers it, pins the relation to
-	// nil, and the engine falls back to the raw float64 kernels. Any
-	// other panic value propagates.
+	// nil, and the engine's cube builds read the raw-alias view
+	// (table.(*Relation).RawView) instead. Any other panic value
+	// propagates.
 	TableEncodeColumn = "table.encode.column"
 	// ServerAdmit fires once per notebook-job admission decision of the
 	// notebook-generation server (internal/server), before the tenant

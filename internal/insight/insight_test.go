@@ -1,6 +1,7 @@
 package insight
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -30,7 +31,10 @@ func TestSupportsPaperExample(t *testing.T) {
 	rel := covidRelation()
 	v4, _ := rel.CodeOf(1, "4")
 	v5, _ := rel.CodeOf(1, "5")
-	cube := engine.BuildCube(rel, []int{0, 1})
+	cube, err := engine.BuildCube(context.Background(), rel, []int{0, 1}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Insight of Figure 3: avg(May) > avg(April), i.e. val=5 side greater.
 	res := engine.CompareFromCube(cube, 0, 1, v5, v4, 0, engine.Sum)
 	if !Supports(res, MeanGreater) {

@@ -8,10 +8,11 @@ import (
 )
 
 // TestPipelineNoCompressByteIdentical is the pipeline-level half of the
-// encoded kernels' differential gate: on a dataset large enough that every
-// cube build runs on the encoded path, a NoCompress run must produce
-// byte-identical notebooks and reports (modulo the recorded flag itself
-// and the compression stats, which exist exactly to record the path).
+// cube kernel's two-view differential gate: on a dataset large enough that
+// every cube build reads the compressed view, a NoCompress run (every
+// column raw-alias) must produce byte-identical notebooks and reports
+// (modulo the recorded flag itself and the compression stats, which exist
+// exactly to record the view).
 func TestPipelineNoCompressByteIdentical(t *testing.T) {
 	ds, err := datagen.ENEDISLike(11, 4000)
 	if err != nil {

@@ -220,11 +220,12 @@ type Config struct {
 	// cache's own budget.
 	Cache *engine.CubeCache
 
-	// NoCompress disables the compressed columnar storage layer: every
-	// cube builds from raw float64/int32 columns instead of the encoded
-	// kernels. Outputs are bit-identical either way — the flag exists to
-	// measure the encoding's effect and as an escape hatch, and is
-	// recorded in the run report when set.
+	// NoCompress disables the compressed columnar storage layer: the
+	// cube kernel reads every column raw-alias (the relation's own
+	// float64/int32 slices) instead of the compressed encodings. Outputs
+	// are bit-identical either way — the flag exists to measure the
+	// encoding's effect and as an escape hatch, and is recorded in the
+	// run report when set.
 	NoCompress bool
 
 	// IncludeHypotheses adds, after each notebook query, a code cell with

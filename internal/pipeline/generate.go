@@ -398,7 +398,8 @@ func (r *Result) resultTable(q insight.Query, maxRows int) string {
 	if r.cache == nil {
 		return ResultTable(r.Relation, q, maxRows)
 	}
-	pc := r.cache.GetOrBuild(r.Relation, []int{q.GroupBy, q.Attr}, r.Config.threads())
+	// The background context never cancels, so the error is impossible.
+	pc, _ := r.cache.GetOrBuild(context.Background(), r.Relation, []int{q.GroupBy, q.Attr}, r.Config.threads())
 	res := engine.CompareFromCube(pc, q.GroupBy, q.Attr, q.Val, q.Val2, q.Meas, q.Agg)
 	return renderResultTable(r.Relation, q, res, maxRows)
 }

@@ -348,7 +348,7 @@ func buildPairCubes(ctx context.Context, rel *table.Relation, cfg Config, needed
 		cubes := make([]*engine.Cube, len(needed))
 		err := parallelForCtx(ctx, cfg.threads(), len(needed), func(jctx context.Context, i int) error {
 			var cerr error
-			cubes[i], cerr = cache.GetOrBuildCtx(jctx, rel, []int{needed[i].A, needed[i].B}, inner)
+			cubes[i], cerr = cache.GetOrBuild(jctx, rel, []int{needed[i].A, needed[i].B}, inner)
 			return cerr
 		})
 		if err != nil {
@@ -396,7 +396,7 @@ func buildPairCubes(ctx context.Context, rel *table.Relation, cfg Config, needed
 	// not depend on what else the cache holds.
 	inner := innerThreads(cfg.threads(), len(chosen))
 	err = parallelForCtx(ctx, cfg.threads(), len(chosen), func(jctx context.Context, i int) error {
-		_, berr := cache.BuildThroughCtx(jctx, rel, cands[chosen[i]].Attrs, inner)
+		_, berr := cache.BuildThrough(jctx, rel, cands[chosen[i]].Attrs, inner)
 		return berr
 	})
 	if err != nil {
@@ -409,7 +409,7 @@ func buildPairCubes(ctx context.Context, rel *table.Relation, cfg Config, needed
 	err = parallelForCtx(ctx, cfg.threads(), len(needed), func(jctx context.Context, pi int) error {
 		p := needed[pi]
 		var gerr error
-		rolled[pi], gerr = cache.GetOrBuildCtx(jctx, rel, []int{p.A, p.B}, 1)
+		rolled[pi], gerr = cache.GetOrBuild(jctx, rel, []int{p.A, p.B}, 1)
 		return gerr
 	})
 	if err != nil {

@@ -1,7 +1,8 @@
 // Encoded columnar storage. An EncodedRelation is a compressed, read-only
 // view of a Relation: every column is re-encoded by a one-pass scan that
-// picks the cheapest lossless representation, and the engine's cube kernels
-// aggregate directly over the encoded blocks without materialising rows.
+// picks the cheapest lossless representation, and the engine's cube kernel
+// aggregates directly over the encoded blocks without materialising rows.
+// RawView is the same interface over the uncompressed columns.
 //
 // The encoding menu (selection order, first match wins):
 //
@@ -15,8 +16,8 @@
 // Every encoding is lossless bit-for-bit: decoding reproduces the original
 // float64 bit patterns including NaN payloads. The only value excluded from
 // the integer encodings is -0.0 (its bits differ from 0.0), which forces the
-// raw fallback — that is what keeps the engine's encoded kernels bit-identical
-// to the float64 path.
+// raw fallback — that is what makes the engine's cube kernel bit-identical
+// over either view.
 package table
 
 import (
@@ -136,7 +137,7 @@ func (e *EncodedRelation) ColumnStats() []ColumnStats {
 // callers encode at most once; the result is a pure function of the column
 // data, making the encoded/raw choice deterministic. Encoded returns nil
 // only if the encoding phase was fault-injected (faultinject site
-// "table.encode.column"), in which case callers fall back to raw columns.
+// "table.encode.column"), in which case callers fall back to RawView.
 func (r *Relation) Encoded() *EncodedRelation {
 	r.encodeOnce.Do(func() {
 		defer func() {
@@ -156,7 +157,7 @@ func (r *Relation) Encoded() *EncodedRelation {
 // EncodeAbort is the panic value a faultinject hook registered at site
 // faultinject.TableEncodeColumn may raise to abort the encoding pass.
 // Encoded recovers exactly this type (anything else propagates), leaves the
-// relation without an encoded view, and callers fall back to raw columns.
+// relation without an encoded view, and callers fall back to RawView.
 type EncodeAbort struct {
 	Reason string
 }
@@ -169,6 +170,24 @@ func (r *Relation) EncodedCached() *EncodedRelation {
 		return nil
 	}
 	return r.encoded
+}
+
+// RawView returns the uncompressed view of the relation: every column is
+// a raw-alias encoding of the relation's own storage ("raw"), so nothing is
+// copied and the view retains nothing. The cube kernel reads it wherever it
+// does not read Encoded (small relations, -no-compress, an aborted encode).
+// It is built on every call and never cached — Encoded and EncodedCached
+// never return it — and it carries no byte totals or ColumnStats, which
+// describe a compression that did not happen.
+func (r *Relation) RawView() *EncodedRelation {
+	e := &EncodedRelation{rows: r.rows}
+	for _, codes := range r.catCols {
+		e.cats = append(e.cats, &rawCat{codes: codes})
+	}
+	for _, vals := range r.measCols {
+		e.meas = append(e.meas, &rawMeas{vals: vals})
+	}
+	return e
 }
 
 func encodeRelation(r *Relation) *EncodedRelation {
@@ -223,6 +242,22 @@ func encodeCat(codes []int32, domSize int) CatColumn {
 		width: w,
 		words: packCodes(codes, w),
 	}
+}
+
+// rawCat is the raw-alias categorical column of RawView: the relation's
+// own code slice (no copy, no compression).
+type rawCat struct {
+	codes []int32
+}
+
+func (c *rawCat) Len() int          { return len(c.codes) }
+func (c *rawCat) Encoding() string  { return "raw" }
+func (c *rawCat) RawBytes() int     { return 4 * len(c.codes) }
+func (c *rawCat) EncodedBytes() int { return 4 * len(c.codes) }
+func (c *rawCat) Code(i int) int32  { return c.codes[i] }
+
+func (c *rawCat) UnpackCodes(dst []int32, lo, hi int) {
+	copy(dst[:hi-lo], c.codes[lo:hi])
 }
 
 // constCat encodes a column whose domain has at most one value: every row
@@ -423,8 +458,8 @@ func exactInt(v float64) (int64, bool) {
 	return iv, true
 }
 
-// rawMeas is the fallback: the float64 slice itself, shared with the
-// Relation (no copy, no compression).
+// rawMeas is the fallback (and RawView's measure column): the float64
+// slice itself, shared with the Relation (no copy, no compression).
 type rawMeas struct {
 	vals []float64
 }

@@ -242,6 +242,34 @@ func TestEncodedLazyOnceAndCached(t *testing.T) {
 	}
 }
 
+// TestRawViewAliasesColumns: the raw-alias view decodes every column bit
+// for bit, reads the relation's own slices instead of copies, and is never
+// cached as the relation's encoding.
+func TestRawViewAliasesColumns(t *testing.T) {
+	b := NewBuilder("raw", []string{"a", "b"}, []string{"m"})
+	for i := 0; i < 100; i++ {
+		b.AddRow([]string{string(rune('a' + i%4)), "x"}, []float64{math.Copysign(float64(i%3), -1)})
+	}
+	rel := b.Build()
+	view := rel.RawView()
+	for a := 0; a < rel.NumCatAttrs(); a++ {
+		requireCatLossless(t, "raw cat", rel.CatCol(a), view.Cat(a))
+		if c := view.Cat(a).(*rawCat); &c.codes[0] != &rel.CatCol(a)[0] {
+			t.Errorf("attribute %d: raw-alias view copied the codes", a)
+		}
+	}
+	requireMeasLossless(t, "raw meas", rel.MeasCol(0), view.Meas(0))
+	if m := view.Meas(0).(*rawMeas); &m.vals[0] != &rel.MeasCol(0)[0] {
+		t.Error("raw-alias view copied the measure")
+	}
+	if view.RetainedBytes() != 0 {
+		t.Errorf("RetainedBytes = %d, want 0", view.RetainedBytes())
+	}
+	if rel.EncodedCached() != nil {
+		t.Error("RawView was cached as the relation's encoding")
+	}
+}
+
 // TestEncodeAbortFallsBackToNil pins the fault-injection contract: a hook
 // at TableEncodeColumn that panics EncodeAbort leaves the relation
 // permanently without an encoded view (callers use raw columns), while any

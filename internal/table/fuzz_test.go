@@ -168,8 +168,9 @@ func normalizeCRLF(s string) string {
 // rest decode as float64 bit patterns (measure) and as codes modulo the
 // width (categorical). Whatever regime the encoder picks — const, seq,
 // frame-of-reference, bit-packed dictionary, or a raw fallback — the round
-// trip must be bit-for-bit lossless; the engine's encoded kernels are only
-// correct because this property has no exceptions.
+// trip must be bit-for-bit lossless; the engine's cube kernel is only
+// correct over the compressed view because this property has no
+// exceptions.
 func FuzzEncoding(f *testing.F) {
 	f.Add([]byte{4, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3})
 	f.Add([]byte{1, 0x7f, 0xf8, 0, 0, 0, 0, 0, 1}) // NaN-ish bit pattern

@@ -2,16 +2,18 @@
 # Benchmark harness for comparenb. Runs every benchmark (table/figure
 # reproductions, the kernel microbenchmarks and the observability-overhead
 # probes) with -benchmem at the fixed seeds baked into the _test.go files,
-# and writes the machine-readable baseline BENCH_PR7.json: one record per
-# benchmark plus derived speedups — the sharded cube build versus the
-# naive reference builder, and the parallel kernels versus their
-# threads=1 runs.
+# and writes a machine-readable record (OUT, default bench.out.json — an
+# untracked, gitignored file): one record per benchmark plus derived
+# speedups — the sharded cube build versus the naive reference builder,
+# and the parallel kernels versus their threads=1 runs. The committed
+# BENCH_PR*.json baselines are historical; a plain run never overwrites
+# them.
 #
-# When a previous baseline exists (PREV, default BENCH_PR5.json), the
-# output also carries per-benchmark B/op deltas against it, and any
-# cube-build benchmark whose B/op regressed by more than 20% gets a loud
-# WARNING on stderr — allocation discipline in the build kernels is a
-# tracked budget, not a nice-to-have.
+# When a previous baseline exists (PREV, default BENCH_PR7.json — the
+# last committed kernel baseline), the output also carries per-benchmark
+# B/op deltas against it, and any cube-build benchmark whose B/op
+# regressed by more than 20% gets a loud WARNING on stderr — allocation
+# discipline in the build kernel is a tracked budget, not a nice-to-have.
 #
 #   scripts/bench.sh                    # full run (default -benchtime=1s)
 #   BENCHTIME=100ms scripts/bench.sh    # quicker, noisier
@@ -25,8 +27,8 @@ set -eu
 cd "$(dirname "$0")/.."
 
 BENCHTIME="${BENCHTIME:-1s}"
-OUT="${OUT:-BENCH_PR7.json}"
-PREV="${PREV:-BENCH_PR5.json}"
+OUT="${OUT:-bench.out.json}"
+PREV="${PREV:-BENCH_PR7.json}"
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
@@ -117,7 +119,7 @@ END {
         if (warned) {
             printf "==================== B/op REGRESSION ====================\n" | "cat 1>&2"
             printf "Cube-build benchmarks above regressed >20%% in bytes/op.\n" | "cat 1>&2"
-            printf "The encoded kernels budget allocations deliberately --\n" | "cat 1>&2"
+            printf "The cube kernel budgets allocations deliberately --\n" | "cat 1>&2"
             printf "see docs/PERFORMANCE.md before accepting a new baseline.\n" | "cat 1>&2"
             printf "=========================================================\n" | "cat 1>&2"
         }

@@ -112,7 +112,7 @@ SRV_PID=""
 echo "==> fuzz smoke (every fuzz target, 3s each)"
 # go test accepts one -fuzz target per invocation, so enumerate the
 # targets per package and run each briefly against its seed corpus.
-for pkg in ./internal/stats ./internal/tap ./internal/table; do
+for pkg in ./internal/engine ./internal/stats ./internal/tap ./internal/table; do
     targets=$(go test -list '^Fuzz' "$pkg" | grep '^Fuzz' || true)
     if [ -z "$targets" ]; then
         echo "fuzz smoke: no fuzz targets found in $pkg" >&2

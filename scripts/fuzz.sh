@@ -24,7 +24,7 @@ case "$minutes" in
         ;;
 esac
 
-packages="./internal/stats ./internal/tap ./internal/table"
+packages="./internal/engine ./internal/stats ./internal/tap ./internal/table"
 
 echo "==> long-run fuzz: ${minutes}m per target"
 failed=0
