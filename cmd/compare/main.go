@@ -1,7 +1,12 @@
 // Command compare runs a single ad-hoc comparison query against a CSV —
 // the manual workflow the paper automates, kept handy for spot checks:
-// print the Definition 3.1 SQL, execute its operator tree, show the
-// result, and test both insight hypotheses on it.
+// print the Definition 3.1 SQL, evaluate it once with the literal
+// two-scan plan (engine.CompareDirect), show the result as the notebook's
+// Markdown table, and test both insight hypotheses on it.
+//
+// Missing flags, a non-positive -perms, -by equal to -group and -val2
+// equal to -val are usage errors (exit 2); a query that cannot run on the
+// input, such as an unknown column or -agg, exits 1.
 //
 //	compare -in covid.csv -group continent -by month -val 4 -val2 5 -measure cases -agg sum
 package main
@@ -18,7 +23,6 @@ import (
 	"comparenb/internal/engine"
 	"comparenb/internal/insight"
 	"comparenb/internal/pipeline"
-	"comparenb/internal/sqlgen"
 	"comparenb/internal/stats"
 	"comparenb/internal/table"
 )
@@ -37,7 +41,6 @@ func main() {
 		timeout = flag.Duration("timeout", 0, "abort the significance tests after this long (0 = no limit)")
 		cats    = flag.String("categorical", "", "comma-separated columns to force categorical")
 		maxRows = flag.Int("max-rows", 0, "refuse CSV inputs with more data rows than this (0 = unlimited)")
-		explain = flag.Bool("explain", false, "also print the operator tree")
 		cpuProf = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a pprof heap profile (at exit) to this file")
 	)
@@ -48,10 +51,18 @@ func main() {
 		{"-in", *in}, {"-group", *group}, {"-by", *by}, {"-val", *val}, {"-val2", *val2}, {"-measure", *measure},
 	} {
 		if req.v == "" {
-			fmt.Fprintf(os.Stderr, "compare: %s is required\n", req.name)
-			flag.Usage()
-			os.Exit(2)
+			usageError(req.name + " is required")
 		}
+	}
+	// The significance tests need permutations, and Def. 3.1 requires
+	// A ≠ B and val ≠ val'.
+	switch {
+	case *perms <= 0:
+		usageError(fmt.Sprintf("-perms must be positive, got %d", *perms))
+	case *by == *group:
+		usageError(fmt.Sprintf("-by must name a different attribute than -group (both %q)", *by))
+	case *val2 == *val:
+		usageError(fmt.Sprintf("-val2 must differ from -val (both %q)", *val))
 	}
 
 	if *cpuProf != "" {
@@ -101,20 +112,12 @@ func main() {
 	fmt.Println("-- comparison query (Def. 3.1):")
 	fmt.Println(pipeline.ComparisonSQL(rel, q))
 
-	plan := engine.ComparisonPlan(rel, attrA, attrB, c1, c2, meas, agg)
-	if *explain {
-		fmt.Println("\n-- operator tree:")
-		fmt.Println(plan.Explain())
-	}
-	rows, err := plan.Run()
-	if err != nil {
-		fatal(err)
-	}
+	// One evaluation answers both the printed table and the support checks.
+	res := engine.CompareDirect(rel, attrA, attrB, c1, c2, meas, agg)
 	fmt.Println("\n-- result:")
-	fmt.Print(rows)
+	fmt.Print(pipeline.ResultTable(rel, q, res, 0))
 
 	// Support + significance for both paper insight types.
-	res := engine.CompareDirect(rel, attrA, attrB, c1, c2, meas, agg)
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
@@ -135,13 +138,7 @@ func main() {
 		fmt.Printf("%-18s (%s = %s vs %s): %s; permutation p = %.4f\n",
 			typ, *by, *val, *val2, verdict, p)
 		fmt.Println("  hypothesis query:")
-		kind := sqlgen.MeanGreater
-		if typ == insight.VarianceGreater {
-			kind = sqlgen.VarianceGreater
-		}
-		fmt.Println(indent(sqlgen.Hypothesis(rel, sqlgen.Params{
-			GroupBy: attrA, SelAttr: attrB, Val: c1, Val2: c2, Meas: meas, Agg: agg,
-		}, kind)))
+		fmt.Println(indent(pipeline.HypothesisSQL(rel, pipeline.ScoredQuery{Query: q}, insight.Insight{Type: typ})))
 	}
 }
 
@@ -186,6 +183,14 @@ func indent(s string) string {
 		}
 	}
 	return out
+}
+
+// usageError reports a bad command line the way the flag package does:
+// the message, the usage text, exit status 2.
+func usageError(msg string) {
+	fmt.Fprintln(os.Stderr, "compare:", msg)
+	flag.Usage()
+	os.Exit(2)
 }
 
 // stopProfiles, when set, stops the running CPU profile; fatal and the

@@ -77,7 +77,9 @@ func (p *Package) IsTestFile(pos token.Pos) bool {
 // variant, test-only import edges (pipeline's tests importing testutil,
 // which imports pipeline) cannot form a cycle during loading, and every
 // cross-package type reference binds to the single plain variant
-// regardless of load order.
+// regardless of load order. The one exception is an external test
+// package, which sees the package it tests the way go test builds it
+// (xtestImporter).
 type Loader struct {
 	Fset *token.FileSet
 	// ModPath is the module path from go.mod (e.g. "comparenb").
@@ -355,7 +357,11 @@ func (l *Loader) loadTestVariants(base *Package) ([]*Package, error) {
 		l.xtests[base.Path] = nil
 		if len(xTest) > 0 {
 			info := newTypeInfo()
-			conf := types.Config{Importer: (*loaderImporter)(l)}
+			var imp types.Importer = (*loaderImporter)(l)
+			if primary != base {
+				imp = &xtestImporter{l: l, under: primary, rebuilt: map[string]*types.Package{}}
+			}
+			conf := types.Config{Importer: imp}
 			tpkg, err := conf.Check(base.Path+"_test", l.Fset, xTest, info)
 			if err != nil {
 				return nil, fmt.Errorf("analysis: type-checking %s external tests: %w", base.Path, err)
@@ -412,4 +418,52 @@ func (li *loaderImporter) Import(path string) (*types.Package, error) {
 		return pkg.Types, nil
 	}
 	return l.std.ImportFrom(path, l.ModDir, 0)
+}
+
+// xtestImporter resolves an external test package's imports the way go
+// test builds them. The package under test is its test variant, so the
+// external tests see declarations of its in-package _test.go files. Every
+// module package that imports it, directly or not, is re-checked against
+// that variant, so a type the tests reach along two import paths stays one
+// type. Every other import is the plain cached package.
+type xtestImporter struct {
+	l       *Loader
+	under   *Package                  // test variant of the package under test
+	rebuilt map[string]*types.Package // dependents re-checked against under
+}
+
+// Import implements types.Importer.
+func (x *xtestImporter) Import(path string) (*types.Package, error) {
+	if path == x.under.Path {
+		return x.under.Types, nil
+	}
+	if p, ok := x.rebuilt[path]; ok {
+		return p, nil
+	}
+	plain, err := (*loaderImporter)(x.l).Import(path)
+	if err != nil || !x.dependsOn(plain) {
+		return plain, err
+	}
+	conf := types.Config{Importer: x}
+	p, err := conf.Check(path, x.l.Fset, x.l.cache[path].Files, nil)
+	if err != nil {
+		return nil, fmt.Errorf("analysis: re-checking %s against %s tests: %w", path, x.under.Path, err)
+	}
+	x.rebuilt[path] = p
+	return p, nil
+}
+
+// dependsOn reports whether the plain module package pkg imports the
+// package under test, directly or transitively. The standard library
+// never does, so the walk stays inside the module.
+func (x *xtestImporter) dependsOn(pkg *types.Package) bool {
+	for _, dep := range pkg.Imports() {
+		if dep.Path() == x.under.Path {
+			return true
+		}
+		if _, inModule := x.l.cache[dep.Path()]; inModule && x.dependsOn(dep) {
+			return true
+		}
+	}
+	return false
 }

@@ -50,6 +50,31 @@ func TestLoaderGenerics(t *testing.T) {
 	}
 }
 
+// TestLoaderXTestSeesTestVariant confirms an external test package sees
+// the package under test as go test builds it: declarations exported by
+// the in-package tests resolve, and a module package importing the
+// package under test is re-checked against that variant so its types
+// match. The import cache keeps serving the plain variant.
+func TestLoaderXTestSeesTestVariant(t *testing.T) {
+	l := sharedLoader(t)
+	pkgs, err := l.LoadDirAll(filepath.Join("testdata", "src", "xtestexport"))
+	if err != nil {
+		t.Fatalf("loading xtestexport fixture: %v", err)
+	}
+	if len(pkgs) != 2 || !pkgs[1].XTest {
+		t.Fatalf("got %d packages, want primary + external test", len(pkgs))
+	}
+	if pkgs[1].Types.Scope().Lookup("doubledHidden") == nil {
+		t.Error("external test declaration missing from xtest scope")
+	}
+	if pkgs[0].Types.Scope().Lookup("Hidden") == nil {
+		t.Error("in-package test export missing from the test variant")
+	}
+	if plain := l.cache[pkgs[0].Path]; plain == nil || plain.Types.Scope().Lookup("Hidden") != nil {
+		t.Error("the import cache must hold the plain variant, without test exports")
+	}
+}
+
 // TestLoaderBuildTags confirms files ruled out by //go:build lines or
 // GOOS filename suffixes never reach the type checker. The excluded
 // files redeclare Here with other types, so a filtering bug is a loud

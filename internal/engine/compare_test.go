@@ -139,3 +139,16 @@ func TestPairRows(t *testing.T) {
 		}
 	}
 }
+
+// PairRows returns the row indexes where attr is code a or code b, in row
+// order. The permutation tests pool exactly these rows.
+func PairRows(rel *table.Relation, attr int, a, b int32) []int {
+	col := rel.CatCol(attr)
+	var out []int
+	for i, c := range col {
+		if c == a || c == b {
+			out = append(out, i)
+		}
+	}
+	return out
+}

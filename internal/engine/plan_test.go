@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
+
+	"comparenb/internal/table"
 )
 
 func TestScanShape(t *testing.T) {
@@ -113,29 +116,45 @@ func TestJoinDisambiguatesColumns(t *testing.T) {
 }
 
 // TestComparisonPlanMatchesDirect: the literal Def. 3.1 operator tree must
-// agree with the specialised CompareDirect evaluator.
+// agree bit for bit with the specialised CompareDirect evaluator, whose
+// result cmd/compare prints. The inputs cover a relation longer than one
+// cube shard and measures with NaN (with and without payload), -0.0, ±Inf
+// and all-NaN groups; floats compare through Float64bits, so NaN matches
+// only NaN with the same bits.
 func TestComparisonPlanMatchesDirect(t *testing.T) {
-	rel := randomRelation(3, []int{4, 5, 3}, 2, 600, 37)
-	for _, agg := range AllAggs {
+	for _, tc := range []struct {
+		name string
+		rel  *table.Relation
+	}{
+		{"random", randomRelation(3, []int{4, 5, 3}, 2, 600, 37)},
+		{"mixed, two shards", mixedRelation(buildShardRows+4321, 37)},
+		{"edge", edgeRelation(3000, 5)},
+	} {
+		rel := tc.rel
 		dom := rel.SortedDomain(1)
-		plan := ComparisonPlan(rel, 0, 1, dom[0], dom[1], 1, agg)
-		rows, err := plan.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := CompareDirect(rel, 0, 1, dom[0], dom[1], 1, agg)
-		if rows.N != want.Len() {
-			t.Fatalf("%s: plan %d rows, direct %d", agg, rows.N, want.Len())
-		}
-		gi, li, ri := rows.Col(rel.CatName(0)), rows.Col("left"), rows.Col("right")
-		for i := 0; i < rows.N; i++ {
-			if rows.Strs[gi][i] != rel.Value(0, want.Groups[i]) {
-				t.Fatalf("%s row %d: group %q vs %q", agg, i, rows.Strs[gi][i], rel.Value(0, want.Groups[i]))
-			}
-			if math.Abs(rows.Nums[li][i]-want.Left[i]) > 1e-9*(1+math.Abs(want.Left[i])) ||
-				math.Abs(rows.Nums[ri][i]-want.Right[i]) > 1e-9*(1+math.Abs(want.Right[i])) {
-				t.Errorf("%s row %d: (%v,%v) vs (%v,%v)", agg, i,
-					rows.Nums[li][i], rows.Nums[ri][i], want.Left[i], want.Right[i])
+		for m := 0; m < rel.NumMeasures(); m++ {
+			for _, agg := range AllAggs {
+				plan := ComparisonPlan(rel, 0, 1, dom[0], dom[1], m, agg)
+				rows, err := plan.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := CompareDirect(rel, 0, 1, dom[0], dom[1], m, agg)
+				label := fmt.Sprintf("%s %s(%s)", tc.name, agg, rel.MeasName(m))
+				if rows.N != want.Len() {
+					t.Fatalf("%s: plan %d rows, direct %d", label, rows.N, want.Len())
+				}
+				gi, li, ri := rows.Col(rel.CatName(0)), rows.Col("left"), rows.Col("right")
+				for i := 0; i < rows.N; i++ {
+					if rows.Strs[gi][i] != rel.Value(0, want.Groups[i]) {
+						t.Fatalf("%s row %d: group %q vs %q", label, i, rows.Strs[gi][i], rel.Value(0, want.Groups[i]))
+					}
+					l, r := rows.Nums[li][i], rows.Nums[ri][i]
+					if math.Float64bits(l) != math.Float64bits(want.Left[i]) ||
+						math.Float64bits(r) != math.Float64bits(want.Right[i]) {
+						t.Errorf("%s row %d: plan (%v,%v) direct (%v,%v)", label, i, l, r, want.Left[i], want.Right[i])
+					}
+				}
 			}
 		}
 	}

@@ -162,35 +162,6 @@ func Supports(res *engine.ComparisonResult, typ Type) bool {
 	}
 }
 
-// SeriesPredicate returns the type's predicate over the two comparison
-// series, for building literal Def. 3.7 hypothesis plans
-// (engine.HypothesisPlan).
-func (t Type) SeriesPredicate() engine.SeriesPredicate {
-	switch t {
-	case MeanGreater:
-		return engine.SeriesPredicate{
-			Desc: "avg(left) > avg(right)",
-			Holds: func(l, r []float64) bool {
-				return len(l) > 0 && stats.Mean(l) > stats.Mean(r)
-			},
-		}
-	case VarianceGreater:
-		return engine.SeriesPredicate{
-			Desc: "var_samp(left) > var_samp(right)",
-			Holds: func(l, r []float64) bool {
-				return len(l) >= 2 && stats.Variance(l) > stats.Variance(r)
-			},
-		}
-	default:
-		return engine.SeriesPredicate{
-			Desc: "median(left) > median(right)",
-			Holds: func(l, r []float64) bool {
-				return len(l) > 0 && stats.Median(l) > stats.Median(r)
-			},
-		}
-	}
-}
-
 // CountComparisonQueries evaluates Lemma 3.2: the number of possible
 // comparison queries over rel given f aggregation functions.
 func CountComparisonQueries(rel *table.Relation, f int) int {

@@ -142,29 +142,3 @@ func TestTypeStrings(t *testing.T) {
 		t.Error("type names wrong")
 	}
 }
-
-// TestHypothesisPlanMatchesSupports: the literal Def. 3.7 operator tree
-// must emit a row exactly when the support relation ⊢ holds.
-func TestHypothesisPlanMatchesSupports(t *testing.T) {
-	rel := covidRelation()
-	v4, _ := rel.CodeOf(1, "4")
-	v5, _ := rel.CodeOf(1, "5")
-	for _, typ := range ExtendedTypes {
-		for _, pair := range [][2]int32{{v5, v4}, {v4, v5}} {
-			plan := engine.HypothesisPlan(rel, 0, 1, pair[0], pair[1], 0, engine.Sum,
-				typ.SeriesPredicate(), typ.String())
-			rows, err := plan.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			res := engine.CompareDirect(rel, 0, 1, pair[0], pair[1], 0, engine.Sum)
-			want := Supports(res, typ)
-			if got := rows.N == 1; got != want {
-				t.Errorf("%v %v: plan emits=%v, Supports=%v", typ, pair, got, want)
-			}
-			if rows.N == 1 && rows.Strs[0][0] != typ.String() {
-				t.Errorf("label = %q", rows.Strs[0][0])
-			}
-		}
-	}
-}

@@ -180,3 +180,28 @@ func TestTrackCap(t *testing.T) {
 		t.Error("ForkTrack past cap must return ctx unchanged")
 	}
 }
+
+// TestPhaseOneMeasurement: End returns exactly the duration it records in
+// the histogram, with tracing off or on, and the span lands in the trace
+// only when tracing is on. A context without a registry still times the
+// phase.
+func TestPhaseOneMeasurement(t *testing.T) {
+	for _, tracing := range []bool{false, true} {
+		reg := New()
+		if tracing {
+			reg.EnableTracing(0)
+		}
+		ctx := NewContext(context.Background(), reg)
+		d := StartPhase(ctx, "phase/x", "phase_x").End()
+		if tm := reg.Timing("phase_x"); tm.Count() != 1 || tm.Sum() != d {
+			t.Errorf("tracing=%v: histogram holds %d observations summing to %v, End returned %v",
+				tracing, tm.Count(), tm.Sum(), d)
+		}
+		if got := reg.SpanCount(); (got == 1) != tracing {
+			t.Errorf("tracing=%v: %d spans recorded", tracing, got)
+		}
+	}
+	if d := StartPhase(context.Background(), "phase/x", "phase_x").End(); d < 0 {
+		t.Errorf("phase without a registry measured %v", d)
+	}
+}

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"sync/atomic"
 	"time"
 )
@@ -39,6 +40,34 @@ func (s Span) End() {
 	if fn := s.reg.spanObs.Load(); fn != nil {
 		(*fn)(s.name, s.start, end-s.start)
 	}
+}
+
+// Phase is a span that is timed whether or not tracing is on. The clock
+// starts just before the span opens and stops just after it closes, so
+// the trace, the named timing histogram and the duration End returns are
+// one measurement.
+type Phase struct {
+	span  Span
+	reg   *Registry
+	hist  string
+	start time.Time
+}
+
+// StartPhase opens a span named span on ctx's track and starts the phase
+// clock; End records the duration in the timing histogram named hist of
+// ctx's registry (nowhere when ctx carries none).
+func StartPhase(ctx context.Context, span, hist string) Phase {
+	start := time.Now()
+	return Phase{span: StartSpan(ctx, span), reg: FromContext(ctx), hist: hist, start: start}
+}
+
+// End closes the span, records the phase's duration and returns it. Call
+// it exactly once.
+func (p Phase) End() time.Duration {
+	p.span.End()
+	d := time.Since(p.start)
+	p.reg.Timing(p.hist).Observe(d)
+	return d
 }
 
 // SpanObserver receives one callback per closed span: the span's name and

@@ -406,10 +406,11 @@ func WSCApproxSigCred(epsT int, epsD float64) Config {
 }
 
 // Timings is the per-phase runtime breakdown of Figure 7 (bottom) and
-// Figure 8.
+// Figure 8. Each phase is measured once, at the boundaries of its
+// phase/* span; the phase_* histograms of the run's registry record the
+// same durations, and run_total records Total.
 type Timings struct {
 	FD        time.Duration // functional-dependency pre-processing
-	Sampling  time.Duration // offline sample construction
 	StatTests time.Duration // permutation tests + BH (phase (i) of Fig. 8)
 	HypoEval  time.Duration // cube building + support checks (phase (ii))
 	TAP       time.Duration // solver

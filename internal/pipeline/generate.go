@@ -156,21 +156,16 @@ func GenerateContext(ctx context.Context, rel *table.Relation, cfg Config) (*Res
 	gov.Instrument(reg)
 
 	// Pre-processing: functional dependencies (footnote 2).
-	t0 := time.Now()
-	fdSp := obs.StartSpan(ctx, "phase/fd")
+	fdPhase := obs.StartPhase(ctx, "phase/fd", "phase_fd")
 	fds := engine.NewFDSet(engine.DetectFDsApprox(rel, cfg.FDMaxError))
-	fdSp.End()
-	res.Timings.FD = time.Since(t0)
-	reg.Timing("phase_fd").Observe(res.Timings.FD)
+	res.Timings.FD = fdPhase.End()
 	cfg.logf("pipeline: FD pre-processing done in %v", res.Timings.FD)
 
 	// Phase (i): statistical tests.
-	t0 = time.Now()
 	gov.StartPhase(governor.Stats)
-	statsSp := obs.StartSpan(ctx, "phase/stats")
+	statsPhase := obs.StartPhase(ctx, "phase/stats", "phase_stats")
 	sig, tested, err := runStatTests(ctx, rel, cfg, gov)
-	statsSp.End()
-	reg.Timing("phase_stats").Observe(time.Since(t0))
+	res.Timings.StatTests = statsPhase.End()
 	if err != nil {
 		reg.MarkInterrupted()
 		return nil, err
@@ -179,7 +174,6 @@ func GenerateContext(ctx context.Context, rel *table.Relation, cfg Config) (*Res
 	reg.Counter("stats_insights_significant").Add(int64(len(sig)))
 	res.Counts.InsightsEnumerated = tested
 	res.Counts.SignificantInsights = len(sig)
-	res.Timings.StatTests = time.Since(t0)
 	cfg.logf("pipeline: %d insights tested, %d significant, in %v",
 		tested, len(sig), res.Timings.StatTests)
 
@@ -194,7 +188,6 @@ func GenerateContext(ctx context.Context, rel *table.Relation, cfg Config) (*Res
 
 	// Phase (ii): hypothesis-query evaluation on in-memory aggregates,
 	// shared through the run's cube cache.
-	t0 = time.Now()
 	gov.StartPhase(governor.Hypo)
 	// A shared cache (cfg.Cache — the serving path) arrives configured and
 	// instrumented by its owner; the run only reads and inserts, and its
@@ -212,10 +205,9 @@ func GenerateContext(ctx context.Context, rel *table.Relation, cfg Config) (*Res
 			res.cache.SetMemBudget(cfg.MemBudget)
 		}
 	}
-	hypoSp := obs.StartSpan(ctx, "phase/hypo")
+	hypoPhase := obs.StartPhase(ctx, "phase/hypo", "phase_hypo")
 	queries, final, counts, err := evalHypotheses(ctx, rel, cfg, fds, sig, res.cache, gov)
-	hypoSp.End()
-	reg.Timing("phase_hypo").Observe(time.Since(t0))
+	res.Timings.HypoEval = hypoPhase.End()
 	if err != nil {
 		reg.MarkInterrupted()
 		return nil, err
@@ -245,7 +237,6 @@ func GenerateContext(ctx context.Context, rel *table.Relation, cfg Config) (*Res
 	res.Counts.CacheRollups = int(cs.RollupHits)
 	res.Counts.CacheMisses = int(cs.Misses)
 	res.Counts.CacheEvictions = int(cs.Evictions)
-	res.Timings.HypoEval = time.Since(t0)
 	cfg.logf("pipeline: %d cubes built, cache %d hits / %d rollups / %d misses / %d evictions (%d B cached), %d support checks, |Q| = %d, in %v",
 		res.Counts.CubesBuilt, cs.Hits, cs.RollupHits, cs.Misses, cs.Evictions, cs.Bytes,
 		counts.SupportChecks, counts.QueriesGenerated, res.Timings.HypoEval)
@@ -254,12 +245,11 @@ func GenerateContext(ctx context.Context, rel *table.Relation, cfg Config) (*Res
 	// budget share is 1, so its deadline is exactly start+TimeBudget —
 	// bit-for-bit the pre-governor semantics — and the anytime ladder
 	// turns an expiry into a feasible heuristic solution, not a failure.
-	t0 = time.Now()
 	gov.StartPhase(governor.TAP)
 	deadline := gov.Deadline(governor.TAP)
 	inst := Instance(queries, cfg.Weights)
 	res.TAP.Solver = cfg.Solver.String()
-	tapSp := obs.StartSpan(ctx, "phase/tap")
+	tapPhase := obs.StartPhase(ctx, "phase/tap", "phase_tap")
 	switch cfg.Solver {
 	case SolverExact:
 		any := tap.SolveAnytime(ctx, inst, float64(cfg.EpsT), cfg.EpsD, tap.ExactOptions{
@@ -267,7 +257,7 @@ func GenerateContext(ctx context.Context, rel *table.Relation, cfg Config) (*Res
 			Deadline: deadline,
 		})
 		if any.Solver == tap.AnytimeCancelled {
-			tapSp.End()
+			tapPhase.End()
 			reg.MarkInterrupted()
 			return nil, ctx.Err()
 		}
@@ -290,10 +280,8 @@ func GenerateContext(ctx context.Context, rel *table.Relation, cfg Config) (*Res
 	default:
 		res.Solution = tap.Greedy(inst, float64(cfg.EpsT), cfg.EpsD)
 	}
-	tapSp.End()
-	res.Timings.TAP = time.Since(t0)
+	res.Timings.TAP = tapPhase.End()
 	res.Timings.Total = time.Since(start)
-	reg.Timing("phase_tap").Observe(res.Timings.TAP)
 	reg.Timing("run_total").Observe(res.Timings.Total)
 	cfg.logf("pipeline: %s TAP selected %d queries (interest %.3f) in %v",
 		res.TAP.Solver, len(res.Solution.Order), res.Solution.TotalInterest, res.Timings.TAP)
@@ -392,27 +380,25 @@ func BuildNotebook(res *Result) *notebook.Notebook {
 }
 
 // resultTable renders the comparison query's result from the run's cube
-// cache: an exact or rolled-up pair cube answers it in O(groups); only a
-// Result without a cache falls back to the two-scan plan.
+// cache: an exact or rolled-up pair cube answers it in O(groups). A Result
+// without a cache builds the pair cube from the base relation instead.
 func (r *Result) resultTable(q insight.Query, maxRows int) string {
-	if r.cache == nil {
-		return ResultTable(r.Relation, q, maxRows)
-	}
+	attrs := []int{q.GroupBy, q.Attr}
 	// The background context never cancels, so the error is impossible.
-	pc, _ := r.cache.GetOrBuild(context.Background(), r.Relation, []int{q.GroupBy, q.Attr}, r.Config.threads())
+	var pc *engine.Cube
+	if r.cache != nil {
+		pc, _ = r.cache.GetOrBuild(context.Background(), r.Relation, attrs, r.Config.threads())
+	} else {
+		pc, _ = engine.BuildCube(context.Background(), r.Relation, attrs, r.Config.threads())
+	}
 	res := engine.CompareFromCube(pc, q.GroupBy, q.Attr, q.Val, q.Val2, q.Meas, q.Agg)
-	return renderResultTable(r.Relation, q, res, maxRows)
+	return ResultTable(r.Relation, q, res, maxRows)
 }
 
-// ResultTable executes the comparison query with the literal two-scan plan
-// and renders its result as a Markdown table, keeping at most maxRows rows
-// (0 = all).
-func ResultTable(rel *table.Relation, q insight.Query, maxRows int) string {
-	res := engine.CompareDirect(rel, q.GroupBy, q.Attr, q.Val, q.Val2, q.Meas, q.Agg)
-	return renderResultTable(rel, q, res, maxRows)
-}
-
-func renderResultTable(rel *table.Relation, q insight.Query, res *engine.ComparisonResult, maxRows int) string {
+// ResultTable renders a computed comparison result as a Markdown table
+// headed by A and the two selected values of B, keeping at most maxRows
+// rows (0 = all).
+func ResultTable(rel *table.Relation, q insight.Query, res *engine.ComparisonResult, maxRows int) string {
 	left := rel.Value(q.Attr, q.Val)
 	right := rel.Value(q.Attr, q.Val2)
 	var sb strings.Builder

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"comparenb/internal/datagen"
 	"comparenb/internal/obs"
@@ -141,6 +142,38 @@ func TestObsTraceCoversPipeline(t *testing.T) {
 	} {
 		if !strings.Contains(metrics.String(), name) {
 			t.Errorf("metrics missing %s", name)
+		}
+	}
+}
+
+// TestObsPhaseTimingsMatchHistograms: each phase is measured once, at the
+// boundaries of its phase/* span, so one run's phase histograms and
+// run_total hold exactly the durations its Timings report.
+func TestObsPhaseTimingsMatchHistograms(t *testing.T) {
+	ds, err := datagen.Tiny(7, 900)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := obsTestConfig()
+	reg := obs.New()
+	cfg.Obs = reg
+	res, err := Generate(ds.Rel, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		hist string
+		want time.Duration
+	}{
+		{"phase_fd", res.Timings.FD},
+		{"phase_stats", res.Timings.StatTests},
+		{"phase_hypo", res.Timings.HypoEval},
+		{"phase_tap", res.Timings.TAP},
+		{"run_total", res.Timings.Total},
+	} {
+		tm := reg.Timing(tc.hist)
+		if tm.Count() != 1 || tm.Sum() != tc.want {
+			t.Errorf("%s: %d observations summing to %v; Timings say %v", tc.hist, tm.Count(), tm.Sum(), tc.want)
 		}
 	}
 }

@@ -276,6 +276,26 @@ func TestGenerateValidation(t *testing.T) {
 	}
 }
 
+// TestResultTableWithoutCache: a Result that carries no cube cache still
+// renders its result tables, from a pair cube built for the query, and
+// they match the tables the run's cache answers.
+func TestResultTableWithoutCache(t *testing.T) {
+	ds := tinyDataset(t)
+	res, err := Generate(ds.Rel, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := &Result{Relation: res.Relation, Config: res.Config}
+	for _, sq := range res.Sequence() {
+		if got, want := bare.resultTable(sq.Query, 15), res.resultTable(sq.Query, 15); got != want {
+			t.Errorf("%s: cache-less table\n%s\nwant\n%s", sq.Query.Describe(ds.Rel), got, want)
+		}
+	}
+	if bare.CacheStats() != (engine.CacheStats{}) {
+		t.Error("a cache-less Result reported cache counters")
+	}
+}
+
 func TestBuildNotebook(t *testing.T) {
 	ds := tinyDataset(t)
 	res, err := Generate(ds.Rel, testConfig())

@@ -125,3 +125,6 @@ for pkg in ./internal/engine ./internal/stats ./internal/tap ./internal/table; d
 done
 
 echo "OK: all checks passed"
+# The last line is the non-test Go line count ROADMAP.md and CHANGES.md
+# track; scripts/loc.sh prints it per directory.
+scripts/loc.sh | tail -n 1
