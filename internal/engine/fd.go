@@ -23,15 +23,22 @@ func DetectFDs(rel *table.Relation) []FD {
 // maxError. Real data is dirty; a commune column with a handful of
 // mistyped departments should still disqualify the degenerate queries the
 // FD pre-processing exists to prevent. maxError = 0 is the exact check.
+//
+// The g3 error of det → dep is 1 − (Σ over det values of the most common
+// dep value's count) / N, and 0 on an empty relation. Both directions of
+// a pair come from one joint count of the pair's codes.
 func DetectFDsApprox(rel *table.Relation, maxError float64) []FD {
 	n := rel.NumCatAttrs()
+	g3 := make([]float64, n*n) // g3[det*n+dep]
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			g3[a*n+b], g3[b*n+a] = pairFDErrors(rel, a, b)
+		}
+	}
 	var fds []FD
 	for det := 0; det < n; det++ {
 		for dep := 0; dep < n; dep++ {
-			if det == dep {
-				continue
-			}
-			if FDError(rel, det, dep) <= maxError {
+			if det != dep && g3[det*n+dep] <= maxError {
 				fds = append(fds, FD{Det: det, Dep: dep})
 			}
 		}
@@ -39,34 +46,50 @@ func DetectFDsApprox(rel *table.Relation, maxError float64) []FD {
 	return fds
 }
 
-// FDError computes the g3 error of det → dep: 1 − (Σ over det values of
-// the most common dep value's count) / N. Zero means the FD holds exactly;
-// an empty relation has error 0.
-func FDError(rel *table.Relation, det, dep int) float64 {
+// pairFDErrors returns the g3 errors of a → b and b → a. The joint count
+// is a dense table over dom(a)·dom(b) cells when that is no larger than
+// the row count, as in groupFreqs, and a map over the code pairs present
+// otherwise.
+func pairFDErrors(rel *table.Relation, a, b int) (ab, ba float64) {
 	nRows := rel.NumRows()
 	if nRows == 0 {
-		return 0
+		return 0, 0
 	}
-	detCol := rel.CatCol(det)
-	depCol := rel.CatCol(dep)
-	// counts[(d, e)] over a compact composite key.
-	depDom := int64(rel.DomSize(dep))
-	counts := make(map[int64]int)
-	for row, d := range detCol {
-		counts[int64(d)*depDom+int64(depCol[row])]++
-	}
-	best := make(map[int32]int, rel.DomSize(det))
-	for key, c := range counts {
-		d := int32(key / depDom)
-		if c > best[d] {
-			best[d] = c
+	colA, colB := rel.CatCol(a), rel.CatCol(b)
+	domA, domB := rel.DomSize(a), rel.DomSize(b)
+	// bestB[ca] is the count of the most common b value among the rows of
+	// a's value ca; bestA[cb] likewise.
+	bestB, bestA := make([]int, domA), make([]int, domB)
+	if uint64(domA)*uint64(domB) <= uint64(nRows) {
+		cells := make([]int32, domA*domB)
+		for row, ca := range colA {
+			cells[int(ca)*domB+int(colB[row])]++
+		}
+		for ca := range bestB {
+			for cb, c := range cells[ca*domB : (ca+1)*domB] {
+				bestB[ca] = max(bestB[ca], int(c))
+				bestA[cb] = max(bestA[cb], int(c))
+			}
+		}
+	} else {
+		counts := make(map[int64]int)
+		for row, ca := range colA {
+			counts[int64(ca)*int64(domB)+int64(colB[row])]++
+		}
+		for key, c := range counts {
+			ca, cb := key/int64(domB), key%int64(domB)
+			bestB[ca] = max(bestB[ca], c)
+			bestA[cb] = max(bestA[cb], c)
 		}
 	}
-	keep := 0
-	for _, c := range best {
-		keep += c
+	keepAB, keepBA := 0, 0
+	for _, c := range bestB {
+		keepAB += c
 	}
-	return 1 - float64(keep)/float64(nRows)
+	for _, c := range bestA {
+		keepBA += c
+	}
+	return 1 - float64(keepAB)/float64(nRows), 1 - float64(keepBA)/float64(nRows)
 }
 
 // FDSet is a lookup structure over detected FDs.

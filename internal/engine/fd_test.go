@@ -1,10 +1,129 @@
 package engine
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
 	"comparenb/internal/table"
 )
+
+// FDError is the per-direction reference for DetectFDsApprox: the g3
+// error of det → dep, 1 − (Σ over det values of the most common dep
+// value's count) / N, from a map over the code pairs of every row. An
+// empty relation has error 0.
+func FDError(rel *table.Relation, det, dep int) float64 {
+	nRows := rel.NumRows()
+	if nRows == 0 {
+		return 0
+	}
+	detCol := rel.CatCol(det)
+	depCol := rel.CatCol(dep)
+	// counts[(d, e)] over a compact composite key.
+	depDom := int64(rel.DomSize(dep))
+	counts := make(map[int64]int)
+	for row, d := range detCol {
+		counts[int64(d)*depDom+int64(depCol[row])]++
+	}
+	best := make(map[int32]int, rel.DomSize(det))
+	for key, c := range counts {
+		d := int32(key / depDom)
+		if c > best[d] {
+			best[d] = c
+		}
+	}
+	keep := 0
+	for _, c := range best {
+		keep += c
+	}
+	return 1 - float64(keep)/float64(nRows)
+}
+
+// detectFDsReference is DetectFDsApprox by the per-direction oracle: one
+// FDError map per ordered attribute pair.
+func detectFDsReference(rel *table.Relation, maxError float64) []FD {
+	n := rel.NumCatAttrs()
+	var fds []FD
+	for det := 0; det < n; det++ {
+		for dep := 0; dep < n; dep++ {
+			if det != dep && FDError(rel, det, dep) <= maxError {
+				fds = append(fds, FD{Det: det, Dep: dep})
+			}
+		}
+	}
+	return fds
+}
+
+// fdRelation draws rows over attributes of the given domain sizes. Each
+// attribute after the first copies a function of the first attribute's
+// value on all but a `noise` share of rows, so the relation holds exact,
+// approximate and absent dependencies.
+func fdRelation(rng *rand.Rand, rows int, domains []int, noise float64) *table.Relation {
+	names := make([]string, len(domains))
+	for a := range names {
+		names[a] = fmt.Sprintf("a%d", a)
+	}
+	b := table.NewBuilder("fd", names, nil)
+	row := make([]string, len(domains))
+	for r := 0; r < rows; r++ {
+		base := rng.Intn(domains[0])
+		for a, d := range domains {
+			v := base % d
+			if a == 0 || rng.Float64() < noise {
+				v = rng.Intn(d)
+			}
+			row[a] = fmt.Sprintf("v%d", v)
+		}
+		b.AddRow(row, nil)
+	}
+	return b.Build()
+}
+
+// TestDetectFDsMatchesFDError checks the one-count-per-pair detection
+// against the per-direction oracle: the same FDs, in the same order, at
+// every threshold, in both count regimes and on one-row and empty
+// relations.
+func TestDetectFDsMatchesFDError(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	type tc struct {
+		name string
+		rel  *table.Relation
+	}
+	cases := []tc{
+		{"empty", fdRelation(rng, 0, []int{3, 2}, 0)},
+		{"one-row", fdRelation(rng, 1, []int{4, 3, 2}, 0)},
+	}
+	for i := 0; i < 12; i++ {
+		// Small domains: every pair takes the dense table.
+		cases = append(cases, tc{fmt.Sprintf("dense-%d", i), fdRelation(rng, 50+rng.Intn(400), []int{8, 4, 2, 6, 3}, 0.02*float64(i%4))})
+	}
+	for i := 0; i < 6; i++ {
+		// 60 × 40 codes exceed the rows: that pair takes the map.
+		cases = append(cases, tc{fmt.Sprintf("map-%d", i), fdRelation(rng, 200+rng.Intn(600), []int{60, 40, 4, 2}, 0.05*float64(i%3))})
+	}
+	for _, c := range cases {
+		for _, maxErr := range []float64{0, 0.01, 0.05, 0.1, 0.3, 0.5, 0.9} {
+			got, want := DetectFDsApprox(c.rel, maxErr), detectFDsReference(c.rel, maxErr)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%s maxError=%v: %v, oracle %v", c.name, maxErr, got, want)
+			}
+		}
+		n := c.rel.NumCatAttrs()
+		for a := 0; a < n; a++ {
+			for b := a + 1; b < n; b++ {
+				ab, ba := pairFDErrors(c.rel, a, b)
+				if math.Float64bits(ab) != math.Float64bits(FDError(c.rel, a, b)) ||
+					math.Float64bits(ba) != math.Float64bits(FDError(c.rel, b, a)) {
+					t.Errorf("%s (%d, %d): errors (%v, %v), oracle (%v, %v)", c.name, a, b, ab, ba, FDError(c.rel, a, b), FDError(c.rel, b, a))
+				}
+			}
+		}
+	}
+	if got := len(DetectFDsApprox(cases[0].rel, 0)); got != 2 {
+		t.Errorf("empty relation: %d FDs, want both directions", got)
+	}
+}
 
 // dateRelation has day → month (every day belongs to one month) but not
 // month → day.

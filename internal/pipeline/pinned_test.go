@@ -6,18 +6,45 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
 	"comparenb/internal/insight"
+	"comparenb/internal/sampling"
 	"comparenb/internal/table"
 )
 
 // testdata/pinned_sig.txt holds the Sig bits of every significant insight
 // the stats phase of a Full run found on pinnedRelation, produced by the
-// permutation kernels that preceded stats.PermTests. Checked by
-// TestStatsPhaseMatchesPinned.
+// permutation kernels that preceded stats.PermTests ("sig" lines, checked
+// by TestStatsPhaseMatchesPinned), and of the sampled and pair-capped
+// runs of sampledPins on sparseRelation, produced by the kernel before
+// the stats phase partitioned rows per attribute (lines prefixed with the
+// run's name, checked by TestSampledStatsPhaseMatchesPinned).
 const pinnedSigFile = "testdata/pinned_sig.txt"
+
+// readPinnedSig returns the pinned file's lines by run: "" for the
+// unprefixed lines of the Full run, else the prefix.
+func readPinnedSig(t *testing.T) map[string][]string {
+	t.Helper()
+	data, err := os.ReadFile(pinnedSigFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := make(map[string][]string)
+	for _, line := range strings.Split(string(data), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		run := ""
+		if !strings.HasPrefix(line, "sig ") {
+			run, line, _ = strings.Cut(line, " ")
+		}
+		runs[run] = append(runs[run], line)
+	}
+	return runs
+}
 
 // pinnedRelation has two measures and NaN cells, so the permutation
 // sharing of testPair is exercised in all three shapes:
@@ -27,6 +54,20 @@ const pinnedSigFile = "testdata/pinned_sig.txt"
 //   - c and d have identical m0 values, so (c, d) tests nothing on m0
 //     yet its m1 tests still draw from the stream seeded by measure 0.
 func pinnedRelation() *table.Relation {
+	return pinnedBuilder().Build()
+}
+
+// sparseRelation is pinnedRelation plus two rows of a fifth group, e: a
+// sample at a small fraction misses both, yet its relation keeps e in the
+// dictionary.
+func sparseRelation() *table.Relation {
+	b := pinnedBuilder()
+	b.AddRow([]string{"e", "x"}, []float64{20, 9})
+	b.AddRow([]string{"e", "y"}, []float64{21, 8})
+	return b.Build()
+}
+
+func pinnedBuilder() *table.Builder {
 	b := table.NewBuilder("pinned", []string{"grp", "cat"}, []string{"m0", "m1"})
 	groups := []string{"a", "b", "c", "d"}
 	cats := []string{"x", "y", "z"}
@@ -54,14 +95,11 @@ func pinnedRelation() *table.Relation {
 		}
 		b.AddRow([]string{groups[g], cats[c]}, []float64{m0, m1})
 	}
-	return b.Build()
+	return b
 }
 
-// pinnedSigLines runs the stats phase of a Full run on pinnedRelation and
-// formats every significant insight with its Sig bits.
-func pinnedSigLines(t *testing.T, threads int) []string {
-	t.Helper()
-	rel := pinnedRelation()
+// pinnedConfig is the stats-phase configuration of every pinned run.
+func pinnedConfig(threads int) Config {
 	cfg := NewConfig()
 	cfg.Perms = 263
 	cfg.Seed = 11
@@ -71,6 +109,20 @@ func pinnedSigLines(t *testing.T, threads int) []string {
 	// the output, so the pin sees which stream every test drew from.
 	cfg.Alpha = 0.5
 	cfg.BHScope = BHPerPair
+	return cfg
+}
+
+// pinnedSigLines runs the stats phase of a Full run on pinnedRelation and
+// formats every significant insight with its Sig bits.
+func pinnedSigLines(t *testing.T, threads int) []string {
+	t.Helper()
+	return sigLines(t, pinnedRelation(), pinnedConfig(threads))
+}
+
+// sigLines runs the stats phase on rel and formats every significant
+// insight with its Sig bits.
+func sigLines(t *testing.T, rel *table.Relation, cfg Config) []string {
+	t.Helper()
 	sig, _, err := runStatTests(context.Background(), rel, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -86,21 +138,54 @@ func pinnedSigLines(t *testing.T, threads int) []string {
 // TestStatsPhaseMatchesPinned checks the stats phase's significance
 // values against the pinned file, bit for bit, at several thread counts.
 func TestStatsPhaseMatchesPinned(t *testing.T) {
-	data, err := os.ReadFile(pinnedSigFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []string
-	for _, line := range strings.Split(string(data), "\n") {
-		if line != "" && !strings.HasPrefix(line, "#") {
-			want = append(want, line)
-		}
-	}
+	want := readPinnedSig(t)[""]
 	for _, threads := range []int{1, 2, 3, 8} {
 		got := pinnedSigLines(t, threads)
 		if strings.Join(got, "\n") != strings.Join(want, "\n") {
 			t.Errorf("threads=%d: significant insights differ from the pinned file\ngot:\n%s\nwant:\n%s",
 				threads, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+	}
+}
+
+// sampledPins are the pinned stats-phase runs on sparseRelation beside
+// the Full run: a random sample small enough to miss group e, per
+// attribute unbalanced samples, and a cap on the pairs per attribute.
+var sampledPins = []struct {
+	name string
+	set  func(*Config)
+}{
+	{"random", func(c *Config) { c.Sampling, c.SampleFrac = sampling.Random, 0.25 }},
+	{"unbalanced", func(c *Config) { c.Sampling, c.SampleFrac = sampling.Unbalanced, 0.25 }},
+	{"maxpairs", func(c *Config) { c.MaxPairsPerAttr = 3 }},
+}
+
+// TestSampledStatsPhaseMatchesPinned checks the stats phase's
+// significance values on sampled and pair-capped runs against the pinned
+// file, bit for bit, at several thread counts.
+func TestSampledStatsPhaseMatchesPinned(t *testing.T) {
+	rel := sparseRelation()
+	// The random run's sample must lack a dictionary value, or the pin
+	// would not cover one.
+	sample := sampling.RandomSample(rel, 0.25, rand.New(rand.NewSource(jobSeed(pinnedConfig(1).Seed, -1))))
+	grp := sample.CatCol(0)
+	if slices.Contains(grp, 4) || sample.DomSize(0) != 5 {
+		t.Fatalf("the random sample keeps group %q; it must miss it", rel.Value(0, 4))
+	}
+	pinned := readPinnedSig(t)
+	for _, run := range sampledPins {
+		want := pinned[run.name]
+		if len(want) == 0 {
+			t.Fatalf("%s: no pinned lines", run.name)
+		}
+		for _, threads := range []int{1, 2, 8} {
+			cfg := pinnedConfig(threads)
+			run.set(&cfg)
+			got := sigLines(t, rel, cfg)
+			if strings.Join(got, "\n") != strings.Join(want, "\n") {
+				t.Errorf("%s threads=%d: significant insights differ from the pinned file\ngot:\n%s\nwant:\n%s",
+					run.name, threads, strings.Join(got, "\n"), strings.Join(want, "\n"))
+			}
 		}
 	}
 }

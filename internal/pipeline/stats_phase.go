@@ -89,14 +89,20 @@ func runStatTests(ctx context.Context, rel *table.Relation, cfg Config, gov *gov
 		}
 	}
 
-	// Enumerate the test jobs: one per (attribute, value pair).
+	// Partition each test relation's rows by attribute code, once per
+	// attribute, and enumerate the test jobs: one per (attribute, value
+	// pair).
+	parts := make([]rowPartition, n)
+	for a := range parts {
+		parts[a] = partitionRows(testRels[a], a)
+	}
 	type pairJob struct {
 		attr      int
 		val, val2 int32
 	}
 	var jobs []pairJob
 	for a := 0; a < n; a++ {
-		pairs := enumeratePairs(testRels[a], a, cfg.MaxPairsPerAttr)
+		pairs := enumeratePairs(testRels[a], a, parts[a], cfg.MaxPairsPerAttr)
 		for _, pr := range pairs {
 			jobs = append(jobs, pairJob{attr: a, val: pr[0], val2: pr[1]})
 		}
@@ -109,21 +115,13 @@ func runStatTests(ctx context.Context, rel *table.Relation, cfg Config, gov *gov
 	forced := cfg.forceStatsLevel != governor.Full
 	var rank []int
 	if gov != nil || forced {
-		perAttr := make([]map[int32]int, n)
-		for a := 0; a < n; a++ {
-			c := make(map[int32]int)
-			for _, code := range testRels[a].CatCol(a) {
-				c[code]++
-			}
-			perAttr[a] = c
-		}
 		order := make([]int, len(jobs))
 		for i := range order {
 			order[i] = i
 		}
 		pop := make([]int, len(jobs))
 		for ji, job := range jobs {
-			pop[ji] = perAttr[job.attr][job.val] + perAttr[job.attr][job.val2]
+			pop[ji] = parts[job.attr].count(job.val) + parts[job.attr].count(job.val2)
 		}
 		sort.SliceStable(order, func(x, y int) bool {
 			jx, jy := jobs[order[x]], jobs[order[y]]
@@ -181,7 +179,7 @@ func runStatTests(ctx context.Context, rel *table.Relation, cfg Config, gov *gov
 		}
 		earlyPer[ji] = level != governor.Full
 		var jerr error
-		outcomes[ji], testedPer[ji], minPermsPer[ji], jerr = testPair(jctx, trel, job.attr, job.val, job.val2, cfg, jobSeed(cfg.Seed, ji), inner, nperm, alpha)
+		outcomes[ji], testedPer[ji], minPermsPer[ji], jerr = testPair(jctx, trel, parts[job.attr], job.attr, job.val, job.val2, cfg, jobSeed(cfg.Seed, ji), inner, nperm, alpha)
 		return jerr
 	})
 	if err != nil {
@@ -269,23 +267,54 @@ func lessKey(a, b insight.Key) bool {
 	return a.Type < b.Type
 }
 
+// rowPartition lists a relation's rows by the code of one attribute:
+// code c's rows, in row order, are rows[start[c]:start[c+1]]. It spans
+// the attribute's whole dictionary, so a code without rows — a sampled
+// relation keeps its parent's dictionary — has an empty list.
+type rowPartition struct {
+	start []int32
+	rows  []int32
+}
+
+// partitionRows partitions rel's rows by attribute a with one counting
+// sort.
+func partitionRows(rel *table.Relation, a int) rowPartition {
+	col := rel.CatCol(a)
+	start := make([]int32, rel.DomSize(a)+1)
+	for _, c := range col {
+		start[c+1]++
+	}
+	for c := 1; c < len(start); c++ {
+		start[c] += start[c-1]
+	}
+	rows := make([]int32, len(col))
+	for i, c := range col {
+		rows[start[c]] = int32(i)
+		start[c]++
+	}
+	// Each cursor now sits where the next code's rows begin.
+	copy(start[1:], start)
+	start[0] = 0
+	return rowPartition{start: start, rows: rows}
+}
+
+func (p rowPartition) of(c int32) []int32 { return p.rows[p.start[c]:p.start[c+1]] }
+
+func (p rowPartition) count(c int32) int { return int(p.start[c+1] - p.start[c]) }
+
 // enumeratePairs lists the (val, val') code pairs of attribute a in
 // deterministic (lexicographic) order, optionally keeping only the pairs
 // among the maxPairs most populated values.
-func enumeratePairs(rel *table.Relation, a int, maxPairs int) [][2]int32 {
+func enumeratePairs(rel *table.Relation, a int, part rowPartition, maxPairs int) [][2]int32 {
 	codes := rel.SortedDomain(a)
 	if maxPairs > 0 {
 		// Keep the most frequent values until the pair budget is met:
 		// k values yield k(k−1)/2 pairs.
-		counts := make(map[int32]int)
-		for _, c := range rel.CatCol(a) {
-			counts[c]++
-		}
 		k := len(codes)
 		for k > 2 && k*(k-1)/2 > maxPairs {
 			k--
 		}
-		sort.SliceStable(codes, func(i, j int) bool { return counts[codes[i]] > counts[codes[j]] })
+		sort.SliceStable(codes, func(i, j int) bool { return part.count(codes[i]) > part.count(codes[j]) })
 		codes = codes[:k]
 		dict := rel
 		sort.Slice(codes, func(i, j int) bool { return dict.Value(a, codes[i]) < dict.Value(a, codes[j]) })
@@ -309,17 +338,8 @@ func enumeratePairs(rel *table.Relation, a int, maxPairs int) [][2]int32 {
 // their cap and cfg.Alpha. Results are bit-identical at every thread
 // count. minPerms is the smallest permutation count any test here
 // evaluated (0 when the pair produced no tests).
-func testPair(ctx context.Context, rel *table.Relation, attr int, val, val2 int32, cfg Config, seed int64, threads, nperm int, alpha float64) (out []statOutcome, tested, minPerms int, err error) {
-	col := rel.CatCol(attr)
-	var xRows, yRows []int
-	for i, c := range col {
-		switch c {
-		case val:
-			xRows = append(xRows, i)
-		case val2:
-			yRows = append(yRows, i)
-		}
-	}
+func testPair(ctx context.Context, rel *table.Relation, part rowPartition, attr int, val, val2 int32, cfg Config, seed int64, threads, nperm int, alpha float64) (out []statOutcome, tested, minPerms int, err error) {
+	xRows, yRows := part.of(val), part.of(val2)
 	if len(xRows) < cfg.MinSideRows || len(yRows) < cfg.MinSideRows {
 		return nil, 0, 0, nil
 	}
@@ -349,9 +369,12 @@ func testPair(ctx context.Context, rel *table.Relation, attr int, val, val2 int3
 		return nil
 	}
 	for m := 0; m < rel.NumMeasures(); m++ {
+		// The pooled vector: side X's non-NaN cells, then side Y's.
 		mcol := rel.MeasCol(m)
-		xs := gather(mcol, xRows)
-		ys := gather(mcol, yRows)
+		pooled := gather(make([]float64, 0, len(xRows)+len(yRows)), mcol, xRows)
+		nx := len(pooled)
+		pooled = gather(pooled, mcol, yRows)
+		xs, ys := pooled[:nx], pooled[nx:]
 		if len(xs) < cfg.MinSideRows || len(ys) < cfg.MinSideRows {
 			continue
 		}
@@ -361,9 +384,6 @@ func testPair(ctx context.Context, rel *table.Relation, attr int, val, val2 int3
 			}
 			sides, streamSeed = [2]int{len(xs), len(ys)}, jobSeed(seed, m)
 		}
-		pooled := make([]float64, 0, len(xs)+len(ys))
-		pooled = append(pooled, xs...)
-		pooled = append(pooled, ys...)
 		for _, typ := range cfg.insightTypes() {
 			v, v2, effect, ok := orient(xs, ys, val, val2, typ)
 			if !ok {
@@ -420,12 +440,12 @@ func orient(xs, ys []float64, val, val2 int32, typ insight.Type) (int32, int32, 
 	return val2, val, effect, true
 }
 
-func gather(col []float64, rows []int) []float64 {
-	out := make([]float64, 0, len(rows))
+// gather appends col's non-NaN cells at rows to dst.
+func gather(dst, col []float64, rows []int32) []float64 {
 	for _, r := range rows {
 		if v := col[r]; !math.IsNaN(v) {
-			out = append(out, v)
+			dst = append(dst, v)
 		}
 	}
-	return out
+	return dst
 }

@@ -3,6 +3,7 @@ package stats
 import (
 	"context"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sync"
 
@@ -79,7 +80,8 @@ type PermResult struct {
 // the inner loop: each permutation is drawn once, scored by every test
 // still running, and dropped, so a worker holds O(nx+ny) scratch rather
 // than the permutation set. For the mean and variance statistics the Y
-// side is derived from pooled totals, so scoring costs O(nx).
+// side is derived from pooled totals, so scoring costs O(nx), and the
+// tests that share a Pooled slice share one pass per permutation.
 //
 // The stream is cut into blocks of PermBlock permutations, block b drawn
 // from its own generator seeded by (seed, b); up to `threads` workers
@@ -99,6 +101,7 @@ func PermTests(ctx context.Context, nx, ny, nperm int, seed int64, threads int, 
 	nblocks := (nperm + permBlock - 1) / permBlock
 	r := &permRun{
 		nx: nx, ny: ny, nperm: nperm, seed: seed, alpha: alpha,
+		ranges: newRanges(nx+ny, nx),
 		tests:  make([]testState, len(tests)),
 		counts: make([]int, nblocks*len(tests)),
 		scored: make([]bool, nblocks),
@@ -116,13 +119,16 @@ func PermTests(ctx context.Context, nx, ny, nperm int, seed int64, threads int, 
 		if nx == 0 || ny == 0 {
 			continue
 		}
-		var total, totalSq float64
-		for _, v := range pt.Pooled {
-			total += v
-			totalSq += v * v
+		switch pt.Stat {
+		case MeanDiff, VarDiff:
+			ts.col = r.column(pt.Pooled, nx)
+			c := &r.cols[ts.col]
+			ts.obs = c.statistic(pt.Stat, nx, ny, c.sx, c.qx)
+		case MedianDiff:
+			ts.obs = medianStatistic(nx, pt.Pooled, nil, scratch)
+		default:
+			panic("stats: unknown test statistic")
 		}
-		ts.total, ts.totalSq = total, totalSq
-		ts.obs = statistic(nx, ny, pt.Pooled, nil, pt.Stat, total, totalSq, scratch)
 		if !math.IsNaN(ts.obs) && nperm > 0 {
 			ts.open = true
 			r.nopen++
@@ -182,7 +188,9 @@ type permRun struct {
 	nx, ny, nperm int
 	seed          int64
 	alpha         float64
-	median        bool // some test needs the median scratch
+	median        bool         // some test needs the median scratch
+	ranges        []rangeDiv   // per draw i, the range n−i of every permutation
+	cols          []permColumn // the pooled vectors of the mean and variance tests
 	tests         []testState
 
 	mu     sync.Mutex
@@ -193,23 +201,86 @@ type permRun struct {
 	counts []int  // block-major exceedance counts, len(tests) per block
 }
 
-// testState is one test with its pooled totals and observed statistic,
-// set before the workers start, and its progress, which only fold
-// writes (under permRun.mu).
+// testState is one test with its column and observed statistic, set
+// before the workers start, and its progress, which only fold writes
+// (under permRun.mu).
 type testState struct {
 	PermTest
-	total, totalSq, obs float64
+	col int // index into permRun.cols of a mean or variance test
+	obs float64
 
 	ge, perms int // exceedances and permutations folded so far
 	open      bool
 }
 
+// permColumn is one pooled vector scored by mean and variance tests. A
+// permutation scores all of its tests from one pass over side X that
+// sums Σx and Σx²; the totals and side X's observed moments are computed
+// once, here, for all of them.
+type permColumn struct {
+	pooled                 []float64
+	total, totalSq, sx, qx float64
+}
+
+// column returns the index in r.cols of the column over pooled, adding
+// it on first sight. Tests share a column when they share a Pooled slice.
+func (r *permRun) column(pooled []float64, nx int) int {
+	for c := range r.cols {
+		if &r.cols[c].pooled[0] == &pooled[0] {
+			return c
+		}
+	}
+	c := permColumn{pooled: pooled}
+	// Side X's observed moments are the running totals as the sum reaches
+	// pooled[nx]: the same additions, in the same order, as a pass over
+	// side X alone.
+	for i, v := range pooled {
+		if i == nx {
+			c.sx, c.qx = c.total, c.totalSq
+		}
+		c.total += v
+		c.totalSq += v * v
+	}
+	r.cols = append(r.cols, c)
+	return len(r.cols) - 1
+}
+
+// statistic is the MeanDiff or VarDiff statistic of a labelling whose
+// side X has moments sx = Σx and qx = Σx²; side Y's follow from the
+// column's totals, so scoring costs O(nx).
+func (c *permColumn) statistic(stat TestStat, nx, ny int, sx, qx float64) float64 {
+	fx, fy := float64(nx), float64(ny)
+	if stat == MeanDiff {
+		return math.Abs(sx/fx - (c.total-sx)/fy)
+	}
+	mx := sx / fx
+	my := (c.total - sx) / fy
+	vx := qx/fx - mx*mx
+	vy := (c.totalSq-qx)/fy - my*my
+	return math.Abs(vx - vy)
+}
+
+// sideMoments returns Σx and Σx² over the pooled positions in xIdx.
+func sideMoments(pooled []float64, xIdx []int32) (sx, qx float64) {
+	for _, i := range xIdx {
+		v := pooled[i]
+		sx += v
+		qx += v * v
+	}
+	return sx, qx
+}
+
 // work claims blocks until none is left, every test is closed or ctx is
 // cancelled; it draws and scores each claimed block in its own scratch.
+// Each permutation makes one pass per live column and one per live
+// median test.
 func (r *permRun) work(ctx context.Context) {
-	w := newPermWorker(r.nx, r.ny, r.median)
+	w := r.newWorker()
 	nt := len(r.tests)
 	live := make([]bool, nt)
+	colLive := make([]bool, len(r.cols))
+	sx := make([]float64, len(r.cols))
+	qx := make([]float64, len(r.cols))
 	for {
 		b, ok := r.claim(live)
 		if !ok {
@@ -221,12 +292,32 @@ func (r *permRun) work(ctx context.Context) {
 		}
 		sp := obspkg.StartSpan(ctx, "stats/pair/permblock")
 		cnt := r.counts[b*nt : (b+1)*nt]
+		clear(colLive)
+		for t := range r.tests {
+			if live[t] && r.tests[t].Stat != MedianDiff {
+				colLive[r.tests[t].col] = true
+			}
+		}
 		w.startBlock(r.seed, b)
 		for k := b * permBlock; k < min((b+1)*permBlock, r.nperm); k++ {
 			xIdx := w.nextPerm(r.nx)
+			for c := range r.cols {
+				if colLive[c] {
+					sx[c], qx[c] = sideMoments(r.cols[c].pooled, xIdx)
+				}
+			}
 			for t := range r.tests {
 				ts := &r.tests[t]
-				if live[t] && statistic(r.nx, r.ny, ts.Pooled, xIdx, ts.Stat, ts.total, ts.totalSq, w.scratch) >= ts.obs {
+				if !live[t] {
+					continue
+				}
+				var s float64
+				if ts.Stat == MedianDiff {
+					s = medianStatistic(r.nx, ts.Pooled, xIdx, w.scratch)
+				} else {
+					s = r.cols[ts.col].statistic(ts.Stat, r.nx, r.ny, sx[ts.col], qx[ts.col])
+				}
+				if s >= ts.obs {
 					cnt[t]++
 				}
 			}
@@ -277,33 +368,68 @@ func (r *permRun) fold(b int) {
 	}
 }
 
-// permWorker is one worker's reusable draw and scoring scratch.
+// rngLen and rngTap are the lags of math/rand's additive lagged
+// Fibonacci generator: its output s ≥ rngLen is
+// x[s] = x[s−rngLen] + x[s−rngTap] mod 2^64.
+const (
+	rngLen = 607
+	rngTap = 273
+)
+
+// permWorker is one worker's reusable draw and scoring scratch. It draws
+// the stream of rand.New(rand.NewSource(mixSeed(seed, b))).Intn itself:
+// the stdlib source is seeded as before and yields the stream's first
+// rngLen outputs, every later output comes from the generator's own
+// recurrence, and every draw follows Int31n's rule through the run's
+// range tables, so no draw divides or calls through an interface.
 type permWorker struct {
-	rng     *rand.Rand
-	pool    []int32 // pooled row indexes; pool[:nx] labels side X
+	src     rand.Source64
+	ring    [rngLen]uint64 // rngLen consecutive outputs of the stream
+	pos     int            // ring index of the next output; rngLen when spent
+	ranges  []rangeDiv
+	js      []uint32 // one permutation's draws
+	pool    []int32  // pooled row indexes; pool[:nx] labels side X
 	scratch *permScratch
 }
 
-func newPermWorker(nx, ny int, median bool) *permWorker {
-	w := &permWorker{pool: make([]int32, nx+ny)}
-	if median {
-		w.scratch = newPermScratch(nx, ny)
+// newWorker returns a worker over the run's sides and range tables.
+func (r *permRun) newWorker() *permWorker {
+	w := &permWorker{ranges: r.ranges, js: make([]uint32, len(r.ranges)), pool: make([]int32, r.nx+r.ny)}
+	if r.median {
+		w.scratch = newPermScratch(r.nx, r.ny)
 	}
 	return w
 }
 
 // startBlock rewinds the worker to the head of block b's stream: the
-// generator seeded by mixSeed(seed, b) over the identity pool. Reseeding
-// the worker's generator is bit-identical to a fresh
-// rand.New(rand.NewSource(...)), and saves its allocation.
+// source seeded by mixSeed(seed, b) over the identity pool. Reseeding the
+// worker's source is bit-identical to a fresh rand.NewSource(...), and
+// saves its allocation.
 func (w *permWorker) startBlock(seed int64, b int) {
-	if w.rng == nil {
-		w.rng = rand.New(rand.NewSource(mixSeed(seed, int64(b))))
+	if w.src == nil {
+		w.src = rand.NewSource(mixSeed(seed, int64(b))).(rand.Source64)
 	} else {
-		w.rng.Seed(mixSeed(seed, int64(b)))
+		w.src.Seed(mixSeed(seed, int64(b)))
 	}
+	for k := range w.ring {
+		w.ring[k] = w.src.Uint64()
+	}
+	w.pos = 0
 	for i := range w.pool {
 		w.pool[i] = int32(i)
+	}
+}
+
+// refill replaces the ring's outputs with the stream's next rngLen by the
+// recurrence, in place: the first rngTap add an old output, the rest one
+// this pass has already replaced.
+func (w *permWorker) refill() {
+	ring := &w.ring
+	for k := 0; k < rngTap; k++ {
+		ring[k] += ring[k+rngLen-rngTap]
+	}
+	for k := rngTap; k < rngLen; k++ {
+		ring[k] += ring[k-rngTap]
 	}
 }
 
@@ -313,13 +439,70 @@ func (w *permWorker) startBlock(seed int64, b int) {
 // shuffled state between draws within a block; the draw stays uniform
 // because any starting arrangement of the pool is measure-preserving.
 func (w *permWorker) nextPerm(nx int) []int32 {
-	pool := w.pool
-	n := len(pool)
-	for i := 0; i < nx && i < n-1; i++ {
-		j := i + w.rng.Intn(n-i)
+	pool, js := w.pool, w.js
+	w.draw(js, w.ranges)
+	for i, j := range js {
+		j := i + int(j)
 		pool[i], pool[j] = pool[j], pool[i]
 	}
 	return pool[:nx]
+}
+
+// draw sets js[i] to the stream's next Int31n(ranges[i].r), for each i
+// in order. Each Int31 is bits 62..32 of the stream's next output; one
+// above the range's bound is dropped and the range drawn again. The ring
+// is refilled outside the inner loop, which keeps the loop's state in
+// registers.
+func (w *permWorker) draw(js []uint32, ranges []rangeDiv) {
+	ring, pos := &w.ring, w.pos
+	for i := 0; i < len(ranges); {
+		if pos == rngLen {
+			w.refill()
+			pos = 0
+		}
+		for ; i < len(ranges) && pos < rngLen; pos++ {
+			v := uint32(ring[pos]>>32) & (1<<31 - 1)
+			if d := ranges[i]; v <= d.bound {
+				js[i] = d.mod(v)
+				i++
+			}
+		}
+	}
+	w.pos = pos
+}
+
+// rangeDiv is one draw range r with Int31n's rule precomputed: draws
+// above bound = 2^31−1 − 2^31 mod r are redrawn, and mod needs no
+// division. A power of two needs no special case: its bound is 2^31−1,
+// and mod is the v & (r−1) that Int31n masks.
+type rangeDiv struct {
+	m     uint64 // the exact reciprocal ⌊(2^64−1)/r⌋ + 1
+	r     uint32
+	bound uint32
+}
+
+func newRangeDiv(r uint32) rangeDiv {
+	return rangeDiv{m: math.MaxUint64/uint64(r) + 1, r: r, bound: 1<<31 - 1 - (1<<31)%r}
+}
+
+// mod returns v mod r as hi64((m·v mod 2^64)·r), exact for every
+// v < 2^32 (Lemire, Kaser and Kurz, "Faster remainder by direct
+// computation", 2019).
+func (d rangeDiv) mod(v uint32) uint32 {
+	hi, _ := bits.Mul64(d.m*uint64(v), uint64(d.r))
+	return uint32(hi)
+}
+
+// newRanges returns the ranges of the min(nx, n−1) draws of a partial
+// Fisher–Yates over n pooled rows: draw i picks from the n−i rows not yet
+// placed. Every permutation of a stream makes the same draws, so one
+// table serves every worker of a PermTests call.
+func newRanges(n, nx int) []rangeDiv {
+	out := make([]rangeDiv, max(min(nx, n-1), 0))
+	for i := range out {
+		out[i] = newRangeDiv(uint32(n - i))
+	}
+	return out
 }
 
 // mixSeed derives a well-spread per-block seed (splitmix64 finalizer).
@@ -346,67 +529,29 @@ func newPermScratch(nx, ny int) *permScratch {
 	}
 }
 
-// statistic computes the chosen statistic with side X being the pooled
-// positions in xIdx (or the first nx positions when xIdx is nil). scratch
-// is required for MedianDiff and ignored otherwise.
-func statistic(nx, ny int, pooled []float64, xIdx []int32, stat TestStat, total, totalSq float64, scratch *permScratch) float64 {
-	fx, fy := float64(nx), float64(ny)
-	switch stat {
-	case MeanDiff:
-		sx := 0.0
-		if xIdx == nil {
-			for _, v := range pooled[:nx] {
-				sx += v
-			}
-		} else {
-			for _, i := range xIdx {
-				sx += pooled[i]
+// medianStatistic is |median(X) − median(Y)| with side X the pooled
+// positions in xIdx, or the first nx positions when xIdx is nil.
+func medianStatistic(nx int, pooled []float64, xIdx []int32, scratch *permScratch) float64 {
+	xs := scratch.xs
+	ys := scratch.ys[:0]
+	if xIdx == nil {
+		copy(xs, pooled[:nx])
+		ys = append(ys, pooled[nx:]...)
+	} else {
+		inX := scratch.inX
+		for i := range inX {
+			inX[i] = false
+		}
+		for k, i := range xIdx {
+			xs[k] = pooled[i]
+			inX[i] = true
+		}
+		for i, v := range pooled {
+			if !inX[i] {
+				ys = append(ys, v)
 			}
 		}
-		return math.Abs(sx/fx - (total-sx)/fy)
-	case VarDiff:
-		sx, qx := 0.0, 0.0
-		if xIdx == nil {
-			for _, v := range pooled[:nx] {
-				sx += v
-				qx += v * v
-			}
-		} else {
-			for _, i := range xIdx {
-				v := pooled[i]
-				sx += v
-				qx += v * v
-			}
-		}
-		mx := sx / fx
-		my := (total - sx) / fy
-		vx := qx/fx - mx*mx
-		vy := (totalSq-qx)/fy - my*my
-		return math.Abs(vx - vy)
-	case MedianDiff:
-		xs := scratch.xs
-		ys := scratch.ys[:0]
-		if xIdx == nil {
-			copy(xs, pooled[:nx])
-			ys = append(ys, pooled[nx:]...)
-		} else {
-			inX := scratch.inX
-			for i := range inX {
-				inX[i] = false
-			}
-			for k, i := range xIdx {
-				xs[k] = pooled[i]
-				inX[i] = true
-			}
-			for i, v := range pooled {
-				if !inX[i] {
-					ys = append(ys, v)
-				}
-			}
-		}
-		scratch.ys = ys
-		return math.Abs(Median(xs) - Median(ys))
-	default:
-		panic("stats: unknown test statistic")
 	}
+	scratch.ys = ys
+	return math.Abs(Median(xs) - Median(ys))
 }
