@@ -23,6 +23,8 @@ import (
 	"time"
 
 	"comparenb"
+	"comparenb/internal/pipeline"
+	"comparenb/internal/sampling"
 )
 
 // main defers real work to run so deferred cleanups (CPU profile stop,
@@ -44,7 +46,7 @@ func run() error {
 		alpha       = flag.Float64("alpha", 0.05, "FDR level (insight significant when q ≤ alpha)")
 		seed        = flag.Int64("seed", 1, "RNG seed")
 		solver      = flag.String("solver", "heuristic", "TAP solver: heuristic | heuristic+2opt | exact | topk")
-		sampling    = flag.String("sampling", "none", "test sampling: none | random | unbalanced")
+		strategy    = flag.String("sampling", "none", "test sampling: none | random | unbalanced")
 		frac        = flag.Float64("sample-frac", 0.2, "sampling fraction when -sampling is set")
 		useWSC      = flag.Bool("wsc", true, "merge group-by sets (Algorithm 2)")
 		threads     = flag.Int("threads", 0, "worker threads for the parallel phases (0 = GOMAXPROCS); output is identical at any setting")
@@ -130,30 +132,17 @@ func run() error {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}
 	}
-	switch *solver {
-	case "heuristic":
-		cfg.Solver = comparenb.SolverHeuristic
-	case "exact":
-		cfg.Solver = comparenb.SolverExact
-		cfg.ExactTimeout = 5 * time.Minute
-	case "topk":
-		cfg.Solver = comparenb.SolverTopK
-	case "heuristic+2opt":
-		cfg.Solver = comparenb.SolverHeuristicPlus
-	default:
-		return fmt.Errorf("unknown solver %q", *solver)
+	if cfg.Solver, err = pipeline.ParseSolver(*solver); err != nil {
+		return err
 	}
-	switch *sampling {
-	case "none":
-		cfg.Sampling = comparenb.SamplingNone
-	case "random":
-		cfg.Sampling = comparenb.SamplingRandom
+	if cfg.Solver == comparenb.SolverExact {
+		cfg.ExactTimeout = 5 * time.Minute
+	}
+	if cfg.Sampling, err = sampling.ParseStrategy(*strategy); err != nil {
+		return err
+	}
+	if cfg.Sampling != comparenb.SamplingNone {
 		cfg.SampleFrac = *frac
-	case "unbalanced":
-		cfg.Sampling = comparenb.SamplingUnbalanced
-		cfg.SampleFrac = *frac
-	default:
-		return fmt.Errorf("unknown sampling %q", *sampling)
 	}
 
 	// Observability: one run-scoped registry, flushed on every exit path —

@@ -14,59 +14,19 @@ import (
 // metricPrefix namespaces every exported metric.
 const metricPrefix = "comparenb_"
 
-// WriteTrace exports the recorded spans as Chrome trace-event JSON (the
-// "JSON Array Format" with a traceEvents wrapper), loadable in Perfetto
-// or chrome://tracing. Each track becomes a thread (tid) with an "M"
-// thread_name metadata event; each span becomes a "X" complete event
+// WriteTrace exports every recorded span as Chrome trace-event JSON,
+// loadable in Perfetto or chrome://tracing, through the flight entry's
+// writer without the admission track: each track becomes a thread (tid)
+// with an "M" thread_name metadata event, each span a "X" complete event
 // with fractional-microsecond ts/dur so nesting survives rounding. The
 // export is built from whatever the buffer holds, so a trace flushed
 // after an interrupted run is still complete, valid JSON.
 func (r *Registry) WriteTrace(w io.Writer) error {
-	var buf bytes.Buffer
-	buf.WriteString("{\"displayTimeUnit\":\"ms\",")
-	if id := r.TraceID(); id != "" {
-		fmt.Fprintf(&buf, "\"otherData\":{\"trace_id\":%s},", quoteJSON(id))
-	}
-	buf.WriteString("\"traceEvents\":[")
-	first := true
-	emit := func(s string) {
-		if !first {
-			buf.WriteByte(',')
-		}
-		first = false
-		buf.WriteString(s)
-	}
+	e := FlightEntry{TraceID: r.TraceID()}
 	if r != nil {
-		r.mu.Lock()
-		tracks := append([]string(nil), r.tracks...)
-		r.mu.Unlock()
-		for tid, label := range tracks {
-			emit(fmt.Sprintf(`{"name":"thread_name","ph":"M","pid":1,"tid":%d,"args":{"name":%s}}`,
-				tid, quoteJSON(label)))
-		}
-		if ring := r.spans.Load(); ring != nil {
-			recs := append([]spanRecord(nil), ring.records()...)
-			// Deterministic-ish layout: by track, then start time, then
-			// longest-first so parents precede children on ties.
-			sort.SliceStable(recs, func(i, j int) bool {
-				if recs[i].track != recs[j].track {
-					return recs[i].track < recs[j].track
-				}
-				if recs[i].start != recs[j].start {
-					return recs[i].start < recs[j].start
-				}
-				return recs[i].dur > recs[j].dur
-			})
-			for _, rec := range recs {
-				emit(fmt.Sprintf(`{"name":%s,"ph":"X","pid":1,"tid":%d,"ts":%.3f,"dur":%.3f}`,
-					quoteJSON(rec.name), rec.track,
-					float64(rec.start)/1e3, float64(rec.dur)/1e3))
-			}
-		}
+		e.Spans, e.Tracks = r.snapshot(-1)
 	}
-	buf.WriteString("]}\n")
-	_, err := w.Write(buf.Bytes())
-	return err
+	return e.writeTrace(w, false)
 }
 
 // WriteMetrics exports the registry as Prometheus-style text exposition.

@@ -30,18 +30,23 @@ type SpanSnapshot struct {
 // default) plus the track label table out of the registry. Call after
 // the run has completed; returns nils when tracing was never enabled.
 func (r *Registry) SnapshotSpans(max int) ([]SpanSnapshot, []string) {
-	if r == nil {
-		return nil, nil
-	}
-	ring := r.spans.Load()
-	if ring == nil {
+	if r == nil || r.spans.Load() == nil {
 		return nil, nil
 	}
 	if max <= 0 {
 		max = maxFlightSpans
 	}
-	recs := ring.records()
-	if len(recs) > max {
+	return r.snapshot(max)
+}
+
+// snapshot copies up to max recorded spans (every span when max < 0) and
+// the track label table, which exists whether or not tracing is on.
+func (r *Registry) snapshot(max int) ([]SpanSnapshot, []string) {
+	var recs []spanRecord
+	if ring := r.spans.Load(); ring != nil {
+		recs = ring.records()
+	}
+	if max >= 0 && len(recs) > max {
 		recs = recs[:max]
 	}
 	out := make([]SpanSnapshot, len(recs))
@@ -84,7 +89,15 @@ type FlightEntry struct {
 // synthetic final "job" track carries the e2e / queue-wait / run
 // annotation spans. The output satisfies ValidateTrace (and therefore
 // cmd/obscheck): per-track monotone timestamps and proper nesting.
-func (e *FlightEntry) WriteTrace(w io.Writer) error {
+func (e *FlightEntry) WriteTrace(w io.Writer) error { return e.writeTrace(w, true) }
+
+// writeTrace is the one Chrome trace-event writer (the "JSON Array
+// Format" with a traceEvents wrapper): an "M" thread_name event per
+// track, then every span as an "X" complete event with
+// fractional-microsecond ts/dur, sorted by track, then start time, then
+// longest first so parents precede children on ties. With jobTrack the
+// admission annotations follow on their own final track.
+func (e *FlightEntry) writeTrace(w io.Writer, jobTrack bool) error {
 	var buf bytes.Buffer
 	buf.WriteString("{\"displayTimeUnit\":\"ms\",")
 	if e.TraceID != "" {
@@ -92,19 +105,20 @@ func (e *FlightEntry) WriteTrace(w io.Writer) error {
 	}
 	buf.WriteString("\"traceEvents\":[")
 	first := true
-	emit := func(s string) {
+	emit := func(format string, args ...any) {
 		if !first {
 			buf.WriteByte(',')
 		}
 		first = false
-		buf.WriteString(s)
+		fmt.Fprintf(&buf, format, args...)
 	}
 	jobTid := len(e.Tracks)
 	for tid, label := range e.Tracks {
-		emit(fmt.Sprintf(`{"name":"thread_name","ph":"M","pid":1,"tid":%d,"args":{"name":%s}}`,
-			tid, quoteJSON(label)))
+		emit(`{"name":"thread_name","ph":"M","pid":1,"tid":%d,"args":{"name":%s}}`, tid, quoteJSON(label))
 	}
-	emit(fmt.Sprintf(`{"name":"thread_name","ph":"M","pid":1,"tid":%d,"args":{"name":"job"}}`, jobTid))
+	if jobTrack {
+		emit(`{"name":"thread_name","ph":"M","pid":1,"tid":%d,"args":{"name":"job"}}`, jobTid)
+	}
 
 	spans := append([]SpanSnapshot(nil), e.Spans...)
 	sort.SliceStable(spans, func(i, j int) bool {
@@ -124,39 +138,41 @@ func (e *FlightEntry) WriteTrace(w io.Writer) error {
 		shift = 0
 	}
 	for _, sp := range spans {
-		emit(fmt.Sprintf(`{"name":%s,"ph":"X","pid":1,"tid":%d,"ts":%.3f,"dur":%.3f}`,
-			quoteJSON(sp.Name), sp.Track, shift+sp.StartUS, sp.DurUS))
+		emit(`{"name":%s,"ph":"X","pid":1,"tid":%d,"ts":%.3f,"dur":%.3f}`,
+			quoteJSON(sp.Name), sp.Track, shift+sp.StartUS, sp.DurUS)
 	}
 
-	// Annotation spans, clamped into [0, e2e] so the job track always
-	// nests: queue-wait hugs admission, run follows it.
-	e2e := e.E2EUS
-	if e2e < 0 {
-		e2e = 0
+	if jobTrack {
+		// Annotation spans, clamped into [0, e2e] so the job track always
+		// nests: queue-wait hugs admission, run follows it.
+		e2e := e.E2EUS
+		if e2e < 0 {
+			e2e = 0
+		}
+		qw := e.QueueWaitUS
+		if qw < 0 {
+			qw = 0
+		} else if qw > e2e {
+			qw = e2e
+		}
+		runStart := shift
+		if runStart < qw {
+			runStart = qw
+		}
+		if runStart > e2e {
+			runStart = e2e
+		}
+		run := e.RunUS
+		if run < 0 {
+			run = 0
+		}
+		if runStart+run > e2e {
+			run = e2e - runStart
+		}
+		emit(`{"name":"job/e2e","ph":"X","pid":1,"tid":%d,"ts":0.000,"dur":%.3f}`, jobTid, e2e)
+		emit(`{"name":"job/queue-wait","ph":"X","pid":1,"tid":%d,"ts":0.000,"dur":%.3f}`, jobTid, qw)
+		emit(`{"name":"job/run","ph":"X","pid":1,"tid":%d,"ts":%.3f,"dur":%.3f}`, jobTid, runStart, run)
 	}
-	qw := e.QueueWaitUS
-	if qw < 0 {
-		qw = 0
-	} else if qw > e2e {
-		qw = e2e
-	}
-	runStart := shift
-	if runStart < qw {
-		runStart = qw
-	}
-	if runStart > e2e {
-		runStart = e2e
-	}
-	run := e.RunUS
-	if run < 0 {
-		run = 0
-	}
-	if runStart+run > e2e {
-		run = e2e - runStart
-	}
-	emit(fmt.Sprintf(`{"name":"job/e2e","ph":"X","pid":1,"tid":%d,"ts":0.000,"dur":%.3f}`, jobTid, e2e))
-	emit(fmt.Sprintf(`{"name":"job/queue-wait","ph":"X","pid":1,"tid":%d,"ts":0.000,"dur":%.3f}`, jobTid, qw))
-	emit(fmt.Sprintf(`{"name":"job/run","ph":"X","pid":1,"tid":%d,"ts":%.3f,"dur":%.3f}`, jobTid, runStart, run))
 	buf.WriteString("]}\n")
 	_, err := w.Write(buf.Bytes())
 	return err

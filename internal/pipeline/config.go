@@ -87,6 +87,16 @@ func (s SolverKind) String() string {
 	}
 }
 
+// ParseSolver inverts String: it returns the solver kind named name.
+func ParseSolver(name string) (SolverKind, error) {
+	for s := SolverHeuristic; s <= SolverHeuristicPlus; s++ {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown solver %q (heuristic, exact, topk, heuristic+2opt)", name)
+}
+
 // Config controls a notebook-generation run. NewConfig supplies defaults;
 // the preset constructors below reproduce the paper's implementations.
 type Config struct {

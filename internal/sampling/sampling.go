@@ -11,6 +11,7 @@
 package sampling
 
 import (
+	"fmt"
 	"math/rand"
 
 	"comparenb/internal/table"
@@ -39,6 +40,16 @@ func (s Strategy) String() string {
 	default:
 		return "Strategy(?)"
 	}
+}
+
+// ParseStrategy inverts String: it returns the strategy named name.
+func ParseStrategy(name string) (Strategy, error) {
+	for s := None; s <= Unbalanced; s++ {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown sampling %q (none, random, unbalanced)", name)
 }
 
 // RandomSample draws ⌈frac·N⌉ rows uniformly without replacement and

@@ -136,3 +136,19 @@ func TestStrategyString(t *testing.T) {
 		t.Error("Strategy.String mismatch")
 	}
 }
+
+// TestParseStrategyRoundTrip: ParseStrategy inverts String for every
+// strategy and refuses any other name.
+func TestParseStrategyRoundTrip(t *testing.T) {
+	for _, s := range []Strategy{None, Random, Unbalanced} {
+		got, err := ParseStrategy(s.String())
+		if err != nil || got != s {
+			t.Errorf("ParseStrategy(%q) = %v, %v; want %v", s.String(), got, err, s)
+		}
+	}
+	for _, bad := range []string{"", "Random", "stratified", "Strategy(?)"} {
+		if _, err := ParseStrategy(bad); err == nil {
+			t.Errorf("ParseStrategy(%q) accepted an unknown name", bad)
+		}
+	}
+}

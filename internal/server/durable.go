@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -12,7 +11,6 @@ import (
 	"comparenb/internal/durable"
 	"comparenb/internal/governor"
 	"comparenb/internal/pipeline"
-	"comparenb/internal/table"
 )
 
 // This file wires internal/durable into the scheduler: opening the state
@@ -103,25 +101,6 @@ func artifactPath(jobID, format string) string {
 	return path.Join(durable.ArtifactsDir, jobID, format)
 }
 
-// persistJobArtifacts writes every rendered artifact through the atomic
-// store and returns the fingerprints the job-done record carries. The
-// slice order is pipeline.ArtifactKeys order — deterministic, so the
-// n-th DiskRename of a job always lands on the same format.
-func (s *Server) persistJobArtifacts(jobID string, arts []pipeline.Artifact) (map[string]durable.ArtifactMeta, error) {
-	if s.store == nil {
-		return nil, nil
-	}
-	metas := make(map[string]durable.ArtifactMeta, len(arts))
-	for _, a := range arts {
-		meta, err := s.store.WriteFile(artifactPath(jobID, a.Key), a.Data)
-		if err != nil {
-			return nil, fmt.Errorf("persisting %s/%s: %w", jobID, a.Key, err)
-		}
-		metas[a.Key] = meta
-	}
-	return metas, nil
-}
-
 // recoverDurable applies the state folded at New time: restore sessions,
 // re-serve completed jobs from verified artifacts, re-enqueue or
 // quarantine interrupted ones. Runs before the first worker starts;
@@ -170,19 +149,11 @@ func (s *Server) recoverSession(ss *durable.SessionState) {
 			return
 		}
 	}
-	rel, rep, err := table.FromCSV(bytes.NewReader(data), table.CSVOptions{
-		Name:                      ss.Name,
-		ForceCategorical:          lr.ForceCategorical,
-		ForceNumeric:              lr.ForceNumeric,
-		Drop:                      lr.Drop,
-		MaxCategoricalCardinality: lr.MaxCategoricalCardinality,
-		MaxRows:                   s.opts.MaxRows,
-	})
+	sess, err := s.parseSession(ss.Name, "recovered:"+ss.File, data, lr)
 	if err != nil {
 		s.cJournalErr.Inc()
 		return
 	}
-	sess := &session{name: ss.Name, rel: rel, report: rep, source: "recovered:" + ss.File, loaded: time.Now()}
 	s.mu.Lock()
 	if _, dup := s.sessions[ss.Name]; !dup {
 		s.sessions[ss.Name] = sess
@@ -196,34 +167,25 @@ func (s *Server) recoverJob(js *durable.JobState) {
 	var req jobRequest
 	reqErr := json.Unmarshal(js.Request, &req)
 
-	if js.Terminal == durable.RecJobDone {
-		if s.restoreDoneJob(js, req) {
-			s.cRecoveredDone.Inc()
+	switch js.Terminal {
+	case durable.RecJobDone:
+		if end, ok := s.verifiedResult(js); ok {
+			s.restore(js, req, stateDone, end)
 			return
 		}
 		// The journal says done but the stored artifacts fail hash
 		// verification (or are gone): never serve near-right bytes.
 		// Treat the job as interrupted and fall through to re-run it.
 		s.cVerifyFail.Inc()
-	}
-
-	switch js.Terminal {
 	case durable.RecJobFailed:
 		state := stateFailed
 		if js.Permanent {
 			state = stateFailedPermanent
 		}
-		j := recoveredJob(js, req, state)
-		j.failCode = js.Code
-		j.errMsg = js.Error
-		j.publish("error", errorEvent{Error: js.Error, Code: js.Code})
-		s.registerRecovered(j)
+		s.restore(js, req, state, jobEnd{code: js.Code, msg: js.Error, replayed: true})
 		return
 	case durable.RecJobCancelled:
-		j := recoveredJob(js, req, stateCancelled)
-		j.errMsg = "cancelled (recovered from journal)"
-		j.publish("state", stateEvent{State: stateCancelled})
-		s.registerRecovered(j)
+		s.restore(js, req, stateCancelled, jobEnd{msg: "cancelled (recovered from journal)", replayed: true})
 		return
 	}
 
@@ -257,10 +219,7 @@ func (s *Server) recoverJob(js *durable.JobState) {
 	delay := s.retry.Backoff(js.ID, js.Attempts)
 	j.notBefore = time.Now().Add(delay)
 	s.mu.Lock()
-	s.jobs[js.ID] = j
-	s.queue = append(s.queue, j)
-	s.tenantLocked(js.Tenant).queued++
-	s.gQueued.Set(int64(len(s.queue)))
+	s.enqueueLocked(j)
 	s.mu.Unlock()
 	if delay > 0 {
 		// Wake a worker once the backoff elapses; dequeue skips the job
@@ -270,92 +229,63 @@ func (s *Server) recoverJob(js *durable.JobState) {
 	s.cRecoveredRequeued.Inc()
 }
 
-// restoreDoneJob rebuilds a completed job from its stored artifacts,
-// verifying every file against the journaled fingerprint. Returns false
-// when any artifact fails verification.
-func (s *Server) restoreDoneJob(js *durable.JobState, req jobRequest) bool {
-	arts := make(map[string]artifact, len(js.Artifacts))
-	for _, key := range pipeline.ArtifactKeys() {
+// verifiedResult reads a done job's stored artifacts back, verifying
+// every file against its journaled fingerprint. Returns false when any
+// artifact fails verification, or when the journal lists a format this
+// server does not render (a newer server wrote this state dir): refuse
+// rather than serve a subset.
+func (s *Server) verifiedResult(js *durable.JobState) (jobEnd, bool) {
+	keys := pipeline.ArtifactKeys()
+	if len(js.Artifacts) != len(keys) {
+		return jobEnd{}, false
+	}
+	end := jobEnd{summary: &jobSummary{}, replayed: true}
+	for _, key := range keys {
 		meta, ok := js.Artifacts[key]
 		if !ok {
-			return false
+			return jobEnd{}, false
 		}
 		data, err := s.store.ReadVerified(artifactPath(js.ID, key), meta)
 		if err != nil {
-			return false
+			return jobEnd{}, false
 		}
-		ct, ok := pipeline.ArtifactContentType(key)
-		if !ok {
-			return false
-		}
-		arts[key] = artifact{contentType: ct, data: data}
+		ct, _ := pipeline.ArtifactContentType(key)
+		end.artifacts = append(end.artifacts, pipeline.Artifact{Key: key, ContentType: ct, Data: data})
 	}
-	if len(js.Artifacts) != len(arts) {
-		// Unknown formats in the journal: a newer server wrote this
-		// state dir; refuse rather than serve a subset.
-		return false
+	if len(js.Summary) > 0 && json.Unmarshal(js.Summary, end.summary) != nil {
+		return jobEnd{}, false
 	}
-	var sum jobSummary
-	if len(js.Summary) > 0 {
-		if err := json.Unmarshal(js.Summary, &sum); err != nil {
-			return false
-		}
-	}
-	j := recoveredJob(js, req, stateDone)
-	j.artifacts = arts
-	j.summary = &sum
-	j.publish("done", sum)
-	s.registerRecovered(j)
-	return true
+	return end, true
 }
 
-// recoveredJob builds a job in a recovered terminal state. The caller
-// finishes populating it, logs its terminal event, and only then makes
-// it visible with registerRecovered — jobs must be complete before HTTP
-// handlers can see them.
-func recoveredJob(js *durable.JobState, req jobRequest, state string) *job {
-	now := time.Now()
-	return &job{
+// restore brings back a job whose terminal state recovery decided: it
+// settles the job, then makes it visible — jobs must be complete before
+// HTTP handlers can see them. Recovered jobs get no queued or trace
+// events.
+func (s *Server) restore(js *durable.JobState, req jobRequest, state string, end jobEnd) {
+	j := &job{
 		id:       js.ID,
 		tenant:   js.Tenant,
 		relation: req.Relation,
 		admit:    governor.Degrade,
-		created:  now,
+		created:  time.Now(),
 		trace:    js.Trace,
-		state:    state,
+		state:    stateQueued,
 		attempt:  js.Attempts,
-		finished: now,
 	}
-}
-
-// registerRecovered makes a fully-built recovered job visible.
-func (s *Server) registerRecovered(j *job) {
+	s.settle(j, stateQueued, state, end)
 	s.mu.Lock()
 	s.jobs[j.id] = j
-	s.tenantLocked(j.tenant)
 	s.mu.Unlock()
 }
 
-// quarantineJob parks an unrecoverable job as failed_permanent: the
-// terminal record is journaled (so the next boot does not retry), any
+// quarantineJob parks an unrecoverable job as failed_permanent: settle
+// journals the terminal record (so the next boot does not retry), any
 // partial artifacts are removed, and the reason is served from the
 // result endpoint. Quarantine is loud, never a silent drop.
 func (s *Server) quarantineJob(js *durable.JobState, req jobRequest, reason string) {
-	s.journalAppend(durable.Record{
-		Type:      durable.RecJobFailed,
-		ID:        js.ID,
-		Trace:     js.Trace,
-		Code:      http.StatusInternalServerError,
-		Error:     reason,
-		Permanent: true,
-	})
+	s.restore(js, req, stateFailedPermanent, jobEnd{code: http.StatusInternalServerError, msg: reason})
 	if s.store != nil {
 		_ = s.store.Remove(path.Join(durable.ArtifactsDir, js.ID)) // best-effort cleanup
 	}
-	j := recoveredJob(js, req, stateFailedPermanent)
-	j.failCode = http.StatusInternalServerError
-	j.errMsg = reason
-	j.publish("error", errorEvent{Error: reason, Code: http.StatusInternalServerError})
-	s.registerRecovered(j)
-	s.cQuarantined.Inc()
 }

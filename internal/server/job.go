@@ -98,28 +98,19 @@ func buildConfig(req jobRequest, opts Options) (pipeline.Config, error) {
 	if opts.JobThreads > 0 && cfg.Threads > opts.JobThreads {
 		cfg.Threads = opts.JobThreads
 	}
-	switch req.Solver {
-	case "", "heuristic":
-		cfg.Solver = pipeline.SolverHeuristic
-	case "exact":
-		cfg.Solver = pipeline.SolverExact
-	case "topk":
-		cfg.Solver = pipeline.SolverTopK
-	case "heuristic+2opt":
-		cfg.Solver = pipeline.SolverHeuristicPlus
-	default:
-		return cfg, fmt.Errorf("unknown solver %q (heuristic, exact, topk, heuristic+2opt)", req.Solver)
+	var err error
+	if req.Solver != "" {
+		if cfg.Solver, err = pipeline.ParseSolver(req.Solver); err != nil {
+			return cfg, err
+		}
 	}
-	switch req.Sampling {
-	case "", "none":
-	case "random":
-		cfg.Sampling = sampling.Random
+	if req.Sampling != "" {
+		if cfg.Sampling, err = sampling.ParseStrategy(req.Sampling); err != nil {
+			return cfg, err
+		}
+	}
+	if cfg.Sampling != sampling.None {
 		cfg.SampleFrac = req.SampleFrac
-	case "unbalanced":
-		cfg.Sampling = sampling.Unbalanced
-		cfg.SampleFrac = req.SampleFrac
-	default:
-		return cfg, fmt.Errorf("unknown sampling %q (none, random, unbalanced)", req.Sampling)
 	}
 	if req.WSC != nil {
 		cfg.UseWSC = *req.WSC
@@ -135,12 +126,6 @@ func buildConfig(req jobRequest, opts Options) (pipeline.Config, error) {
 	cfg.TimeBudget = tb
 	cfg.NoCompress = opts.NoCompress
 	return cfg, cfg.Validate()
-}
-
-// artifact is one rendered output of a finished job.
-type artifact struct {
-	contentType string
-	data        []byte
 }
 
 // sseEvent is one server-sent event, pre-serialised. The event log is
@@ -180,20 +165,20 @@ type job struct {
 	// read under s.mu, so it needs no lock of its own.
 	notBefore time.Time
 
-	mu              sync.Mutex
-	state           string
-	attempt         int // execution attempts, counting across restarts
-	started         time.Time
-	finished        time.Time
-	cancelFn        func()
-	cancelRequested bool
-	events          []sseEvent
-	firstIdx        int // logical index of events[0]; >0 once the log was bounded
-	notify          []chan struct{}
-	artifacts       map[string]artifact
-	errMsg          string
-	failCode        int // HTTP status explaining a failed job
-	summary         *jobSummary
+	mu        sync.Mutex
+	state     string
+	settled   bool // claimed by settle: the job never starts and never settles again
+	attempt   int  // execution attempts, counting across restarts
+	started   time.Time
+	finished  time.Time
+	cancelFn  func()
+	events    []sseEvent
+	firstIdx  int // logical index of events[0]; >0 once the log was bounded
+	notify    []chan struct{}
+	artifacts []pipeline.Artifact // a done job's rendered outputs, in pipeline.ArtifactKeys order
+	errMsg    string
+	failCode  int // HTTP status explaining a failed job
+	summary   *jobSummary
 }
 
 func newJob(id, tenant string, req jobRequest, rel *table.Relation, cfg pipeline.Config, admit governor.Level, trace string) *job {
@@ -325,67 +310,124 @@ func (j *job) eventsSince(idx int) (evs []sseEvent, start int, terminal bool) {
 	return j.events[off:len(j.events):len(j.events)], idx, terminal
 }
 
-// markRunning flips queued → running (no-op when already cancelled).
-func (j *job) markRunning() {
+// start is the one queued → running transition. Under j.mu it turns
+// only a queued, unsettled job into running, installs its cancel func
+// and counts the attempt; the running event is published only when that
+// happened. It returns false for a job settled while it waited for this
+// worker (a DELETE or the drain won the race).
+func (j *job) start(cancel func()) (attempt int, ok bool) {
 	j.mu.Lock()
-	if j.state == stateQueued {
+	ok = j.state == stateQueued && !j.settled
+	if ok {
 		j.state = stateRunning
 		j.started = time.Now()
+		j.cancelFn = cancel
+		j.attempt++
 	}
+	attempt = j.attempt
 	j.mu.Unlock()
-	j.publish("state", stateEvent{State: stateRunning})
+	if ok {
+		j.publish("state", stateEvent{State: stateRunning})
+	}
+	return attempt, ok
 }
 
-// armCancel installs the running job's cancel func. Returns false when
-// cancellation was requested while the job sat in the queue — the caller
-// must not start the pipeline.
-func (j *job) armCancel(cancel func()) bool {
+// cancelRun cancels a running job's pipeline; its worker then settles
+// it. Returns false when the job is not running.
+func (j *job) cancelRun() bool {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.cancelRequested {
-		return false
-	}
-	j.cancelFn = cancel
-	return true
-}
-
-// requestCancel asks a queued or running job to stop. Returns false for
-// jobs already terminal.
-func (j *job) requestCancel() bool {
-	j.mu.Lock()
-	if terminalState(j.state) {
-		j.mu.Unlock()
-		return false
-	}
-	j.cancelRequested = true
-	cancel := j.cancelFn
+	running, cancel := j.state == stateRunning, j.cancelFn
 	j.mu.Unlock()
-	if cancel != nil {
+	if running {
 		cancel()
 	}
-	return true
+	return running
 }
 
 // jobEnd explains a terminal transition: the artifacts and summary of a
 // done job, the HTTP status (code) and message of a failed one, the
-// message of a cancelled one.
+// message of a cancelled one. replayed marks a state read back from the
+// journal, which settle neither journals again nor counts as a run's
+// outcome.
 type jobEnd struct {
-	artifacts map[string]artifact
+	artifacts []pipeline.Artifact
 	summary   *jobSummary
 	code      int
 	msg       string
+	replayed  bool
 }
 
-// finish moves the job to a terminal state and announces it. The state,
-// its explanation and the terminal event (done, error, or a cancelled
-// state event) land in one j.mu critical section, so a subscriber that
-// reads a terminal state always finds the terminal event already logged.
+// settle is the job's one terminal transition: it moves j from state
+// from to a terminal state, at most once. A job that has left from, or
+// that another settle already claimed, is left alone and settle returns
+// false. Claimed, the transition
+//   - journals the terminal record before the state becomes visible,
+//     except for a done job (its job-done record is the commit point in
+//     runJob), a replayed state, and a 503 failure: drain and shutdown
+//     leave the job's entry open on purpose, so a durable server re-runs
+//     it on the next boot;
+//   - drops the cubes of a relation dropped while the job ran, which
+//     would otherwise stay cached under a key no request can name;
+//   - bumps the matching counter;
+//   - publishes the state with its terminal event.
+func (s *Server) settle(j *job, from, state string, end jobEnd) bool {
+	j.mu.Lock()
+	claimed := j.state == from && !j.settled
+	if claimed {
+		j.settled = true
+	}
+	j.mu.Unlock()
+	if !claimed {
+		return false
+	}
+	if !end.replayed && state != stateDone && end.code != http.StatusServiceUnavailable {
+		rec := durable.Record{Type: durable.RecJobFailed, ID: j.id, Code: end.code, Error: end.msg}
+		switch state {
+		case stateCancelled:
+			rec = durable.Record{Type: durable.RecJobCancelled, ID: j.id}
+		case stateFailedPermanent:
+			rec.Trace, rec.Permanent = j.trace, true
+		}
+		s.journalAppend(rec)
+	}
+
+	s.mu.Lock()
+	tn := s.tenantLocked(j.tenant)
+	sess := s.sessions[j.relation]
+	s.mu.Unlock()
+	if j.rel != nil && (sess == nil || sess.rel != j.rel) {
+		s.cache.DropRelation(j.rel)
+	}
+
+	switch {
+	case end.replayed:
+		if state == stateDone {
+			s.cRecoveredDone.Inc()
+		}
+	case state == stateDone:
+		tn.jobs.Inc()
+		s.cDone.Inc()
+	case state == stateCancelled:
+		s.cCancelled.Inc()
+	case state == stateFailedPermanent:
+		s.cQuarantined.Inc()
+	default:
+		s.cFailed.Inc()
+	}
+	j.finish(state, end)
+	return true
+}
+
+// finish is settle's last step: the state, its explanation and the
+// terminal event (done, error, or a cancelled state event) land in one
+// j.mu critical section, so a subscriber that reads a terminal state
+// always finds the terminal event already logged.
 func (j *job) finish(state string, end jobEnd) {
 	name, payload := "state", any(stateEvent{State: state})
 	switch state {
 	case stateDone:
 		name, payload = "done", end.summary
-	case stateFailed:
+	case stateFailed, stateFailedPermanent:
 		name, payload = "error", errorEvent{Error: end.msg, Code: end.code}
 	}
 	data := eventData(payload)
@@ -399,10 +441,23 @@ func (j *job) finish(state string, end jobEnd) {
 	wake(subs)
 }
 
-// runJob executes one admitted job on the calling worker goroutine: a
+// artifact returns j's state and, when j is done, its rendered output in
+// the given format (ok is false for any other job or format).
+func (j *job) artifact(format string) (state string, art pipeline.Artifact, ok bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for _, a := range j.artifacts {
+		if a.Key == format {
+			return j.state, a, true
+		}
+	}
+	return j.state, art, false
+}
+
+// runJob executes one claimed job on the calling worker goroutine: a
 // fresh per-job obs registry (traced, with spans streamed to SSE), the
 // daemon's shared cache, and the request's Config. Artifacts render only
-// on success; every terminal path releases the worker slot exactly once.
+// on success; the job settles once and releases its worker slot once.
 //
 // Durable ordering: the attempt is journaled (job-start) before the
 // pipeline runs, artifacts are persisted and the job-done record fsynced
@@ -417,22 +472,13 @@ func (s *Server) runJob(jobsCtx context.Context, j *job) {
 	s.mu.Unlock()
 	s.tQueueWait.Observe(queueWait)
 	tn.tQueue.Observe(queueWait)
-	j.markRunning()
 
 	jctx, cancel := context.WithCancel(jobsCtx)
 	defer cancel()
-	if !j.armCancel(cancel) {
-		s.journalAppend(durable.Record{Type: durable.RecJobCancelled, ID: j.id})
-		j.finish(stateCancelled, jobEnd{msg: "cancelled while queued"})
-		s.cCancelled.Inc()
-		s.finishJob(j, nil, tn, stateCancelled, queueWait, 0)
+	attempt, ok := j.start(cancel)
+	if !ok {
 		return
 	}
-
-	j.mu.Lock()
-	j.attempt++
-	attempt := j.attempt
-	j.mu.Unlock()
 	if attempt > 1 {
 		s.cRetries.Inc()
 	}
@@ -450,6 +496,8 @@ func (s *Server) runJob(jobsCtx context.Context, j *job) {
 			})
 		}
 	})
+	var wall time.Duration
+	defer func() { s.finishJob(j, reg, tn, queueWait, wall) }()
 
 	cfg := j.cfg
 	cfg.Cache = s.cache
@@ -460,43 +508,39 @@ func (s *Server) runJob(jobsCtx context.Context, j *job) {
 
 	begin := time.Now()
 	res, err := pipeline.GenerateContext(jctx, j.rel, cfg)
-	wall := time.Since(begin)
+	wall = time.Since(begin)
 	s.tWall.Observe(wall)
 	tn.tWall.Observe(wall)
 	if err != nil {
 		reg.MarkInterrupted()
-		switch {
-		case errors.Is(err, context.Canceled) && jobsCtx.Err() != nil:
-			// Shutdown interruption is deliberately NOT journaled as
-			// terminal: the open-ended entry makes a durable server
-			// re-enqueue the job on the next boot.
-			j.finish(stateFailed, jobEnd{code: http.StatusServiceUnavailable, msg: "server shut down mid-job"})
-			s.cFailed.Inc()
-			s.finishJob(j, reg, tn, stateFailed, queueWait, wall)
-		case errors.Is(err, context.Canceled):
-			s.journalAppend(durable.Record{Type: durable.RecJobCancelled, ID: j.id})
-			j.finish(stateCancelled, jobEnd{msg: "cancelled by client"})
-			s.cCancelled.Inc()
-			s.finishJob(j, reg, tn, stateCancelled, queueWait, wall)
-		default:
-			s.journalAppend(durable.Record{
-				Type: durable.RecJobFailed, ID: j.id,
-				Code: http.StatusInternalServerError, Error: err.Error(),
-			})
-			j.finish(stateFailed, jobEnd{code: http.StatusInternalServerError, msg: err.Error()})
-			s.cFailed.Inc()
-			s.finishJob(j, reg, tn, stateFailed, queueWait, wall)
-		}
-		return
 	}
 
+	state, end := stateDone, jobEnd{}
+	switch {
+	case err == nil:
+		if end, err = s.commit(j, res, reg, wall); err != nil {
+			state, end = stateFailed, jobEnd{code: http.StatusInternalServerError, msg: err.Error()}
+		}
+	case errors.Is(err, context.Canceled) && jobsCtx.Err() != nil:
+		// Shutdown: a 503 failure, which settle leaves unjournaled.
+		state, end = stateFailed, jobEnd{code: http.StatusServiceUnavailable, msg: "server shut down mid-job"}
+	case errors.Is(err, context.Canceled):
+		state, end = stateCancelled, jobEnd{msg: "cancelled by client"}
+	default:
+		state, end = stateFailed, jobEnd{code: http.StatusInternalServerError, msg: err.Error()}
+	}
+	s.settle(j, stateRunning, state, end)
+}
+
+// commit is a finished run's durable commit point: render the artifacts,
+// persist them, then fsync the job-done record. Any failing step fails
+// the job — a done acknowledgement must imply a recoverable result.
+func (s *Server) commit(j *job, res *pipeline.Result, reg *obs.Registry, wall time.Duration) (jobEnd, error) {
 	arts, err := pipeline.RenderArtifacts(res, reg)
 	if err != nil {
-		s.failJournaled(j, http.StatusInternalServerError, "rendering artifacts: "+err.Error())
-		s.finishJob(j, reg, tn, stateFailed, queueWait, wall)
-		return
+		return jobEnd{}, fmt.Errorf("rendering artifacts: %w", err)
 	}
-	sum := jobSummary{
+	end := jobEnd{artifacts: arts, summary: &jobSummary{
 		Queries:      len(res.Solution.Order),
 		Insights:     len(res.Insights),
 		Solver:       res.TAP.Solver,
@@ -505,50 +549,41 @@ func (s *Server) runJob(jobsCtx context.Context, j *job) {
 		CacheHits:    res.Counts.CacheHits,
 		CacheRollups: res.Counts.CacheRollups,
 		CacheMisses:  res.Counts.CacheMisses,
+	}}
+	if s.journal == nil {
+		return end, nil
 	}
-
-	// Durable commit point: artifacts on disk, then the job-done record.
-	// Either failing fails the job — a done acknowledgement must imply a
-	// recoverable result.
-	metas, err := s.persistJobArtifacts(j.id, arts)
-	if err != nil {
-		s.failJournaled(j, http.StatusInternalServerError, "persisting artifacts: "+err.Error())
-		s.finishJob(j, reg, tn, stateFailed, queueWait, wall)
-		return
-	}
-	if s.journal != nil {
-		sumJSON, err := json.Marshal(sum)
-		if err != nil {
-			s.failJournaled(j, http.StatusInternalServerError, "encoding summary: "+err.Error())
-			s.finishJob(j, reg, tn, stateFailed, queueWait, wall)
-			return
-		}
-		if err := s.journalAppendStrict(durable.Record{
-			Type: durable.RecJobDone, ID: j.id, Trace: j.trace, Artifacts: metas, Summary: sumJSON,
-		}); err != nil {
-			s.failJournaled(j, http.StatusInternalServerError, "journaling completion: "+err.Error())
-			s.finishJob(j, reg, tn, stateFailed, queueWait, wall)
-			return
-		}
-	}
-
-	artifacts := make(map[string]artifact, len(arts))
+	// The slice order is pipeline.ArtifactKeys order — deterministic, so
+	// the n-th DiskRename of a job always lands on the same format.
+	metas := make(map[string]durable.ArtifactMeta, len(arts))
 	for _, a := range arts {
-		artifacts[a.Key] = artifact{contentType: a.ContentType, data: a.Data}
+		meta, err := s.store.WriteFile(artifactPath(j.id, a.Key), a.Data)
+		if err != nil {
+			return jobEnd{}, fmt.Errorf("persisting artifacts: persisting %s/%s: %w", j.id, a.Key, err)
+		}
+		metas[a.Key] = meta
 	}
-	tn.jobs.Inc()
-	s.cDone.Inc()
-	j.finish(stateDone, jobEnd{artifacts: artifacts, summary: &sum})
-	s.finishJob(j, reg, tn, stateDone, queueWait, wall)
+	sumJSON, err := json.Marshal(end.summary)
+	if err != nil {
+		return jobEnd{}, fmt.Errorf("encoding summary: %w", err)
+	}
+	if err := s.journalAppendStrict(durable.Record{
+		Type: durable.RecJobDone, ID: j.id, Trace: j.trace, Artifacts: metas, Summary: sumJSON,
+	}); err != nil {
+		return jobEnd{}, fmt.Errorf("journaling completion: %w", err)
+	}
+	return end, nil
 }
 
-// finishJob is the terminal accounting every runJob exit path shares:
-// the end-to-end admit-to-done histogram (done jobs only, so scrape
-// counts match completed-job totals), the server-lifetime span counters,
-// the flight-recorder entry, and one info-level structured log record
-// keyed by the job's trace id. reg is nil for jobs cancelled before the
-// pipeline started; every obs call tolerates that.
-func (s *Server) finishJob(j *job, reg *obs.Registry, tn *tenantState, state string, queueWait, wall time.Duration) {
+// finishJob is a started job's terminal accounting, run once after it
+// settled: the end-to-end admit-to-done histogram (done jobs only, so
+// scrape counts match completed-job totals), the server-lifetime span
+// counters, the flight-recorder entry, and one info-level structured log
+// record keyed by the job's trace id.
+func (s *Server) finishJob(j *job, reg *obs.Registry, tn *tenantState, queueWait, wall time.Duration) {
+	j.mu.Lock()
+	state, attempt := j.state, j.attempt
+	j.mu.Unlock()
 	e2e := time.Since(j.created)
 	if state == stateDone {
 		s.tE2E.Observe(e2e)
@@ -559,10 +594,8 @@ func (s *Server) finishJob(j *job, reg *obs.Registry, tn *tenantState, state str
 
 	spans, tracks := reg.SnapshotSpans(0)
 	shift := time.Duration(0)
-	if reg != nil {
-		if d := reg.StartTime().Sub(j.created); d > 0 {
-			shift = d
-		}
+	if d := reg.StartTime().Sub(j.created); d > 0 {
+		shift = d
 	}
 	s.flight.Add(obs.FlightEntry{
 		ID:      j.id,
@@ -582,9 +615,6 @@ func (s *Server) finishJob(j *job, reg *obs.Registry, tn *tenantState, state str
 		SpanDropped: reg.Dropped(),
 	})
 
-	j.mu.Lock()
-	attempt := j.attempt
-	j.mu.Unlock()
 	s.log.LogAttrs(context.Background(), slog.LevelInfo, "job",
 		slog.String("job_id", j.id),
 		slog.String("tenant", j.tenant),
@@ -596,14 +626,6 @@ func (s *Server) finishJob(j *job, reg *obs.Registry, tn *tenantState, state str
 		slog.Float64("wall_ms", float64(wall)/float64(time.Millisecond)),
 		slog.Float64("e2e_ms", float64(e2e)/float64(time.Millisecond)),
 	)
-}
-
-// failJournaled records a terminal server-side failure in the journal
-// and on the job.
-func (s *Server) failJournaled(j *job, code int, msg string) {
-	s.journalAppend(durable.Record{Type: durable.RecJobFailed, ID: j.id, Code: code, Error: msg})
-	j.finish(stateFailed, jobEnd{code: code, msg: msg})
-	s.cFailed.Inc()
 }
 
 // handleCreateJob is POST /v1/notebooks: the admission decision.
@@ -687,11 +709,7 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	j := newJob(id, tenant, req, sess.rel, cfg, admit, trace)
-	s.jobs[id] = j
-	s.queue = append(s.queue, j)
-	t.queued++
-	s.gQueued.Set(int64(len(s.queue)))
+	s.enqueueLocked(newJob(id, tenant, req, sess.rel, cfg, admit, trace))
 	s.mu.Unlock()
 
 	if admit == governor.Full {
@@ -779,29 +797,26 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	if format == "" {
 		format = "ipynb"
 	}
-	j.mu.Lock()
-	state, failCode, errMsg := j.state, j.failCode, j.errMsg
-	art, ok := j.artifacts[format]
-	j.mu.Unlock()
+	state, art, ok := j.artifact(format)
 	switch state {
 	case stateDone:
 		if !ok {
 			httpError(w, http.StatusBadRequest, fmt.Sprintf("unknown format %q (ipynb, markdown, html, report, trace, metrics)", format))
 			return
 		}
-		w.Header().Set("Content-Type", art.contentType)
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(art.data) // client disconnect; nowhere to report
-	case stateFailed:
-		if failCode == 0 {
-			failCode = http.StatusInternalServerError
+		writeArtifact(w, art)
+	case stateFailed, stateFailedPermanent:
+		j.mu.Lock()
+		code, msg := j.failCode, j.errMsg
+		j.mu.Unlock()
+		if code == 0 {
+			code = http.StatusInternalServerError
 		}
-		httpError(w, failCode, "job failed: "+errMsg)
-	case stateFailedPermanent:
-		if failCode == 0 {
-			failCode = http.StatusInternalServerError
+		verb := "failed"
+		if state == stateFailedPermanent {
+			verb = "quarantined"
 		}
-		httpError(w, failCode, "job quarantined: "+errMsg)
+		httpError(w, code, "job "+verb+": "+msg)
 	case stateCancelled:
 		httpError(w, http.StatusGone, "job was cancelled; no result")
 	default:
@@ -815,33 +830,21 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	// A queued job must also leave the queue so no worker picks it up.
-	s.mu.Lock()
-	for i, q := range s.queue {
-		if q == j {
-			s.queue = append(s.queue[:i:i], s.queue[i+1:]...)
-			s.tenantLocked(j.tenant).queued--
-			s.gQueued.Set(int64(len(s.queue)))
-			break
-		}
-	}
-	s.mu.Unlock()
-	if !j.requestCancel() {
+	// A queued job leaves the queue and settles now; a running one
+	// settles when its pipeline notices the cancelled context.
+	s.unqueue(j)
+	if !s.settle(j, stateQueued, stateCancelled, jobEnd{msg: "cancelled by client"}) && !j.cancelRun() {
 		httpError(w, http.StatusConflict, "job already finished")
 		return
 	}
-	// A job cancelled before any worker claimed it is terminal now; a
-	// running one becomes terminal when the pipeline notices its context.
-	j.mu.Lock()
-	if j.state == stateQueued {
-		j.mu.Unlock()
-		s.journalAppend(durable.Record{Type: durable.RecJobCancelled, ID: j.id})
-		j.finish(stateCancelled, jobEnd{msg: "cancelled by client"})
-		s.cCancelled.Inc()
-	} else {
-		j.mu.Unlock()
-	}
 	writeJSON(w, http.StatusAccepted, admitResponse{JobID: j.id, State: stateCancelled, Admit: j.admit.String()})
+}
+
+// writeArtifact serves one rendered output of a done job.
+func writeArtifact(w http.ResponseWriter, art pipeline.Artifact) {
+	w.Header().Set("Content-Type", art.ContentType)
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(art.Data) // client disconnect; nowhere to report
 }
 
 // handleJobEvents is GET /v1/jobs/{id}/events: a server-sent-event

@@ -19,7 +19,7 @@ func TestTerminalEventLoggedWithState(t *testing.T) {
 		state, event, data string
 		end                jobEnd
 	}{
-		{stateDone, "done", `"queries":3`, jobEnd{artifacts: map[string]artifact{}, summary: &jobSummary{Queries: 3}}},
+		{stateDone, "done", `"queries":3`, jobEnd{artifacts: []pipeline.Artifact{}, summary: &jobSummary{Queries: 3}}},
 		{stateFailed, "error", `"code":503`, jobEnd{code: http.StatusServiceUnavailable, msg: "shut down"}},
 		{stateCancelled, "state", `"cancelled"`, jobEnd{msg: "cancelled by client"}},
 	}

@@ -406,7 +406,7 @@ func TestSlowSubscriberDoesNotBlockPublish(t *testing.T) {
 		for i := 0; i < 3000; i++ {
 			j.publish("log", logEvent{Line: "spam"})
 		}
-		j.finish(stateDone, jobEnd{artifacts: map[string]artifact{}, summary: &jobSummary{}})
+		j.finish(stateDone, jobEnd{summary: &jobSummary{}})
 		close(doneCh)
 	}()
 	select {

@@ -25,6 +25,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -152,7 +153,7 @@ type tenantState struct {
 	running int
 	queued  int
 
-	jobs *obs.Counter // admissions (queued or started), monotone
+	jobs *obs.Counter // jobs this tenant ran to done, monotone
 	shed *obs.Counter // 429s issued to this tenant
 
 	// Per-tenant latency histograms (labeled instances of the global
@@ -375,21 +376,19 @@ func (s *Server) HardStop() {
 
 // beginDrain stops admission and fails every queued job with 503.
 // Running jobs are left to finish. Deliberately nothing is journaled
-// here: a drain-failed queued job keeps its open-ended journal entry, so
-// a durable server re-enqueues it on the next boot instead of losing it.
+// here (settle journals no 503): a drain-failed queued job keeps its
+// open-ended journal entry, so a durable server re-enqueues it on the
+// next boot instead of losing it.
 func (s *Server) beginDrain() {
 	s.mu.Lock()
 	s.draining = true
-	queued := s.queue
-	s.queue = nil
-	for _, j := range queued {
-		s.tenantLocked(j.tenant).queued--
+	var queued []*job
+	for len(s.queue) > 0 {
+		queued = append(queued, s.unqueueLocked(0))
 	}
-	s.gQueued.Set(0)
 	s.mu.Unlock()
 	for _, j := range queued {
-		j.finish(stateFailed, jobEnd{code: http.StatusServiceUnavailable, msg: "server shutting down before job started"})
-		s.cFailed.Inc()
+		s.settle(j, stateQueued, stateFailed, jobEnd{code: http.StatusServiceUnavailable, msg: "server shutting down before job started"})
 	}
 	s.pokeAll()
 }
@@ -451,15 +450,41 @@ func (s *Server) dequeue() *job {
 		if t.running >= s.opts.TenantConcurrent {
 			continue
 		}
-		s.queue = append(s.queue[:i:i], s.queue[i+1:]...)
-		t.queued--
+		s.unqueueLocked(i)
 		t.running++
 		s.runningN++
-		s.gQueued.Set(int64(len(s.queue)))
 		s.gRunning.Set(int64(s.runningN))
 		return j
 	}
 	return nil
+}
+
+// enqueueLocked registers j and appends it to the queue: admission and
+// recovery's re-enqueue. The caller holds s.mu.
+func (s *Server) enqueueLocked(j *job) {
+	s.jobs[j.id] = j
+	s.queue = append(s.queue, j)
+	s.tenantLocked(j.tenant).queued++
+	s.gQueued.Set(int64(len(s.queue)))
+}
+
+// unqueueLocked removes and returns s.queue[i], the one way a job leaves
+// the queue: dequeue, DELETE and drain. The caller holds s.mu.
+func (s *Server) unqueueLocked(i int) *job {
+	j := s.queue[i]
+	s.queue = slices.Delete(s.queue, i, i+1)
+	s.tenantLocked(j.tenant).queued--
+	s.gQueued.Set(int64(len(s.queue)))
+	return j
+}
+
+// unqueue removes j from the queue if it is still there.
+func (s *Server) unqueue(j *job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if i := slices.Index(s.queue, j); i >= 0 {
+		s.unqueueLocked(i)
+	}
 }
 
 // release returns j's worker slot and pokes one idle worker (the freed
@@ -520,12 +545,7 @@ func (s *Server) job(id string) *job {
 func (s *Server) queuePosition(j *job) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i, q := range s.queue {
-		if q == j {
-			return i + 1
-		}
-	}
-	return 0
+	return slices.Index(s.queue, j) + 1
 }
 
 // sanitizeMetric maps an arbitrary tenant name onto the exposition
@@ -575,14 +595,8 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	j.mu.Lock()
-	art, ok := j.artifacts["trace"]
-	state := j.state
-	j.mu.Unlock()
-	if state == stateDone && ok {
-		w.Header().Set("Content-Type", art.contentType)
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(art.data) // client disconnect; nowhere to report
+	if _, art, ok := j.artifact("trace"); ok {
+		writeArtifact(w, art)
 		return
 	}
 	httpError(w, http.StatusNotFound, "no trace retained for job "+id)

@@ -173,24 +173,15 @@ func (s *Server) handleLoadRelation(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	rel, rep, loadErr := table.FromCSV(bytes.NewReader(csv), table.CSVOptions{
-		Name:                      name,
-		ForceCategorical:          lopts.ForceCategorical,
-		ForceNumeric:              lopts.ForceNumeric,
-		Drop:                      lopts.Drop,
-		MaxCategoricalCardinality: lopts.MaxCategoricalCardinality,
-		MaxRows:                   s.opts.MaxRows,
-	})
-	if loadErr != nil {
+	sess, err := s.parseSession(name, source, csv, lopts)
+	if err != nil {
 		code := http.StatusBadRequest
-		if errors.Is(loadErr, table.ErrTooManyRows) {
+		if errors.Is(err, table.ErrTooManyRows) {
 			code = http.StatusRequestEntityTooLarge
 		}
-		httpError(w, code, "loading relation: "+loadErr.Error())
+		httpError(w, code, "loading relation: "+err.Error())
 		return
 	}
-
-	sess := &session{name: name, rel: rel, report: rep, source: source, loaded: time.Now()}
 	if code, err := s.registerSession(sess, csv, lopts); err != nil {
 		httpError(w, code, err.Error())
 		return
@@ -268,15 +259,30 @@ func (s *Server) LoadRelationFile(name, file string) error {
 	if err != nil {
 		return fmt.Errorf("loading relation %q: %w", name, err)
 	}
-	rel, rep, err := table.FromCSV(bytes.NewReader(csv), table.CSVOptions{Name: name, MaxRows: s.opts.MaxRows})
+	sess, err := s.parseSession(name, "path:"+file, csv, loadRequest{})
 	if err != nil {
 		return fmt.Errorf("loading relation %q: %w", name, err)
 	}
-	sess := &session{name: name, rel: rel, report: rep, source: "path:" + file, loaded: time.Now()}
-	if _, err := s.registerSession(sess, csv, loadRequest{}); err != nil {
-		return err
+	_, err = s.registerSession(sess, csv, loadRequest{})
+	return err
+}
+
+// parseSession is the one path from CSV bytes to a session, shared by
+// uploads, path loads, preloads and recovery. lopts carries the loader
+// options (Name and Path are ignored); the row cap is the daemon's.
+func (s *Server) parseSession(name, source string, csv []byte, lopts loadRequest) (*session, error) {
+	rel, rep, err := table.FromCSV(bytes.NewReader(csv), table.CSVOptions{
+		Name:                      name,
+		ForceCategorical:          lopts.ForceCategorical,
+		ForceNumeric:              lopts.ForceNumeric,
+		Drop:                      lopts.Drop,
+		MaxCategoricalCardinality: lopts.MaxCategoricalCardinality,
+		MaxRows:                   s.opts.MaxRows,
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	return &session{name: name, rel: rel, report: rep, source: source, loaded: time.Now()}, nil
 }
 
 // handleListRelations is GET /v1/relations: every session, name-sorted.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -64,6 +65,30 @@ func TestServerSoakConcurrentTenants(t *testing.T) {
 	if statsAfter.Hits == statsBefore.Hits {
 		t.Errorf("soak of %d identical-shape jobs produced no shared-cache hits (before %+v, after %+v)",
 			tenants*jobsPer, statsBefore, statsAfter)
+	}
+
+	// Every job settled exactly once: its log holds one terminal event,
+	// as the last event, and the admission counters balance the terminal
+	// ones.
+	s.mu.Lock()
+	ids := make([]string, 0, len(s.jobs))
+	for id := range s.jobs {
+		ids = append(ids, id)
+	}
+	s.mu.Unlock()
+	sort.Strings(ids)
+	for _, id := range ids {
+		j := s.job(id)
+		if n, last := terminalEvents(j); n != 1 || !last {
+			t.Errorf("job %s: %d terminal events (last event terminal: %v), want exactly one, last: %s",
+				id, n, last, eventNames(j))
+		}
+	}
+	count := func(name string) int64 { return s.reg.Counter(name).Value() }
+	admitted := count("server_admit_full") + count("server_admit_degrade")
+	settled := count("server_jobs_done") + count("server_jobs_failed") + count("server_jobs_cancelled")
+	if admitted != settled {
+		t.Errorf("admit_full + admit_degrade = %d, but done + failed + cancelled = %d", admitted, settled)
 	}
 
 	shutdown()
