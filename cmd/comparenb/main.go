@@ -53,7 +53,6 @@ func run() error {
 		cacheBudget = flag.Int64("cache-budget", 64<<20, "cube-cache bound in bytes (0 = unbounded)")
 		timeBudget  = flag.Duration("time-budget", 0, "soft wall-clock budget, e.g. 30s: the governor splits it across the stats/hypothesis/TAP phases and each degrades gracefully when its share expires (0 = unbudgeted)")
 		memBudget   = flag.Int64("mem-budget", 0, "hard cube-cache memory budget in bytes: cubes that would exceed it are answered but not cached (0 = disarmed)")
-		noCompress  = flag.Bool("no-compress", false, "disable the compressed columnar storage layer (the cube kernel reads every column raw-alias, uncompressed; outputs are identical either way)")
 		maxRows     = flag.Int("max-rows", 0, "refuse CSV inputs with more data rows than this instead of loading them (0 = unlimited)")
 		cats        = flag.String("categorical", "", "comma-separated columns to force categorical")
 		nums        = flag.String("numeric", "", "comma-separated columns to force numeric")
@@ -122,7 +121,6 @@ func run() error {
 	cfg.CubeCacheBudget = *cacheBudget
 	cfg.TimeBudget = *timeBudget
 	cfg.MemBudget = *memBudget
-	cfg.NoCompress = *noCompress
 	cfg.IncludeHypotheses = *hypotheses
 	if *median {
 		cfg.InsightTypes = comparenb.ExtendedInsightTypes
@@ -174,33 +172,6 @@ func run() error {
 		}
 		return nil
 	}
-	// printCompression reports what the columnar layer bought, per column,
-	// when the run used it; part of -obs-summary because compression is an
-	// internal mechanism, not notebook content.
-	printCompression := func(res *comparenb.Result) {
-		if !*obsSummary || res == nil {
-			return
-		}
-		comp := res.Report().Compression
-		if len(comp) == 0 {
-			return
-		}
-		fmt.Fprintf(os.Stderr, "\ncolumnar compression (%d columns):\n", len(comp))
-		var raw, enc int
-		for _, c := range comp {
-			raw += c.RawBytes
-			enc += c.EncodedBytes
-			fmt.Fprintf(os.Stderr, "  %-24s %-12s %-12s %8d B -> %8d B  (%.1fx)\n",
-				c.Name, c.Kind, c.Encoding, c.RawBytes, c.EncodedBytes, c.Ratio)
-		}
-		ratio := 0.0
-		if enc > 0 {
-			ratio = float64(raw) / float64(enc)
-		}
-		fmt.Fprintf(os.Stderr, "  %-24s %-12s %-12s %8d B -> %8d B  (%.1fx)\n",
-			"total", "", "", raw, enc, ratio)
-	}
-
 	// Ctrl-C / SIGTERM cancel the run at the next phase-safe checkpoint:
 	// the hard stop, as opposed to -time-budget's graceful degradation.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -273,7 +244,6 @@ func run() error {
 	if err := flushObs(); err != nil {
 		return err
 	}
-	printCompression(res)
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
 		if err != nil {

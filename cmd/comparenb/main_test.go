@@ -111,86 +111,3 @@ func intToStr(v int) string {
 	}
 	return string(b)
 }
-
-// TestCLINoCompress checks the -no-compress escape hatch end to end: the
-// notebook is byte-identical with the columnar layer on or off, the run
-// report records the flag and the per-column stats, and -obs-summary
-// surfaces the compression table only when the layer ran.
-func TestCLINoCompress(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs the binary")
-	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "comparenb-cli")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("build: %v\n%s", err, out)
-	}
-
-	// Large enough that cube builds take the encoded path (minEncodeRows).
-	var sb strings.Builder
-	sb.WriteString("region,product,channel,sales\n")
-	regions := []string{"north", "south", "east", "west"}
-	products := []string{"widget", "gadget", "doodad"}
-	channels := []string{"web", "store"}
-	for i := 0; i < 4000; i++ {
-		sb.WriteString(regions[i%4] + "," + products[(i/2)%3] + "," + channels[(i/5)%2] + ",")
-		sb.WriteString(intToStr(100 + (i%4)*50 + (i%3)*20 + i%11))
-		sb.WriteString("\n")
-	}
-	csvPath := filepath.Join(dir, "sales.csv")
-	if err := os.WriteFile(csvPath, []byte(sb.String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	run := func(extra ...string) (nb []byte, report map[string]any, stderr string) {
-		outPath := filepath.Join(dir, "nb.md")
-		repPath := filepath.Join(dir, "report.json")
-		args := append([]string{
-			"-in", csvPath, "-out", outPath, "-report", repPath,
-			"-queries", "3", "-perms", "100", "-seed", "1", "-obs-summary"}, extra...)
-		cmd := exec.Command(bin, args...)
-		var errBuf strings.Builder
-		cmd.Stderr = &errBuf
-		if err := cmd.Run(); err != nil {
-			t.Fatalf("run %v: %v\n%s", extra, err, errBuf.String())
-		}
-		data, err := os.ReadFile(outPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := os.ReadFile(repPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var repDoc map[string]any
-		if err := json.Unmarshal(rep, &repDoc); err != nil {
-			t.Fatalf("report not JSON: %v", err)
-		}
-		return data, repDoc, errBuf.String()
-	}
-
-	nbEnc, repEnc, errEnc := run()
-	nbRaw, repRaw, errRaw := run("-no-compress")
-
-	if string(nbEnc) != string(nbRaw) {
-		t.Errorf("notebook differs with -no-compress (%d vs %d bytes)", len(nbEnc), len(nbRaw))
-	}
-	comp, ok := repEnc["compression"].([]any)
-	if !ok || len(comp) != 4 {
-		t.Errorf("compressed report compression = %v, want 4 columns", repEnc["compression"])
-	}
-	if _, ok := repRaw["compression"]; ok {
-		t.Error("-no-compress report still carries compression stats")
-	}
-	cfg := repRaw["config"].(map[string]any)
-	if cfg["no_compress"] != true {
-		t.Error("-no-compress not recorded in report config")
-	}
-	if !strings.Contains(errEnc, "columnar compression") {
-		t.Errorf("-obs-summary did not print the compression table:\n%s", errEnc)
-	}
-	if strings.Contains(errRaw, "columnar compression") {
-		t.Error("-obs-summary printed a compression table under -no-compress")
-	}
-}

@@ -64,7 +64,6 @@ func run() error {
 		jobThreads    = flag.Int("job-threads", 0, "cap on per-job worker threads (0 = uncapped)")
 		cacheBudget   = flag.Int64("cache-budget", 256<<20, "shared cube-cache soft budget in bytes")
 		memBudget     = flag.Int64("mem-budget", 0, "shared cube-cache hard admission budget in bytes (0 = disarmed)")
-		noCompress    = flag.Bool("no-compress", false, "disable the compressed columnar layer daemon-wide (the cube kernel reads every column raw-alias; outputs are identical either way)")
 		maxUpload     = flag.Int64("max-upload", 32<<20, "CSV upload size bound in bytes")
 		maxRelations  = flag.Int("max-relations", 64, "session registry bound")
 		maxRows       = flag.Int("max-rows", 1<<20, "row bound per loaded relation")
@@ -96,7 +95,6 @@ func run() error {
 		JobThreads:       *jobThreads,
 		CacheBudget:      *cacheBudget,
 		CacheMemBudget:   *memBudget,
-		NoCompress:       *noCompress,
 		MaxUploadBytes:   *maxUpload,
 		MaxRelations:     *maxRelations,
 		MaxRows:          *maxRows,

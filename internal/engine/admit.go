@@ -72,7 +72,7 @@ func (cc *CubeCache) admitPrepare(rel *table.Relation, sorted []int) bool {
 	est := EstimateCubeBytes(rel, sorted)
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	if est > cc.memBudget-cc.encBytes {
+	if est > cc.memBudget {
 		cc.admitRefusals.Inc()
 		return false
 	}
@@ -90,7 +90,7 @@ func (cc *CubeCache) admitInsertLocked(key cacheKey, cube *Cube, sorted []int, a
 			return
 		}
 		actual := cube.MemoryFootprint()
-		if actual > cc.memBudget-cc.encBytes {
+		if actual > cc.memBudget {
 			cc.admitRefusals.Inc()
 			return
 		}
@@ -101,13 +101,10 @@ func (cc *CubeCache) admitInsertLocked(key cacheKey, cube *Cube, sorted []int, a
 
 // evictForLocked removes entries largest-footprint-first (ties broken
 // by key string — the same victim rule as Trim, a pure function of the
-// entry set) until `need` more bytes fit under the memory budget. The
-// retained payload of encoded relations (encBytes) occupies budget that
-// eviction can never reclaim — encodings are shared by every future
-// build — so it narrows the headroom instead of nominating victims.
+// entry set) until `need` more bytes fit under the memory budget.
 // Callers hold cc.mu.
 func (cc *CubeCache) evictForLocked(need int64) {
-	if cc.memBudget <= 0 || cc.bytes+cc.encBytes+need <= cc.memBudget {
+	if cc.memBudget <= 0 || cc.bytes+need <= cc.memBudget {
 		return
 	}
 	type victim struct {
@@ -127,7 +124,7 @@ func (cc *CubeCache) evictForLocked(need int64) {
 		return all[i].key.attrs < all[j].key.attrs
 	})
 	for _, v := range all {
-		if cc.bytes+cc.encBytes+need <= cc.memBudget {
+		if cc.bytes+need <= cc.memBudget {
 			break
 		}
 		delete(cc.entries, v.key)

@@ -53,11 +53,8 @@ func TestAdmitEvictsLargestFirstToFit(t *testing.T) {
 	rel := randomRelation(3, []int{6, 6, 6}, 1, 4000, 5)
 	big := mustBuildCube(t, rel, []int{0, 1, 2}, 1)
 	cc := NewCubeCache(0)
-	// Room for roughly one big cube. The relation is large enough that
-	// builds read the compressed view, whose retained payload also charges
-	// against the budget — budget for it explicitly so the cube math
-	// below is unchanged.
-	cc.SetMemBudget(big.MemoryFootprint() + int64(rel.Encoded().RetainedBytes()))
+	// Room for roughly one big cube.
+	cc.SetMemBudget(big.MemoryFootprint())
 	for _, attrs := range [][]int{{0, 1, 2}, {0, 1}, {0, 2}, {0}} {
 		// BuildThrough, not GetOrBuild: rollups of the wide cube would
 		// change which entries exist depending on eviction timing.

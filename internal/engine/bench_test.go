@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -30,15 +29,30 @@ func BenchmarkBuildCube4Attrs(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildCube4AttrsRaw times the kernel over the raw-alias view
-// (the -no-compress path) on the same fixture as BenchmarkBuildCube4Attrs,
-// so the compressed view's speedup stays measurable.
-func BenchmarkBuildCube4AttrsRaw(b *testing.B) {
-	rel := benchRelation(b, 50000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := buildCube(context.Background(), rel, []int{0, 1, 2, 3}, 1, true); err != nil {
-			b.Fatal(err)
+// BenchmarkBuildCubeWorkloads times the kernel on relations shaped like
+// perfbench's two workloads: explore is a 5,000-row shared-explore
+// relation (one shard), fresh a 40,000-row fresh-upload one (three
+// shards), both with two float measures. Every sub-benchmark builds at
+// threads 1, after one warm build outside the timer.
+func BenchmarkBuildCubeWorkloads(b *testing.B) {
+	shapes := []struct {
+		name string
+		rows int
+		doms []int
+	}{
+		{"explore", 5000, []int{24, 8, 6, 5, 4, 3}},
+		{"fresh", 40000, []int{8, 6, 5, 4, 4, 3, 3, 2}},
+	}
+	for _, sh := range shapes {
+		rel := randomRelation(len(sh.doms), sh.doms, 2, sh.rows, 1)
+		for _, attrs := range [][]int{{0, 1}, {0, 1, 2, 3}} {
+			b.Run(fmt.Sprintf("%s/%dattrs", sh.name, len(attrs)), func(b *testing.B) {
+				mustBuildCube(b, rel, attrs, 1)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					mustBuildCube(b, rel, attrs, 1)
+				}
+			})
 		}
 	}
 }

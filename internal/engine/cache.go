@@ -27,19 +27,14 @@ type CacheStats struct {
 	Entries        int   `json:"entries"`
 	AdmitEvictions int64 `json:"admit_evictions,omitempty"`
 	AdmitRefusals  int64 `json:"admit_refusals,omitempty"`
-	// EncodedBytes is the retained payload of the compressed views this
-	// cache's own builds read (see table.EncodedRelation). It is charged
-	// against the hard memory budget at admission time and stays zero —
-	// and absent from JSON — when no build read a compressed view.
-	EncodedBytes int64 `json:"encoded_bytes,omitempty"`
 }
 
 // Delta returns the counter movement from base to s: the monotone
 // counters (hits, rollups, misses, evictions, admission actions) become
-// differences, while the instantaneous fields (Bytes, Entries,
-// EncodedBytes) keep s's absolute values. A run sharing a long-lived
-// cache (pipeline.Config.Cache) snapshots Stats before and Deltas after
-// to report its own traffic; when the cache serves one run at a time the
+// differences, while the instantaneous fields (Bytes, Entries) keep s's
+// absolute values. A run sharing a long-lived cache
+// (pipeline.Config.Cache) snapshots Stats before and Deltas after to
+// report its own traffic; when the cache serves one run at a time the
 // delta is exact, under concurrent runs it attributes interleaved
 // traffic approximately (the cache-level totals stay exact and monotone).
 func (s CacheStats) Delta(base CacheStats) CacheStats {
@@ -72,13 +67,14 @@ type cacheEntry struct {
 // and a subset group-by is answered by rolling up the cheapest cached
 // superset (count/sum/min/max are distributive, so roll-up is exact).
 //
-// Concurrency and determinism: every method is safe for concurrent use,
-// but eviction only happens in Trim, never inside Get/Add. Pipelines call
-// Trim at single-threaded phase boundaries; combined with a victim rule
-// that is a pure function of the entry set (not of arrival order), the
-// cache contents at every decision point are independent of goroutine
-// scheduling, which is what keeps notebooks byte-identical across thread
-// counts (see docs/PERFORMANCE.md).
+// Concurrency and determinism: every method is safe for concurrent use.
+// Without a memory budget, eviction only happens in Trim, never inside a
+// lookup, build or Add. Pipelines call Trim at single-threaded phase
+// boundaries; combined with a victim rule that is a pure function of the
+// entry set (not of arrival order), the cache contents at every decision
+// point are independent of goroutine scheduling, which is what keeps
+// notebooks byte-identical across thread counts (see docs/PERFORMANCE.md).
+// A memory budget (SetMemBudget) evicts at admission instead, mid-phase.
 type CubeCache struct {
 	mu        sync.Mutex
 	budget    int64 // soft bytes bound, enforced only by Trim; <= 0 unbounded
@@ -86,16 +82,6 @@ type CubeCache struct {
 	entries   map[cacheKey]*cacheEntry
 	bytes     int64 // current footprint, guarded by mu
 	nEntries  int   // len(entries), guarded by mu
-
-	// noEncode makes every build issued through this cache read the
-	// raw-alias view (pipeline Config.NoCompress / -no-compress).
-	noEncode bool
-	// encSeen/encBytes track the retained payload of the compressed views
-	// this cache's builds read, charged once per relation, so the hard
-	// memory budget sees the compressed columns as part of the engine's
-	// footprint. Guarded by mu.
-	encSeen  map[*table.Relation]int64
-	encBytes int64
 
 	// Counters live in obs handles so the cache is its own single source
 	// of truth for hit/rollup/miss/evict accounting: NewCubeCache starts
@@ -115,7 +101,6 @@ func NewCubeCache(budget int64) *CubeCache {
 	return &CubeCache{
 		budget:         budget,
 		entries:        make(map[cacheKey]*cacheEntry),
-		encSeen:        make(map[*table.Relation]int64),
 		hits:           obs.NewCounter(),
 		rollupHits:     obs.NewCounter(),
 		misses:         obs.NewCounter(),
@@ -142,28 +127,6 @@ func (cc *CubeCache) Instrument(reg *obs.Registry) {
 	cc.evictions = reg.Counter("engine_cache_evictions")
 	cc.admitEvictions = reg.Counter("engine_cache_admit_evictions")
 	cc.admitRefusals = reg.Counter("engine_cache_admit_refusals")
-}
-
-// SetNoEncode makes every subsequent build issued through the cache read
-// the raw-alias view instead of the compressed one. Cubes are bit-identical
-// either way, so this is purely a performance/debugging escape hatch.
-func (cc *CubeCache) SetNoEncode(b bool) {
-	cc.mu.Lock()
-	cc.noEncode = b
-	cc.mu.Unlock()
-}
-
-// chargeEncodedLocked charges the retained payload of enc, the compressed
-// view of rel that one of this cache's builds read (nil when it read the
-// raw-alias view), against the cache's admission accounting, once per
-// relation. Callers hold cc.mu.
-func (cc *CubeCache) chargeEncodedLocked(rel *table.Relation, enc *table.EncodedRelation) {
-	if _, seen := cc.encSeen[rel]; seen || enc == nil {
-		return
-	}
-	b := int64(enc.RetainedBytes())
-	cc.encSeen[rel] = b
-	cc.encBytes += b
 }
 
 // attrsKey canonicalises a sorted attribute set as a string map key.
@@ -233,19 +196,17 @@ func (cc *CubeCache) getOrBuild(ctx context.Context, rel *table.Relation, attrs 
 	if rollup {
 		super = cc.bestSupersetLocked(rel, sorted)
 	}
-	noEncode := cc.noEncode
 	cc.mu.Unlock()
 
 	admitted := cc.admitPrepare(rel, sorted)
 	var cube *Cube
-	var enc *table.EncodedRelation
 	if super != nil {
 		sp := obs.StartSpan(ctx, "engine/cube/rollup")
 		cube = super.Rollup(sorted)
 		sp.End()
 	} else {
 		var err error
-		if cube, enc, err = buildCube(ctx, rel, sorted, threads, noEncode); err != nil {
+		if cube, err = BuildCube(ctx, rel, sorted, threads); err != nil {
 			return nil, err
 		}
 	}
@@ -260,13 +221,15 @@ func (cc *CubeCache) getOrBuild(ctx context.Context, rel *table.Relation, attrs 
 		cc.rollupHits.Inc()
 	} else {
 		cc.misses.Inc()
-		cc.chargeEncodedLocked(rel, enc)
 	}
 	cc.admitInsertLocked(key, cube, sorted, admitted)
 	return cube, nil
 }
 
-// Add inserts a cube built elsewhere. It never evicts (see Trim).
+// Add inserts a cube built elsewhere. Without a memory budget it never
+// evicts (see Trim); with one armed it goes through admission, which may
+// evict entries to make room or refuse to cache the cube (see
+// SetMemBudget).
 func (cc *CubeCache) Add(cube *Cube) {
 	sorted := sortedAttrs(cube.attrs)
 	key := cacheKey{rel: cube.rel, attrs: attrsKey(sorted)}
@@ -363,12 +326,12 @@ func (cc *CubeCache) Trim() {
 	cc.nEntries = len(cc.entries)
 }
 
-// DropRelation evicts every entry built over rel, plus its encoded-bytes
-// admission charge, and returns how many entries were removed. It exists
-// for long-lived caches whose relations come and go (a server session
-// being deleted): entries keyed by a dropped relation can never be hit
-// again — the key is the pointer — so removing them cannot change any
-// other run's answers, only free the bytes. Removals count as evictions.
+// DropRelation evicts every entry built over rel and returns how many
+// entries were removed. It exists for long-lived caches whose relations
+// come and go (a server session being deleted): entries keyed by a
+// dropped relation can never be hit again — the key is the pointer — so
+// removing them cannot change any other run's answers, only free the
+// bytes. Removals count as evictions.
 func (cc *CubeCache) DropRelation(rel *table.Relation) int {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
@@ -387,8 +350,6 @@ func (cc *CubeCache) DropRelation(rel *table.Relation) int {
 		cc.evictions.Inc()
 	}
 	cc.nEntries = len(cc.entries)
-	cc.encBytes -= cc.encSeen[rel]
-	delete(cc.encSeen, rel)
 	return len(victims)
 }
 
@@ -405,6 +366,5 @@ func (cc *CubeCache) Stats() CacheStats {
 		Entries:        cc.nEntries,
 		AdmitEvictions: cc.admitEvictions.Value(),
 		AdmitRefusals:  cc.admitRefusals.Value(),
-		EncodedBytes:   cc.encBytes,
 	}
 }

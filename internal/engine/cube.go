@@ -7,7 +7,6 @@ import (
 	"math"
 	"slices"
 
-	"comparenb/internal/obs"
 	"comparenb/internal/table"
 )
 
@@ -103,11 +102,6 @@ func (c *Cube) MemoryFootprint() int64 {
 // for the determinism argument).
 const buildShardRows = 16384
 
-// minEncodeRows gates the compressed view: relations with fewer rows build
-// over the raw-alias view, where encoding the relation would not pay for
-// itself.
-const minEncodeRows = 2048
-
 // BuildCube aggregates the relation over the given categorical attributes
 // (order-insensitive; the cube stores them sorted). NaN measure values are
 // ignored by Sum/Min/Max but still counted, matching SQL aggregates over a
@@ -122,33 +116,9 @@ const minEncodeRows = 2048
 // returns ctx's error once cancelled; a started shard runs to completion,
 // so no partial cube ever escapes.
 func BuildCube(ctx context.Context, rel *table.Relation, attrs []int, threads int) (*Cube, error) {
-	cube, _, err := buildCube(ctx, rel, attrs, threads, false)
-	return cube, err
-}
-
-// buildCube picks the view the kernel reads. The compressed view serves
-// relations of at least minEncodeRows rows whose composite codes fit
-// uint64, unless noEncode (-no-compress) is set or the encode was
-// fault-aborted; every other build reads the raw-alias view. The cube is
-// bit-identical either way. buildCube also returns the compressed view
-// when the build read it, so a cache can charge its bytes.
-func buildCube(ctx context.Context, rel *table.Relation, attrs []int, threads int, noEncode bool) (*Cube, *table.EncodedRelation, error) {
 	sorted := sortedAttrs(attrs)
 	mustUniqueAttrs(sorted)
-	ks := newKeySpace(rel, sorted)
-	var enc *table.EncodedRelation
-	if !noEncode && rel.NumRows() >= minEncodeRows && ks.radix != nil {
-		enc = rel.Encoded()
-	}
-	view, counter := enc, "engine_cube_build_encoded"
-	if enc == nil {
-		view, counter = rel.RawView(), "engine_cube_build_raw"
-	}
-	if reg := obs.FromContext(ctx); reg != nil {
-		reg.Counter(counter).Inc()
-	}
-	cube, err := buildCubeView(ctx, rel, view, sorted, ks, threads)
-	return cube, enc, err
+	return buildCube(ctx, rel, sorted, threads)
 }
 
 // maxDenseCells bounds the composite-code space for which the group index
@@ -183,9 +153,9 @@ func newKeySpace(rel *table.Relation, sorted []int) keySpace {
 }
 
 // capHint bounds the group count of a group-by over `rows` rows by the
-// size of the code space, capped at maxEncCapHint, for preallocation.
+// size of the code space, capped at maxCapHint, for preallocation.
 func (ks keySpace) capHint(rows int) int {
-	h := min(rows, maxEncCapHint)
+	h := min(rows, maxCapHint)
 	if ks.radix != nil && ks.cells < uint64(h) {
 		h = int(ks.cells)
 	}

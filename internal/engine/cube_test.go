@@ -219,15 +219,3 @@ func mustBuildThrough(tb testing.TB, cc *CubeCache, rel *table.Relation, attrs [
 	}
 	return c
 }
-
-// mustBuildView runs the kernel over one view of rel: rel.Encoded() (the
-// compressed view, at any row count) or rel.RawView().
-func mustBuildView(tb testing.TB, rel *table.Relation, view *table.EncodedRelation, attrs []int, threads int) *Cube {
-	tb.Helper()
-	sorted := sortedAttrs(attrs)
-	c, err := buildCubeView(context.Background(), rel, view, sorted, newKeySpace(rel, sorted), threads)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return c
-}

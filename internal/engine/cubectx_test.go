@@ -9,61 +9,54 @@ import (
 	"comparenb/internal/faultinject"
 )
 
-// TestBuildCubeParallelCtxMatchesUncancelled: with a live context, both
-// views build the shard-aware reference cube bit for bit at every thread
+// TestBuildCubeParallelCtxMatchesUncancelled: with a live context, the
+// build equals the shard-aware reference cube bit for bit at every thread
 // count.
 func TestBuildCubeParallelCtxMatchesUncancelled(t *testing.T) {
 	rel := randomRelation(2, []int{5, 7}, 2, 3*buildShardRows+100, 21)
 	want := referenceBuildCube(rel, []int{0, 1})
-	for _, noEncode := range []bool{false, true} {
-		for _, threads := range []int{1, 2, 8} {
-			got, _, err := buildCube(context.Background(), rel, []int{0, 1}, threads, noEncode)
-			if err != nil {
-				t.Fatalf("noEncode=%v threads=%d: unexpected error %v", noEncode, threads, err)
-			}
-			requireMatchesReference(t, fmt.Sprintf("noEncode=%v threads=%d", noEncode, threads), want, got)
+	for _, threads := range []int{1, 2, 8} {
+		got, err := BuildCube(context.Background(), rel, []int{0, 1}, threads)
+		if err != nil {
+			t.Fatalf("threads=%d: unexpected error %v", threads, err)
 		}
+		requireMatchesReference(t, fmt.Sprintf("threads=%d", threads), want, got)
 	}
 }
 
 // TestBuildCubeParallelCtxCancelled: a pre-cancelled context aborts the
-// build over either view before any shard is scanned.
+// build before any shard is scanned.
 func TestBuildCubeParallelCtxCancelled(t *testing.T) {
 	rel := randomRelation(1, []int{4}, 1, 2*buildShardRows, 5)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, noEncode := range []bool{false, true} {
-		for _, threads := range []int{1, 4} {
-			cube, _, err := buildCube(ctx, rel, []int{0}, threads, noEncode)
-			if !errors.Is(err, context.Canceled) {
-				t.Errorf("noEncode=%v threads=%d: err = %v, want context.Canceled", noEncode, threads, err)
-			}
-			if cube != nil {
-				t.Errorf("noEncode=%v threads=%d: cancelled build returned a cube", noEncode, threads)
-			}
+	for _, threads := range []int{1, 4} {
+		cube, err := BuildCube(ctx, rel, []int{0}, threads)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("threads=%d: err = %v, want context.Canceled", threads, err)
+		}
+		if cube != nil {
+			t.Errorf("threads=%d: cancelled build returned a cube", threads)
 		}
 	}
 }
 
 // TestBuildCubeParallelCtxCancelMidShard injects a cancellation at the
-// k-th shard checkpoint via the fault-injection registry: the build over
-// either view must abort with the context's error on both the serial and
-// parallel paths.
+// k-th shard checkpoint via the fault-injection registry: the build must
+// abort with the context's error on both the serial and parallel paths.
 func TestBuildCubeParallelCtxCancelMidShard(t *testing.T) {
 	rel := randomRelation(1, []int{6}, 1, 6*buildShardRows, 8)
-	for _, noEncode := range []bool{false, true} {
-		for _, threads := range []int{1, 3} {
-			ctx, cancel := context.WithCancel(context.Background())
-			restore := faultinject.Set(faultinject.EngineCubeShard, faultinject.OnCall(2, cancel))
-			cube, _, err := buildCube(ctx, rel, []int{0}, threads, noEncode)
-			restore()
-			cancel()
-			if !errors.Is(err, context.Canceled) {
-				t.Errorf("noEncode=%v threads=%d: err = %v, want context.Canceled", noEncode, threads, err)
-			}
-			if cube != nil {
-				t.Errorf("noEncode=%v threads=%d: mid-shard-cancelled build returned a cube", noEncode, threads)
-			}
+	for _, threads := range []int{1, 3} {
+		ctx, cancel := context.WithCancel(context.Background())
+		restore := faultinject.Set(faultinject.EngineCubeShard, faultinject.OnCall(2, cancel))
+		cube, err := BuildCube(ctx, rel, []int{0}, threads)
+		restore()
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("threads=%d: err = %v, want context.Canceled", threads, err)
+		}
+		if cube != nil {
+			t.Errorf("threads=%d: mid-shard-cancelled build returned a cube", threads)
 		}
 	}
 }

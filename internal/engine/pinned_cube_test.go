@@ -30,9 +30,10 @@ var overflowAttrs = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 // pinnedFixtures is the corpus of testdata/pinned_cubes.txt. Its digests
 // were produced by the raw float64 kernel this package kept beside the
 // block kernel until the block kernel became the only one; the test below
-// holds both views of the block kernel to them. Row counts straddle every
-// boundary of the build: one row, below and at minEncodeRows, one full
-// shard, one shard plus a row, and three shards plus a partial one.
+// holds the block kernel to them. Row counts straddle every boundary the
+// build has had: one row, 2,047 and 2,048 (either side of the row gate of
+// the compressed column view the block kernel once read), one full shard,
+// one shard plus a row, and three shards plus a partial one.
 func pinnedFixtures() []pinnedFixture {
 	var fx []pinnedFixture
 	for _, rows := range []int{1, 300, 2047, 2048, buildShardRows, buildShardRows + 1, 3*buildShardRows + 123} {
@@ -58,9 +59,9 @@ func pinnedFixtures() []pinnedFixture {
 }
 
 // edgeRelation covers the measure regimes mixedRelation leaves out: exact
-// integers near 2^52 whose sums are not exact (decoded, then accumulated as
-// floats), ±Inf (whose sums can turn NaN), NaN with a payload, a group
-// whose measure is NaN on every row, and a measure that is NaN everywhere.
+// integers near 2^52 whose sums are not exact, ±Inf (whose sums can turn
+// NaN), NaN with a payload, a group whose measure is NaN on every row, and
+// a measure that is NaN everywhere.
 func edgeRelation(rows int, seed int64) *table.Relation {
 	rng := rand.New(rand.NewSource(seed))
 	b := table.NewBuilder("edge", []string{"k", "z"}, []string{"big", "inf", "holes", "nan"})
@@ -176,14 +177,12 @@ func readPinnedCubes(t *testing.T) map[string]string {
 }
 
 // TestBuildCubeMatchesPinned holds the block kernel to the pinned digests
-// of the raw float64 kernel it replaced: over the compressed view and over
-// the raw-alias view, at threads {1,2,3,8}, every fixture cube must hash
-// to its pinned digest.
+// of the raw float64 kernel it replaced: at threads {1,2,3,8}, every
+// fixture cube must hash to its pinned digest.
 func TestBuildCubeMatchesPinned(t *testing.T) {
 	pinned := readPinnedCubes(t)
 	checked := 0
 	for _, fx := range pinnedFixtures() {
-		views := map[string]*table.EncodedRelation{"encoded": fx.rel.Encoded(), "raw-alias": fx.rel.RawView()}
 		for _, attrs := range fx.attrs {
 			key := pinnedKey(fx.name, attrs)
 			want, ok := pinned[key]
@@ -191,11 +190,9 @@ func TestBuildCubeMatchesPinned(t *testing.T) {
 				t.Fatalf("%s: no pinned digest", key)
 			}
 			checked++
-			for _, view := range []string{"encoded", "raw-alias"} {
-				for _, threads := range []int{1, 2, 3, 8} {
-					if got := cubeDigest(mustBuildView(t, fx.rel, views[view], attrs, threads)); got != want {
-						t.Errorf("%s %s threads=%d: digest %s, pinned %s", key, view, threads, got, want)
-					}
+			for _, threads := range []int{1, 2, 3, 8} {
+				if got := cubeDigest(mustBuildCube(t, fx.rel, attrs, threads)); got != want {
+					t.Errorf("%s threads=%d: digest %s, pinned %s", key, threads, got, want)
 				}
 			}
 		}

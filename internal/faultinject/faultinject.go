@@ -38,8 +38,8 @@ import (
 // hook fires.
 const (
 	// EngineCubeShard fires once per shard scan of the cube build
-	// (internal/engine.BuildCube, over either column view), before the
-	// shard's rows are aggregated.
+	// (internal/engine.BuildCube), before the shard's rows are
+	// aggregated.
 	EngineCubeShard = "engine.cube.shard"
 	// StatsPermBlock fires once per permutation block of
 	// stats.PermTests, before the block is drawn and scored — i.e. at
@@ -58,14 +58,6 @@ const (
 	// cube cache (engine.CubeCache with a mem budget set), before the
 	// estimate is compared against the budget.
 	CacheAdmit = "engine.cache.admit"
-	// TableEncodeColumn fires once per column of the lazy relation
-	// encoding pass (table.(*Relation).Encoded), before the column is
-	// scanned and encoded. A hook that panics table.EncodeAbort aborts
-	// the encode permanently — Encoded recovers it, pins the relation to
-	// nil, and the engine's cube builds read the raw-alias view
-	// (table.(*Relation).RawView) instead. Any other panic value
-	// propagates.
-	TableEncodeColumn = "table.encode.column"
 	// ServerAdmit fires once per notebook-job admission decision of the
 	// notebook-generation server (internal/server), before the tenant
 	// quotas and queue bounds are consulted. A Sleep hook here holds the

@@ -222,21 +222,12 @@ type Config struct {
 	// are bit-identical to a fresh build), so notebook bytes are unchanged
 	// while repeated requests skip the base-relation scans. Ownership
 	// stays with the caller: Generate neither re-Instruments the cache nor
-	// touches its budgets or encoding mode (CubeCacheBudget, MemBudget and
-	// NoCompress only configure a private cache), and the run's cache
-	// Counts become deltas of the shared counters over the run — exact
-	// when the cache serves one run at a time, approximate attribution
-	// under concurrency. Phase-boundary Trims still run, against the
-	// cache's own budget.
+	// touches its budgets (CubeCacheBudget and MemBudget only configure a
+	// private cache), and the run's cache Counts become deltas of the
+	// shared counters over the run — exact when the cache serves one run
+	// at a time, approximate attribution under concurrency.
+	// Phase-boundary Trims still run, against the cache's own budget.
 	Cache *engine.CubeCache
-
-	// NoCompress disables the compressed columnar storage layer: the
-	// cube kernel reads every column raw-alias (the relation's own
-	// float64/int32 slices) instead of the compressed encodings. Outputs
-	// are bit-identical either way — the flag exists to measure the
-	// encoding's effect and as an escape hatch, and is recorded in the
-	// run report when set.
-	NoCompress bool
 
 	// IncludeHypotheses adds, after each notebook query, a code cell with
 	// the hypothesis query (Figure 3 form) for each insight the query

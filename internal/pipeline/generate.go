@@ -200,7 +200,6 @@ func GenerateContext(ctx context.Context, rel *table.Relation, cfg Config) (*Res
 	} else {
 		res.cache = engine.NewCubeCache(cfg.CubeCacheBudget)
 		res.cache.Instrument(reg)
-		res.cache.SetNoEncode(cfg.NoCompress)
 		if cfg.MemBudget > 0 {
 			res.cache.SetMemBudget(cfg.MemBudget)
 		}
@@ -218,15 +217,6 @@ func GenerateContext(ctx context.Context, rel *table.Relation, cfg Config) (*Res
 	cs := res.cache.Stats()
 	if cfg.Cache != nil {
 		cs = cs.Delta(cacheBase)
-	}
-	// Compression bookkeeping, read single-threaded at the phase boundary:
-	// gauges, not counters, because whether the lazy encode ran at all
-	// depends on relation size and the NoCompress flag, and gauges record
-	// the final state without double-counting.
-	if enc := rel.EncodedCached(); enc != nil && !cfg.NoCompress {
-		reg.Gauge("table_encode_columns").Set(int64(len(enc.ColumnStats())))
-		reg.Gauge("table_encode_bytes_raw").Set(int64(enc.RawBytes()))
-		reg.Gauge("table_encode_bytes_encoded").Set(int64(enc.EncodedBytes()))
 	}
 	res.Queries = queries
 	res.Insights = final

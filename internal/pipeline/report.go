@@ -18,11 +18,6 @@ type Report struct {
 	Insights []ReportInsight `json:"insights"`
 	Notebook []ReportQuery   `json:"notebook"`
 
-	// Compression reports the per-column encodings of the dataset's
-	// compressed view, when the run built one (absent for small datasets
-	// and under NoCompress — keeping those reports byte-identical to
-	// pre-compression runs).
-	Compression []ReportColumnCompression `json:"compression,omitempty"`
 	// TAP solution quality.
 	TotalInterest float64 `json:"total_interest"`
 	TotalDistance float64 `json:"total_distance"`
@@ -68,20 +63,6 @@ type ReportConfig struct {
 	// MemBudgetBytes is the hard cube-cache memory budget (omitted when
 	// disarmed).
 	MemBudgetBytes int64 `json:"mem_budget,omitempty"`
-
-	// NoCompress records that the compressed columnar layer was disabled.
-	NoCompress bool `json:"no_compress,omitempty"`
-}
-
-// ReportColumnCompression is one column of the encoded relation: which
-// encoding the one-pass scan picked and what it bought.
-type ReportColumnCompression struct {
-	Name         string  `json:"name"`
-	Kind         string  `json:"kind"`
-	Encoding     string  `json:"encoding"`
-	RawBytes     int     `json:"raw_bytes"`
-	EncodedBytes int     `json:"encoded_bytes"`
-	Ratio        float64 `json:"ratio"`
 }
 
 // ReportTimings is Timings in milliseconds for JSON friendliness.
@@ -155,22 +136,6 @@ func (r *Result) Report() Report {
 	}
 	if r.Config.MemBudget > 0 {
 		rep.Config.MemBudgetBytes = r.Config.MemBudget
-	}
-	rep.Config.NoCompress = r.Config.NoCompress
-	// Gate on the flag, not just the cached view: the relation may carry an
-	// encoding built by an earlier, compressed run, but this run never
-	// touched it.
-	if enc := rel.EncodedCached(); enc != nil && !r.Config.NoCompress {
-		for _, cs := range enc.ColumnStats() {
-			rep.Compression = append(rep.Compression, ReportColumnCompression{
-				Name:         cs.Name,
-				Kind:         cs.Kind,
-				Encoding:     cs.Encoding,
-				RawBytes:     cs.RawBytes,
-				EncodedBytes: cs.EncodedBytes,
-				Ratio:        cs.Ratio,
-			})
-		}
 	}
 	if r.TAP.Degraded {
 		rep.TAPSolver = r.TAP.Solver

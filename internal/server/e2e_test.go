@@ -256,38 +256,6 @@ func TestServerMatchesOneShot(t *testing.T) {
 	}
 }
 
-// TestServerNoCompressMatchesOneShot runs a daemon with the compressed
-// columnar layer disabled: bytes must match both a -no-compress one-shot
-// run and (for the notebook itself) the compressed daemon's output.
-func TestServerNoCompressMatchesOneShot(t *testing.T) {
-	csvPath := writeTinyCSV(t, 1, 600)
-	req := jobRequest{Relation: "tiny", Queries: 5, Perms: 120, Seed: 7, Threads: 2}
-
-	_, plainBase, plainShutdown := startTestServer(t, Options{MaxConcurrent: 1})
-	defer plainShutdown()
-	loadRelation(t, plainBase, "tiny", csvPath)
-	plainNB, _, _ := runServerJob(t, plainBase, req)
-
-	_, ncBase, ncShutdown := startTestServer(t, Options{MaxConcurrent: 1, NoCompress: true})
-	defer ncShutdown()
-	loadRelation(t, ncBase, "tiny", csvPath)
-	ncNB, ncMD, ncRep := runServerJob(t, ncBase, req)
-
-	wantNB, wantMD, wantRep := oneShot(t, csvPath, req, Options{NoCompress: true})
-	if !bytes.Equal(ncNB, wantNB) {
-		t.Errorf("no-compress server ipynb differs from no-compress one-shot")
-	}
-	if !bytes.Equal(ncMD, wantMD) {
-		t.Errorf("no-compress server markdown differs from no-compress one-shot")
-	}
-	if got, want := normalizeReport(t, ncRep, false), normalizeReport(t, wantRep, false); !bytes.Equal(got, want) {
-		t.Errorf("no-compress server report differs from one-shot\n got: %s\nwant: %s", got, want)
-	}
-	if !bytes.Equal(ncNB, plainNB) {
-		t.Errorf("notebook bytes differ between compressed and no-compress daemons")
-	}
-}
-
 // TestServerDegradedRunMatchesOneShot drives the degradation ladder
 // through the daemon: a 1ns TimeBudget makes every governor admission
 // see an expired deadline, so the run sheds deterministically — and the

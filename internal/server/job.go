@@ -124,7 +124,6 @@ func buildConfig(req jobRequest, opts Options) (pipeline.Config, error) {
 		tb = opts.JobTimeBudget
 	}
 	cfg.TimeBudget = tb
-	cfg.NoCompress = opts.NoCompress
 	return cfg, cfg.Validate()
 }
 

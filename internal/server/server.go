@@ -66,11 +66,6 @@ type Options struct {
 	// (0 = off). This is the byte-accounting backstop for multi-tenant
 	// operation: the cache never holds more than this many bytes.
 	CacheMemBudget int64
-	// NoCompress disables the compressed columnar layer for the shared
-	// cache and every job. It is daemon-wide, not per-request, because
-	// the cache stores encoded relations: mixing modes per job would
-	// make cache contents depend on request order.
-	NoCompress bool
 	// MaxUploadBytes bounds a CSV upload body (default 32 MiB).
 	MaxUploadBytes int64
 	// MaxRelations bounds the session registry (default 64).
@@ -230,7 +225,6 @@ func New(opts Options) (*Server, error) {
 	}
 	s.cache = engine.NewCubeCache(opts.CacheBudget)
 	s.cache.Instrument(s.reg)
-	s.cache.SetNoEncode(opts.NoCompress)
 	if opts.CacheMemBudget > 0 {
 		s.cache.SetMemBudget(opts.CacheMemBudget)
 	}

@@ -2,8 +2,6 @@ package table
 
 import (
 	"bytes"
-	"encoding/binary"
-	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -161,65 +159,4 @@ func TestQuickCSVRoundTripStable(t *testing.T) {
 // inside quoted fields.
 func normalizeCRLF(s string) string {
 	return strings.ReplaceAll(s, "\r\n", "\n")
-}
-
-// FuzzEncoding drives the columnar encoder with arbitrary bytes: the first
-// byte picks a dictionary width for the categorical interpretation, the
-// rest decode as float64 bit patterns (measure) and as codes modulo the
-// width (categorical). Whatever regime the encoder picks — const, seq,
-// frame-of-reference, bit-packed dictionary, or a raw fallback — the round
-// trip must be bit-for-bit lossless; the engine's cube kernel is only
-// correct over the compressed view because this property has no
-// exceptions.
-func FuzzEncoding(f *testing.F) {
-	f.Add([]byte{4, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3})
-	f.Add([]byte{1, 0x7f, 0xf8, 0, 0, 0, 0, 0, 1}) // NaN-ish bit pattern
-	f.Add([]byte{255, 0x80, 0, 0, 0, 0, 0, 0, 0})  // -0.0 bit pattern
-	f.Add([]byte{7, 0x40, 0x45, 0, 0, 0, 0, 0, 0, 0x40, 0x45, 0, 0, 0, 0, 0, 0})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 1 {
-			return
-		}
-		dom := int(data[0])%1000 + 1
-		body := data[1:]
-		n := len(body) / 8
-		if n == 0 {
-			return
-		}
-		vals := make([]float64, n)
-		codes := make([]int32, n)
-		for i := 0; i < n; i++ {
-			bits := binary.LittleEndian.Uint64(body[i*8:])
-			vals[i] = math.Float64frombits(bits)
-			codes[i] = int32(bits % uint64(dom))
-		}
-
-		mc := encodeMeas(vals)
-		if mc.Len() != n {
-			t.Fatalf("measure Len = %d, want %d", mc.Len(), n)
-		}
-		got := make([]float64, n)
-		mc.UnpackValues(got, 0, n)
-		for i := range vals {
-			if math.Float64bits(got[i]) != math.Float64bits(vals[i]) {
-				t.Fatalf("measure %s: row %d = %x, want %x",
-					mc.Encoding(), i, math.Float64bits(got[i]), math.Float64bits(vals[i]))
-			}
-			if v := mc.Value(i); math.Float64bits(v) != math.Float64bits(vals[i]) {
-				t.Fatalf("measure %s: Value(%d) disagrees with UnpackValues", mc.Encoding(), i)
-			}
-		}
-
-		cc := encodeCat(codes, dom)
-		if cc.Len() != n {
-			t.Fatalf("cat Len = %d, want %d", cc.Len(), n)
-		}
-		gotc := make([]int32, n)
-		cc.UnpackCodes(gotc, 0, n)
-		for i := range codes {
-			if gotc[i] != codes[i] || cc.Code(i) != codes[i] {
-				t.Fatalf("cat %s: row %d = %d/%d, want %d", cc.Encoding(), i, gotc[i], cc.Code(i), codes[i])
-			}
-		}
-	})
 }

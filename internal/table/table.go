@@ -10,8 +10,6 @@ package table
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // Kind distinguishes the two attribute families of the paper's schema.
@@ -48,12 +46,6 @@ type Relation struct {
 
 	measNames []string
 	measCols  [][]float64
-
-	// Lazily built compressed view; see Encoded in encode.go. Guarded by
-	// encodeOnce so concurrent first readers encode at most once.
-	encodeOnce sync.Once
-	encodeDone atomic.Bool
-	encoded    *EncodedRelation
 }
 
 // Name returns the relation name (e.g. the CSV base name).
@@ -116,6 +108,11 @@ func (r *Relation) CatCol(a int) []int32 { return r.catCols[a] }
 // MeasCol returns the values of measure m. The slice is owned by the
 // relation: callers must not modify it.
 func (r *Relation) MeasCol(m int) []float64 { return r.measCols[m] }
+
+// Encoded does nothing. The relation's own columns are the only column
+// view; Encoded exists solely because the benchmark's trace replay
+// (perfbench/trace.go) still calls it and times the call as table/encode.
+func (r *Relation) Encoded() {}
 
 // DomSize returns |dom(Aa)|, the active-domain size of attribute a.
 func (r *Relation) DomSize(a int) int { return len(r.catDicts[a]) }
