@@ -48,22 +48,40 @@ func (c Candidate) covers(p Pair) bool {
 // EnumerateCandidates builds G = 2^A \ singletons over n attributes,
 // optionally capped at maxSize attributes per set (0 = no cap). Weights
 // are filled by the caller (Algorithm 2 line 6 "estimate the size of q").
+//
+// Sets come in ascending order of their attribute bitmask, the order
+// Greedy's tie-break and the estimator's sample stream see them in, and
+// only sets of the wanted sizes are visited: the cost is the output's
+// size, not 2^n.
 func EnumerateCandidates(n, maxSize int) []Candidate {
 	if maxSize <= 0 || maxSize > n {
 		maxSize = n
 	}
 	var out []Candidate
-	for mask := 1; mask < 1<<n; mask++ {
-		var attrs []int
-		for a := 0; a < n; a++ {
-			if mask&(1<<a) != 0 {
-				attrs = append(attrs, a)
+	// top holds the set's attributes largest first. Bitmask order ranks
+	// sets by their largest attribute, then by the rest of the set in the
+	// same order, so a set is followed by its extensions below its
+	// smallest attribute, each extension by its own.
+	top := make([]int, 0, maxSize)
+	var extend func(below int)
+	extend = func(below int) {
+		if len(top) >= 2 {
+			attrs := make([]int, len(top))
+			for i, a := range top {
+				attrs[len(top)-1-i] = a
 			}
-		}
-		if len(attrs) >= 2 && len(attrs) <= maxSize {
 			out = append(out, Candidate{Attrs: attrs})
 		}
+		if len(top) == maxSize {
+			return
+		}
+		for a := 0; a < below; a++ {
+			top = append(top, a)
+			extend(a)
+			top = top[:len(top)-1]
+		}
 	}
+	extend(n)
 	return out
 }
 

@@ -3,6 +3,7 @@ package cover
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -39,6 +40,60 @@ func TestEnumerateCandidates(t *testing.T) {
 		if len(c.Attrs) != 2 {
 			t.Errorf("capped candidate has %d attrs", len(c.Attrs))
 		}
+	}
+}
+
+// enumerateByMask is the enumeration EnumerateCandidates replaced: walk
+// every attribute bitmask in ascending order and keep the sets of size
+// 2..maxSize.
+func enumerateByMask(n, maxSize int) []Candidate {
+	if maxSize <= 0 || maxSize > n {
+		maxSize = n
+	}
+	var out []Candidate
+	for mask := 1; mask < 1<<n; mask++ {
+		var attrs []int
+		for a := 0; a < n; a++ {
+			if mask&(1<<a) != 0 {
+				attrs = append(attrs, a)
+			}
+		}
+		if len(attrs) >= 2 && len(attrs) <= maxSize {
+			out = append(out, Candidate{Attrs: attrs})
+		}
+	}
+	return out
+}
+
+func TestEnumerateCandidatesMatchesMaskOrder(t *testing.T) {
+	for n := 0; n <= 14; n++ {
+		for maxSize := 0; maxSize <= n; maxSize++ {
+			got, want := EnumerateCandidates(n, maxSize), enumerateByMask(n, maxSize)
+			if len(got) != len(want) {
+				t.Fatalf("n=%d maxSize=%d: %d candidates, want %d", n, maxSize, len(got), len(want))
+			}
+			for i := range want {
+				if !slices.Equal(got[i].Attrs, want[i].Attrs) {
+					t.Fatalf("n=%d maxSize=%d: candidate %d = %v, want %v", n, maxSize, i, got[i].Attrs, want[i].Attrs)
+				}
+			}
+		}
+	}
+}
+
+// TestEnumerateCandidatesWide enumerates the capped candidates of 40
+// attributes, which walking all 2^40 bitmasks would never finish.
+func TestEnumerateCandidatesWide(t *testing.T) {
+	cs := EnumerateCandidates(40, 4)
+	// C(40,2) + C(40,3) + C(40,4) = 780 + 9,880 + 91,390.
+	if len(cs) != 102050 {
+		t.Fatalf("len = %d, want 102050", len(cs))
+	}
+	if first := cs[0].Attrs; !slices.Equal(first, []int{0, 1}) {
+		t.Errorf("first = %v, want [0 1]", first)
+	}
+	if last := cs[len(cs)-1].Attrs; !slices.Equal(last, []int{36, 37, 38, 39}) {
+		t.Errorf("last = %v, want [36 37 38 39]", last)
 	}
 }
 

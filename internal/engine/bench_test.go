@@ -84,12 +84,18 @@ func BenchmarkDetectFDs(b *testing.B) {
 	}
 }
 
+// BenchmarkEstimateGroups times one 4,096-row estimate of a 4-attribute
+// group-by on an estimator that has already served a candidate, as every
+// candidate after a plan's first is.
 func BenchmarkEstimateGroups(b *testing.B) {
 	rel := benchRelation(b, 50000)
 	rng := rand.New(rand.NewSource(1))
+	e := NewGroupEstimator(rel, 4096)
+	e.Estimate([]int{0, 1, 2, 3}, rng)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		EstimateGroups(rel, []int{0, 1, 2, 3}, 4096, rng)
+		e.Estimate([]int{0, 1, 2, 3}, rng)
 	}
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"comparenb/internal/table"
@@ -25,31 +26,87 @@ func (cr *ComparisonResult) Len() int { return len(cr.Groups) }
 // cube is wider). The inner join of Def. 3.1 keeps only the A-groups
 // present for both selections.
 func CompareFromCube(c *Cube, attrA, attrB int, val, val2 int32, meas int, agg Agg) *ComparisonResult {
-	if len(c.attrs) != 2 || c.attrs[0] != minInt(attrA, attrB) || c.attrs[1] != maxInt(attrA, attrB) {
+	var j PairJoin
+	j.Join(c, attrA, attrB, val, val2, c.rel.SortedDomain(attrA))
+	res := &ComparisonResult{Groups: j.Groups}
+	res.Left, res.Right = j.Series(meas, agg, nil, nil)
+	return res
+}
+
+// PairJoin is the inner join of Def. 3.1 taken on a pair cube: the
+// A-groups present for both selections B = val and B = val', in the order
+// of A's values, with the cube group that answers each side. One walk of
+// the cube fills it, and every aggregate's series is read from it, so the
+// five hypothesis queries of one (insight, A) cost one walk. The zero
+// value is ready to use; Join reuses its buffers.
+type PairJoin struct {
+	// Groups are the matched codes of A in value order; γ_q is their
+	// number.
+	Groups []int32
+	// Theta is θ_q: the tuples whose B is val or val', matched or not.
+	Theta int
+
+	c     *Cube
+	sides []groupPair // cube groups answering Groups[i]
+	slots []groupPair // per A code: cube group + 1 of each side, 0 = none
+}
+
+type groupPair struct{ left, right int32 }
+
+// Join walks cube c once for the comparison of B = val against B = val'
+// grouped by A. rank lists A's codes in value order
+// (Relation.SortedDomain(A)); the matched groups come out in that order,
+// which is the order of A's distinct value strings. A cube wider than
+// {A, B} is rolled up first. When val == val', every group lands on both
+// sides.
+func (j *PairJoin) Join(c *Cube, attrA, attrB int, val, val2 int32, rank []int32) {
+	if len(c.attrs) != 2 || c.attrs[0] != min(attrA, attrB) || c.attrs[1] != max(attrA, attrB) {
 		c = c.Rollup([]int{attrA, attrB})
 	}
 	posA, posB := 0, 1
 	if c.attrs[0] == attrB {
 		posA, posB = 1, 0
 	}
-	left := make(map[int32]float64)
-	right := make(map[int32]float64)
-	for g := 0; g < c.NumGroups(); g++ {
-		key := c.GroupKey(g)
-		b := key[posB]
+	d := len(rank)
+	if cap(j.slots) < d {
+		j.slots = make([]groupPair, d)
+	}
+	j.slots = j.slots[:d]
+	j.c, j.Theta = c, 0
+	keys := c.keyData
+	for g, n := range c.counts {
+		b := keys[2*g+posB]
 		if b != val && b != val2 {
 			continue
 		}
-		a := key[posA]
-		v := c.Value(g, meas, agg)
+		j.Theta += int(n)
+		s := &j.slots[keys[2*g+posA]]
 		if b == val {
-			left[a] = v
+			s.left = int32(g) + 1
 		}
 		if b == val2 {
-			right[a] = v
+			s.right = int32(g) + 1
 		}
 	}
-	return joinSeries(c.rel, attrA, left, right)
+	j.Groups, j.sides = slices.Grow(j.Groups[:0], d), slices.Grow(j.sides[:0], d)
+	for _, a := range rank {
+		if s := j.slots[a]; s.left != 0 && s.right != 0 {
+			j.Groups = append(j.Groups, a)
+			j.sides = append(j.sides, groupPair{s.left - 1, s.right - 1})
+		}
+	}
+	clear(j.slots)
+}
+
+// Series appends agg(M) of every matched group's two sides to left and
+// right, aligned with Groups, and returns them.
+func (j *PairJoin) Series(meas int, agg Agg, left, right []float64) ([]float64, []float64) {
+	left, right = slices.Grow(left, len(j.sides)), slices.Grow(right, len(j.sides))
+	for _, s := range j.sides {
+		left = append(left, j.c.Value(int(s.left), meas, agg))
+		right = append(right, j.c.Value(int(s.right), meas, agg))
+	}
+	return left, right
 }
 
 // CompareDirect evaluates the comparison query by scanning the base
@@ -113,6 +170,8 @@ func aggBySelection(rel *table.Relation, attrA, attrB int, val int32, meas int, 
 	return out
 }
 
+// joinSeries is CompareDirect's join: the A-groups of both selections,
+// sorted by A's value strings.
 func joinSeries(rel *table.Relation, attrA int, left, right map[int32]float64) *ComparisonResult {
 	res := &ComparisonResult{}
 	for a, lv := range left {
@@ -158,18 +217,4 @@ func FilterMeasure(rel *table.Relation, attr int, code int32, meas int) []float6
 		}
 	}
 	return out
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

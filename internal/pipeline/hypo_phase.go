@@ -159,15 +159,20 @@ func evalHypotheses(ctx context.Context, rel *table.Relation, cfg Config, fds *e
 		return nil, nil, counts, err
 	}
 
-	// Evaluate every (insight, grouping attribute) combination.
+	// Evaluate every (insight, grouping attribute) combination. Each
+	// grouping attribute's value order is sorted once for the phase.
 	type job struct {
 		insIdx int
 		attrA  int
 	}
 	var jobs []job
+	rank := make([][]int32, n)
 	for ii, ins := range sig {
 		for _, a := range validA[ins.Attr] {
 			jobs = append(jobs, job{insIdx: ii, attrA: a})
+			if rank[a] == nil {
+				rank[a] = rel.SortedDomain(a)
+			}
 		}
 	}
 	results := make([]hypoOutcome, len(jobs))
@@ -177,7 +182,7 @@ func evalHypotheses(ctx context.Context, rel *table.Relation, cfg Config, fds *e
 		j := jobs[ji]
 		ins := sig[j.insIdx]
 		pc := pairCubes[cover.NewPair(j.attrA, ins.Attr)]
-		results[ji] = evalOne(rel, pc, j.attrA, ins)
+		results[ji] = evalHypothesis(pc, j.attrA, rank[j.attrA], ins)
 		return nil
 	})
 	if err != nil {
@@ -211,7 +216,11 @@ func evalHypotheses(ctx context.Context, rel *table.Relation, cfg Config, fds *e
 		theta, gamma int
 		supported    []insight.Insight
 	}
-	accum := map[insight.Query]*qacc{}
+	nSupported := 0
+	for _, r := range results {
+		nSupported += len(r.supportedAggs)
+	}
+	accum := make(map[insight.Query]*qacc, nSupported)
 	for ji, j := range jobs {
 		ins := final[j.insIdx]
 		for _, agg := range results[ji].supportedAggs {
@@ -256,7 +265,7 @@ func evalHypotheses(ctx context.Context, rel *table.Relation, cfg Config, fds *e
 		meas      int
 		agg       engine.Agg
 	}
-	best := map[dedupKey]ScoredQuery{}
+	best := make(map[dedupKey]ScoredQuery, len(accum))
 	for q, acc := range accum {
 		sort.Slice(acc.supported, func(a, b int) bool { return lessKey(acc.supported[a].Key(), acc.supported[b].Key()) })
 		sq := ScoredQuery{
@@ -304,26 +313,21 @@ func lessQuery(a, b insight.Query) bool {
 	return a.Agg < b.Agg
 }
 
-// evalOne evaluates all hypothesis queries for one insight and one
-// grouping attribute: which aggregates' comparison queries support the
-// insight, plus the conciseness inputs θ and γ.
-func evalOne(rel *table.Relation, pc *engine.Cube, attrA int, ins insight.Insight) hypoOutcome {
-	var out hypoOutcome
-	// θ: tuples with B ∈ {val, val'} — from the pair cube's counts.
-	// AttrAt avoids Attrs()'s defensive clone on this hot path.
-	posB := 0
-	if pc.AttrAt(1) == ins.Attr {
-		posB = 1
-	}
-	for g := 0; g < pc.NumGroups(); g++ {
-		if b := pc.GroupKey(g)[posB]; b == ins.Val || b == ins.Val2 {
-			out.theta += int(pc.Count(g))
-		}
-	}
+// evalHypothesis evaluates every hypothesis query of one insight and one
+// grouping attribute — which aggregates' comparison queries support the
+// insight, plus the conciseness inputs θ and γ — from one walk of the pair
+// cube. rank is A's codes in value order, so each aggregate's series
+// reaches Supports in the order of A's value strings, the order a
+// comparison result has.
+func evalHypothesis(pc *engine.Cube, attrA int, rank []int32, ins insight.Insight) hypoOutcome {
+	var pj engine.PairJoin
+	pj.Join(pc, attrA, ins.Attr, ins.Val, ins.Val2, rank)
+	out := hypoOutcome{theta: pj.Theta, gamma: len(pj.Groups)}
+	var left, right []float64
 	for _, agg := range engine.AllAggs {
-		res := engine.CompareFromCube(pc, attrA, ins.Attr, ins.Val, ins.Val2, ins.Meas, agg)
-		out.gamma = res.Len()
-		if insight.Supports(res, ins.Type) {
+		left, right = pj.Series(ins.Meas, agg, left[:0], right[:0])
+		res := engine.ComparisonResult{Groups: pj.Groups, Left: left, Right: right}
+		if insight.Supports(&res, ins.Type) {
 			out.supportedAggs = append(out.supportedAggs, agg)
 			if agg == engine.Avg {
 				out.avgSupports = true
@@ -362,15 +366,8 @@ func buildPairCubes(ctx context.Context, rel *table.Relation, cfg Config, needed
 
 	// Algorithm 2: estimate candidate sizes, solve the weighted cover.
 	cands := cover.EnumerateCandidates(rel.NumCatAttrs(), cfg.MaxCoverSize)
-	rowBytes := float64(8 + 4 + 3*8*rel.NumMeasures())
-	estRNG := rand.New(rand.NewSource(jobSeed(cfg.Seed, -2)))
-	sampleSize := rel.NumRows()
-	if sampleSize > 4096 {
-		sampleSize = 4096
-	}
-	for i := range cands {
-		groups := engine.EstimateGroups(rel, cands[i].Attrs, sampleSize, estRNG)
-		cands[i].Weight = groups * rowBytes * float64(len(cands[i].Attrs))
+	if err := weighCandidates(ctx, rel, cfg.Seed, cands); err != nil {
+		return nil, err
 	}
 	chosen, err := cover.Greedy(needed, cands)
 	fallback := err != nil
@@ -419,4 +416,23 @@ func buildPairCubes(ctx context.Context, rel *table.Relation, cfg Config, needed
 		out[p] = rolled[pi]
 	}
 	return out, nil
+}
+
+// weighCandidates sets each candidate's weight to its estimated memory
+// footprint (Algorithm 2 line 6): the estimated group count, from a
+// sample of at most 4,096 rows, times the bytes of one group. One
+// estimator and one seeded stream serve every candidate, in order. ctx is
+// polled before each candidate.
+func weighCandidates(ctx context.Context, rel *table.Relation, seed int64, cands []cover.Candidate) error {
+	rowBytes := float64(8 + 4 + 3*8*rel.NumMeasures())
+	rng := rand.New(rand.NewSource(jobSeed(seed, -2)))
+	est := engine.NewGroupEstimator(rel, min(rel.NumRows(), 4096))
+	for i := range cands {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		groups := est.Estimate(cands[i].Attrs, rng)
+		cands[i].Weight = groups * rowBytes * float64(len(cands[i].Attrs))
+	}
+	return nil
 }

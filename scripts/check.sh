@@ -110,17 +110,26 @@ wait "$SRV_PID"
 SRV_PID=""
 
 echo "==> fuzz smoke (every fuzz target, 3s each)"
-# go test accepts one -fuzz target per invocation, so enumerate the
-# targets per package and run each briefly against its seed corpus.
-for pkg in ./internal/engine ./internal/stats ./internal/tap ./internal/table; do
-    targets=$(go test -list '^Fuzz' "$pkg" | grep '^Fuzz' || true)
+# The fuzz packages are found, not listed: every directory with a
+# _test.go file declaring a `func Fuzz...`. go test runs from inside each
+# directory, so a package of perfbench's own module counts too. go test
+# accepts one -fuzz target per invocation, so each target runs briefly
+# against its seed corpus.
+fuzz_pkgs=$(grep -rl --include='*_test.go' --exclude-dir=.git --exclude-dir=.bench_build \
+    --exclude-dir=testdata '^func Fuzz' . | xargs -n1 dirname | sort -u)
+if [ -z "$fuzz_pkgs" ]; then
+    echo "fuzz smoke: no fuzz targets found" >&2
+    exit 1
+fi
+for pkg in $fuzz_pkgs; do
+    targets=$( (cd "$pkg" && go test -list '^Fuzz' .) | grep '^Fuzz' || true)
     if [ -z "$targets" ]; then
-        echo "fuzz smoke: no fuzz targets found in $pkg" >&2
+        echo "fuzz smoke: $pkg declares a fuzz target but go test lists none" >&2
         exit 1
     fi
     for fz in $targets; do
         echo "    $pkg $fz"
-        go test -run '^$' -fuzz "^${fz}\$" -fuzztime 3s "$pkg" > /dev/null
+        (cd "$pkg" && go test -run '^$' -fuzz "^${fz}\$" -fuzztime 3s . > /dev/null)
     done
 done
 

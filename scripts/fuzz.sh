@@ -24,19 +24,27 @@ case "$minutes" in
         ;;
 esac
 
-packages="./internal/engine ./internal/stats ./internal/tap ./internal/table"
+# Every directory with a _test.go file declaring a `func Fuzz...` is a
+# fuzz package; go test runs from inside it, so perfbench's own module
+# counts too.
+packages=$(grep -rl --include='*_test.go' --exclude-dir=.git --exclude-dir=.bench_build \
+    --exclude-dir=testdata '^func Fuzz' . | xargs -n1 dirname | sort -u)
+if [ -z "$packages" ]; then
+    echo "fuzz.sh: no fuzz targets found" >&2
+    exit 1
+fi
 
 echo "==> long-run fuzz: ${minutes}m per target"
 failed=0
 for pkg in $packages; do
-    targets=$(go test -list '^Fuzz' "$pkg" | grep '^Fuzz' || true)
+    targets=$( (cd "$pkg" && go test -list '^Fuzz' .) | grep '^Fuzz' || true)
     if [ -z "$targets" ]; then
-        echo "fuzz.sh: no fuzz targets found in $pkg" >&2
+        echo "fuzz.sh: $pkg declares a fuzz target but go test lists none" >&2
         exit 1
     fi
     for fz in $targets; do
         echo "==> $pkg $fz (${minutes}m)"
-        if ! go test -run '^$' -fuzz "^${fz}\$" -fuzztime "${minutes}m" "$pkg"; then
+        if ! (cd "$pkg" && go test -run '^$' -fuzz "^${fz}\$" -fuzztime "${minutes}m" .); then
             failed=1
             echo "fuzz.sh: $fz FAILED — commit the new seed under ${pkg}/testdata/fuzz/${fz}/ once the bug is fixed" >&2
         fi
