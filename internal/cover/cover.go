@@ -6,8 +6,8 @@
 package cover
 
 import (
+	"context"
 	"fmt"
-	"sort"
 )
 
 // Pair is an unordered 2-group-by set {A, B}, stored with A < B.
@@ -28,21 +28,6 @@ func NewPair(a, b int) Pair {
 type Candidate struct {
 	Attrs  []int // sorted attribute indexes, len ≥ 2
 	Weight float64
-}
-
-// covers reports whether the candidate's attribute set contains both
-// members of the pair.
-func (c Candidate) covers(p Pair) bool {
-	okA, okB := false, false
-	for _, a := range c.Attrs {
-		if a == p.A {
-			okA = true
-		}
-		if a == p.B {
-			okB = true
-		}
-	}
-	return okA && okB
 }
 
 // EnumerateCandidates builds G = 2^A \ singletons over n attributes,
@@ -88,46 +73,73 @@ func EnumerateCandidates(n, maxSize int) []Candidate {
 // Greedy approximates the weighted set cover: it repeatedly picks the
 // candidate with the best weight-per-newly-covered-pair ratio until every
 // pair in universe is covered, the classical O(|U|·log|G|)-quality greedy
-// (§5.2.2, [28]). It returns the indexes of the chosen candidates, in
-// choice order, and an error if the candidates cannot cover the universe.
-func Greedy(universe []Pair, candidates []Candidate) ([]int, error) {
-	uncovered := make(map[Pair]bool, len(universe))
+// (§5.2.2, [28]). Ties on the ratio go to the larger gain, then to the
+// lower index. It returns the indexes of the chosen candidates, in choice
+// order, and an error if the candidates cannot cover the universe.
+//
+// Each candidate's gain is kept up to date rather than recounted: when a
+// pick covers a pair, every candidate containing that pair loses one, so
+// a pick costs one scan of the candidates' ratios. ctx is polled once per
+// pick.
+func Greedy(ctx context.Context, universe []Pair, candidates []Candidate) ([]int, error) {
+	pairID := make(map[Pair]int, len(universe))
 	for _, p := range universe {
-		uncovered[NewPair(p.A, p.B)] = true
+		p = NewPair(p.A, p.B)
+		if _, ok := pairID[p]; !ok {
+			pairID[p] = len(pairID)
+		}
 	}
+	// holders[id] lists the candidates that contain pair id; gain[ci]
+	// counts the still-uncovered pairs candidate ci contains. A pair
+	// {a, b} of a candidate's attributes is visited once, as a ≤ b.
+	holders := make([][]int32, len(pairID))
+	gain := make([]int, len(candidates))
+	for ci, c := range candidates {
+		for i, a := range c.Attrs {
+			for _, b := range c.Attrs[i:] {
+				if id, ok := pairID[NewPair(a, b)]; ok {
+					holders[id] = append(holders[id], int32(ci))
+					gain[ci]++
+				}
+			}
+		}
+	}
+	covered := make([]bool, len(pairID))
+	uncovered := len(pairID)
 	var chosen []int
-	used := make([]bool, len(candidates))
-	for len(uncovered) > 0 {
+	for uncovered > 0 {
+		if err := ctx.Err(); err != nil {
+			return chosen, err
+		}
 		best := -1
 		bestRatio := 0.0
 		bestGain := 0
 		for ci, c := range candidates {
-			if used[ci] {
+			if gain[ci] == 0 {
 				continue
 			}
-			gain := 0
-			for p := range uncovered {
-				if c.covers(p) {
-					gain++
-				}
-			}
-			if gain == 0 {
-				continue
-			}
-			ratio := c.Weight / float64(gain)
+			ratio := c.Weight / float64(gain[ci])
 			//nolint:floateq // deterministic tie-break: candidates are scanned in fixed index order, so exact equality picks a stable winner
-			if best == -1 || ratio < bestRatio || (ratio == bestRatio && gain > bestGain) {
-				best, bestRatio, bestGain = ci, ratio, gain
+			if best == -1 || ratio < bestRatio || (ratio == bestRatio && gain[ci] > bestGain) {
+				best, bestRatio, bestGain = ci, ratio, gain[ci]
 			}
 		}
 		if best == -1 {
-			return chosen, fmt.Errorf("cover: %d pairs cannot be covered by any candidate", len(uncovered))
+			return chosen, fmt.Errorf("cover: %d pairs cannot be covered by any candidate", uncovered)
 		}
-		used[best] = true
 		chosen = append(chosen, best)
-		for p := range uncovered {
-			if candidates[best].covers(p) {
-				delete(uncovered, p)
+		c := candidates[best]
+		for i, a := range c.Attrs {
+			for _, b := range c.Attrs[i:] {
+				id, ok := pairID[NewPair(a, b)]
+				if !ok || covered[id] {
+					continue
+				}
+				covered[id] = true
+				uncovered--
+				for _, h := range holders[id] {
+					gain[h]--
+				}
 			}
 		}
 	}
@@ -141,49 +153,4 @@ func TotalWeight(candidates []Candidate, chosen []int) float64 {
 		w += candidates[ci].Weight
 	}
 	return w
-}
-
-// OptimalForTest solves the weighted set cover exactly by exhaustive
-// subset enumeration. Exponential: only usable for small candidate sets;
-// tests use it to bound the greedy's approximation quality.
-func OptimalForTest(universe []Pair, candidates []Candidate) ([]int, float64) {
-	norm := make([]Pair, len(universe))
-	for i, p := range universe {
-		norm[i] = NewPair(p.A, p.B)
-	}
-	bestW := -1.0
-	var best []int
-	for mask := 0; mask < 1<<len(candidates); mask++ {
-		w := 0.0
-		var sel []int
-		for ci := range candidates {
-			if mask&(1<<ci) != 0 {
-				w += candidates[ci].Weight
-				sel = append(sel, ci)
-			}
-		}
-		if bestW >= 0 && w >= bestW {
-			continue
-		}
-		ok := true
-		for _, p := range norm {
-			covered := false
-			for _, ci := range sel {
-				if candidates[ci].covers(p) {
-					covered = true
-					break
-				}
-			}
-			if !covered {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			bestW = w
-			best = sel
-		}
-	}
-	sort.Ints(best)
-	return best, bestW
 }

@@ -1,9 +1,13 @@
 package cover
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
+	"strconv"
 	"testing"
 )
 
@@ -111,7 +115,7 @@ func TestGreedyPicksBigCheapSet(t *testing.T) {
 			cands[i].Weight = 2
 		}
 	}
-	chosen, err := Greedy(allPairs(n), cands)
+	chosen, err := Greedy(context.Background(), allPairs(n), cands)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +135,7 @@ func TestGreedyFallsBackToPairs(t *testing.T) {
 			cands[i].Weight = 1000
 		}
 	}
-	chosen, err := Greedy(allPairs(n), cands)
+	chosen, err := Greedy(context.Background(), allPairs(n), cands)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +153,7 @@ func TestGreedyCoversEverything(t *testing.T) {
 			cands[i].Weight = 1 + rng.Float64()*float64(len(cands[i].Attrs))
 		}
 		universe := allPairs(n)
-		chosen, err := Greedy(universe, cands)
+		chosen, err := Greedy(context.Background(), universe, cands)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,11 +183,11 @@ func TestGreedyWithinLogFactor(t *testing.T) {
 			cands[i].Weight = 0.5 + rng.Float64()*3
 		}
 		universe := allPairs(n)
-		chosen, err := Greedy(universe, cands)
+		chosen, err := Greedy(context.Background(), universe, cands)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, optW := OptimalForTest(universe, cands)
+		_, optW := optimalCover(universe, cands)
 		h := 0.0
 		for k := 1; k <= len(universe); k++ {
 			h += 1 / float64(k)
@@ -196,14 +200,14 @@ func TestGreedyWithinLogFactor(t *testing.T) {
 
 func TestGreedyUncoverable(t *testing.T) {
 	cands := []Candidate{{Attrs: []int{0, 1}, Weight: 1}}
-	_, err := Greedy([]Pair{{A: 0, B: 2}}, cands)
+	_, err := Greedy(context.Background(), []Pair{{A: 0, B: 2}}, cands)
 	if err == nil {
 		t.Error("uncoverable universe: want error")
 	}
 }
 
 func TestGreedyEmptyUniverse(t *testing.T) {
-	chosen, err := Greedy(nil, EnumerateCandidates(3, 0))
+	chosen, err := Greedy(context.Background(), nil, EnumerateCandidates(3, 0))
 	if err != nil || len(chosen) != 0 {
 		t.Errorf("empty universe: chosen=%v err=%v", chosen, err)
 	}
@@ -216,7 +220,7 @@ func TestGreedySubsetUniverse(t *testing.T) {
 	for i := range cands {
 		cands[i].Weight = float64(len(cands[i].Attrs))
 	}
-	chosen, err := Greedy([]Pair{{A: 1, B: 3}}, cands)
+	chosen, err := Greedy(context.Background(), []Pair{{A: 1, B: 3}}, cands)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,5 +233,205 @@ func TestGreedySubsetUniverse(t *testing.T) {
 	}
 	if math.Abs(TotalWeight(cands, chosen)-2) > 1e-12 {
 		t.Errorf("weight = %v, want 2", TotalWeight(cands, chosen))
+	}
+}
+
+// covers reports whether the candidate's attribute set contains both
+// members of the pair.
+func (c Candidate) covers(p Pair) bool {
+	okA, okB := false, false
+	for _, a := range c.Attrs {
+		if a == p.A {
+			okA = true
+		}
+		if a == p.B {
+			okB = true
+		}
+	}
+	return okA && okB
+}
+
+// optimalCover solves the weighted set cover exactly by exhaustive
+// subset enumeration. Exponential: only usable for small candidate sets;
+// it bounds the greedy's approximation quality.
+func optimalCover(universe []Pair, candidates []Candidate) ([]int, float64) {
+	norm := make([]Pair, len(universe))
+	for i, p := range universe {
+		norm[i] = NewPair(p.A, p.B)
+	}
+	bestW := -1.0
+	var best []int
+	for mask := 0; mask < 1<<len(candidates); mask++ {
+		w := 0.0
+		var sel []int
+		for ci := range candidates {
+			if mask&(1<<ci) != 0 {
+				w += candidates[ci].Weight
+				sel = append(sel, ci)
+			}
+		}
+		if bestW >= 0 && w >= bestW {
+			continue
+		}
+		ok := true
+		for _, p := range norm {
+			covered := false
+			for _, ci := range sel {
+				if candidates[ci].covers(p) {
+					covered = true
+					break
+				}
+			}
+			if !covered {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			bestW = w
+			best = sel
+		}
+	}
+	sort.Ints(best)
+	return best, bestW
+}
+
+// greedyRescan is the greedy Greedy replaced: on every pick it recounts
+// each unused candidate's gain against every uncovered pair. Greedy must
+// choose the same candidates in the same order and fail the same way.
+func greedyRescan(universe []Pair, candidates []Candidate) ([]int, error) {
+	uncovered := make(map[Pair]bool, len(universe))
+	for _, p := range universe {
+		uncovered[NewPair(p.A, p.B)] = true
+	}
+	var chosen []int
+	used := make([]bool, len(candidates))
+	for len(uncovered) > 0 {
+		best := -1
+		bestRatio := 0.0
+		bestGain := 0
+		for ci, c := range candidates {
+			if used[ci] {
+				continue
+			}
+			gain := 0
+			for p := range uncovered {
+				if c.covers(p) {
+					gain++
+				}
+			}
+			if gain == 0 {
+				continue
+			}
+			ratio := c.Weight / float64(gain)
+			if best == -1 || ratio < bestRatio || (ratio == bestRatio && gain > bestGain) {
+				best, bestRatio, bestGain = ci, ratio, gain
+			}
+		}
+		if best == -1 {
+			return chosen, errors.New("uncoverable")
+		}
+		used[best] = true
+		chosen = append(chosen, best)
+		for p := range uncovered {
+			if candidates[best].covers(p) {
+				delete(uncovered, p)
+			}
+		}
+	}
+	return chosen, nil
+}
+
+// TestGreedyMatchesRescan holds Greedy to the rescanning greedy on random
+// instances: integer weights, so ratio ties are common; universes with
+// repeated, reversed, one-attribute and uncoverable pairs; capped and
+// uncapped sets.
+func TestGreedyMatchesRescan(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 400; trial++ {
+		n := 2 + rng.Intn(8)
+		cands := EnumerateCandidates(n, rng.Intn(4))
+		for i := range cands {
+			cands[i].Weight = float64(1 + rng.Intn(6))
+		}
+		var universe []Pair
+		for _, p := range allPairs(n) {
+			switch rng.Intn(4) {
+			case 0:
+			case 1:
+				universe = append(universe, Pair{A: p.B, B: p.A}, p)
+			default:
+				universe = append(universe, p)
+			}
+		}
+		switch rng.Intn(10) {
+		case 0:
+			universe = append(universe, Pair{A: 0, B: n})
+		case 1:
+			universe = append(universe, Pair{A: 1, B: 1})
+		}
+		rng.Shuffle(len(universe), func(i, j int) { universe[i], universe[j] = universe[j], universe[i] })
+		got, err := Greedy(context.Background(), universe, cands)
+		want, wantErr := greedyRescan(universe, cands)
+		if !slices.Equal(got, want) || (err == nil) != (wantErr == nil) {
+			t.Fatalf("trial %d (n=%d): Greedy = %v, %v; rescan = %v, %v", trial, n, got, err, want, wantErr)
+		}
+	}
+}
+
+// wideInstance is Algorithm 2's instance on n attributes with sets of up
+// to 4 attributes and every pair needed, under synthetic weights.
+func wideInstance(n int) ([]Pair, []Candidate) {
+	rng := rand.New(rand.NewSource(int64(n)))
+	cands := EnumerateCandidates(n, 4)
+	for i := range cands {
+		cands[i].Weight = float64(len(cands[i].Attrs)) * (1 + rng.Float64())
+	}
+	return allPairs(n), cands
+}
+
+// pollLimit is a context whose Err reports Canceled from its
+// (limit+1)-th call on.
+type pollLimit struct {
+	context.Context
+	limit int
+}
+
+func (c *pollLimit) Err() error {
+	if c.limit == 0 {
+		return context.Canceled
+	}
+	c.limit--
+	return nil
+}
+
+// TestGreedyCancelled: on a 24-attribute instance a cancelled context
+// stops Greedy with context.Canceled, before its first pick or between
+// two picks.
+func TestGreedyCancelled(t *testing.T) {
+	universe, cands := wideInstance(24)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if chosen, err := Greedy(ctx, universe, cands); !errors.Is(err, context.Canceled) || len(chosen) != 0 {
+		t.Errorf("cancelled before the first pick: chosen %v, err %v; want none and context.Canceled", chosen, err)
+	}
+	chosen, err := Greedy(&pollLimit{Context: context.Background(), limit: 3}, universe, cands)
+	if !errors.Is(err, context.Canceled) || len(chosen) != 3 {
+		t.Errorf("cancelled after 3 picks: chose %d, err %v; want 3 and context.Canceled", len(chosen), err)
+	}
+}
+
+// BenchmarkGreedyWide covers every pair of n attributes with sets of up
+// to 4 attributes: 12.9k candidates at n = 24.
+func BenchmarkGreedyWide(b *testing.B) {
+	for _, n := range []int{16, 24} {
+		universe, cands := wideInstance(n)
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			for b.Loop() {
+				if _, err := Greedy(context.Background(), universe, cands); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -54,49 +54,54 @@ func (s *Store) sweepTemp() error {
 
 const tmpExt = ".tmp"
 
-// WriteFile atomically writes data at the store-relative path rel,
-// creating parent directories as needed, and returns the fingerprint the
-// journal should record. The bytes are durable — written, fsynced,
-// renamed into place, directory fsynced — when WriteFile returns nil.
+// WriteFile is Put plus the fingerprint the journal records for an
+// artifact, so that ReadVerified can check it on recovery.
 func (s *Store) WriteFile(rel string, data []byte) (ArtifactMeta, error) {
+	if err := s.Put(rel, data); err != nil {
+		return ArtifactMeta{}, err
+	}
+	return Fingerprint(data), nil
+}
+
+// Put atomically writes data at the store-relative path rel, creating
+// parent directories as needed. The bytes are durable — written,
+// fsynced, renamed into place, directory fsynced — when Put returns nil.
+func (s *Store) Put(rel string, data []byte) error {
 	final, err := s.abs(rel)
 	if err != nil {
-		return ArtifactMeta{}, err
+		return err
 	}
 	dir := filepath.Dir(final)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return ArtifactMeta{}, fmt.Errorf("creating %s: %w", dir, err)
+		return fmt.Errorf("creating %s: %w", dir, err)
 	}
 	tmp := final + tmpExt
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
-		return ArtifactMeta{}, fmt.Errorf("creating temp file: %w", err)
+		return fmt.Errorf("creating temp file: %w", err)
 	}
 	faultinject.Fire(faultinject.DiskWrite)
 	if _, err := f.Write(data); err != nil {
 		_ = f.Close()      // the write error is the one to report
 		_ = os.Remove(tmp) // best-effort cleanup; sweep catches leftovers
-		return ArtifactMeta{}, fmt.Errorf("writing %s: %w", rel, err)
+		return fmt.Errorf("writing %s: %w", rel, err)
 	}
 	faultinject.Fire(faultinject.DiskFsync)
 	if err := f.Sync(); err != nil {
 		_ = f.Close()
 		_ = os.Remove(tmp)
-		return ArtifactMeta{}, fmt.Errorf("syncing %s: %w", rel, err)
+		return fmt.Errorf("syncing %s: %w", rel, err)
 	}
 	if err := f.Close(); err != nil {
 		_ = os.Remove(tmp)
-		return ArtifactMeta{}, fmt.Errorf("closing %s: %w", rel, err)
+		return fmt.Errorf("closing %s: %w", rel, err)
 	}
 	faultinject.Fire(faultinject.DiskRename)
 	if err := os.Rename(tmp, final); err != nil {
 		_ = os.Remove(tmp)
-		return ArtifactMeta{}, fmt.Errorf("renaming %s into place: %w", rel, err)
+		return fmt.Errorf("renaming %s into place: %w", rel, err)
 	}
-	if err := syncDir(dir); err != nil {
-		return ArtifactMeta{}, err
-	}
-	return Fingerprint(data), nil
+	return syncDir(dir)
 }
 
 // syncDir fsyncs a directory so a just-renamed entry survives a crash.

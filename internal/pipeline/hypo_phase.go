@@ -369,7 +369,10 @@ func buildPairCubes(ctx context.Context, rel *table.Relation, cfg Config, needed
 	if err := weighCandidates(ctx, rel, cfg.Seed, cands); err != nil {
 		return nil, err
 	}
-	chosen, err := cover.Greedy(needed, cands)
+	chosen, err := cover.Greedy(ctx, needed, cands)
+	if err != nil && ctx.Err() != nil {
+		return nil, ctx.Err()
+	}
 	fallback := err != nil
 	// Planning budget: the §5.2.2 MemoryBudget, tightened by the hard
 	// MemBudget when both are set — a cover the admission layer would

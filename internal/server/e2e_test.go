@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -361,6 +362,61 @@ func TestServerSessionLifecycle(t *testing.T) {
 	}
 	if status, _ := postJSON(t, base+"/v1/notebooks", jobRequest{Relation: "up", Queries: 4, Perms: 100}); status != http.StatusNotFound {
 		t.Errorf("job on dropped relation: status %d, want 404", status)
+	}
+}
+
+// TestServerUploadBound: an upload of exactly MaxUploadBytes loads, and
+// one byte more is refused with 413 whether the body declares its length
+// or arrives chunked without one.
+func TestServerUploadBound(t *testing.T) {
+	ds, err := datagen.Tiny(3, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var csv bytes.Buffer
+	if err := ds.Rel.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	limit := int64(csv.Len())
+	_, base, shutdown := startTestServer(t, Options{MaxConcurrent: 1, MaxUploadBytes: limit})
+	defer shutdown()
+
+	upload := func(name string, body io.Reader) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(base+"/v1/relations?name="+name, "text/csv", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = resp.Body.Close() }()
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, buf.Bytes()
+	}
+	over := append(bytes.Clone(csv.Bytes()), '\n') // a blank line: still a valid CSV
+	cases := []struct {
+		name string
+		body io.Reader
+		want int
+	}{
+		{"exact", bytes.NewReader(csv.Bytes()), http.StatusCreated},
+		{"exact-chunked", struct{ io.Reader }{bytes.NewReader(csv.Bytes())}, http.StatusCreated},
+		{"over", bytes.NewReader(over), http.StatusRequestEntityTooLarge},
+		{"over-chunked", struct{ io.Reader }{bytes.NewReader(over)}, http.StatusRequestEntityTooLarge},
+	}
+	for _, tc := range cases {
+		status, body := upload(tc.name, tc.body)
+		if status != tc.want {
+			t.Errorf("%s: status %d, want %d: %s", tc.name, status, tc.want, body)
+		}
+	}
+	var list []sessionView
+	if err := json.Unmarshal(mustGet(t, base+"/v1/relations"), &list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list) != 2 || list[0].Rows != 200 || list[1].Rows != 200 {
+		t.Errorf("relation list = %+v, want the two exact uploads of 200 rows", list)
 	}
 }
 

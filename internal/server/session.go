@@ -161,7 +161,7 @@ func (s *Server) handleLoadRelation(w http.ResponseWriter, r *http.Request) {
 		faultinject.Fire(faultinject.ServerSessionLoad)
 		body := http.MaxBytesReader(w, r.Body, s.opts.MaxUploadBytes)
 		var err error
-		csv, err = io.ReadAll(body)
+		csv, err = readUpload(body, r.ContentLength, s.opts.MaxUploadBytes)
 		if err != nil {
 			code := http.StatusBadRequest
 			var tooBig *http.MaxBytesError
@@ -187,6 +187,20 @@ func (s *Server) handleLoadRelation(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusCreated, sess.view())
+}
+
+// readUpload reads an upload body into one buffer sized from its
+// declared length when that is within limit; a body that declares none
+// (chunked) or too much is read as it comes. body is limit's
+// MaxBytesReader, so a body past the limit fails with
+// *http.MaxBytesError whatever it declared.
+func readUpload(body io.Reader, declared, limit int64) ([]byte, error) {
+	if declared <= 0 || declared > limit {
+		return io.ReadAll(body)
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, declared+bytes.MinRead))
+	_, err := buf.ReadFrom(body)
+	return buf.Bytes(), err
 }
 
 // registerSession claims the relation name in the registry, then (in
@@ -233,7 +247,9 @@ func (s *Server) persistSession(name string, csv []byte, lopts loadRequest) erro
 		return nil
 	}
 	file := path.Join(durable.RelationsDir, name+".csv")
-	if _, err := s.store.WriteFile(file, csv); err != nil {
+	// No digest: session-load records carry none, since recovery
+	// re-parses the CSV.
+	if err := s.store.Put(file, csv); err != nil {
 		return err
 	}
 	loadJSON, err := json.Marshal(lopts)
@@ -271,7 +287,7 @@ func (s *Server) LoadRelationFile(name, file string) error {
 // uploads, path loads, preloads and recovery. lopts carries the loader
 // options (Name and Path are ignored); the row cap is the daemon's.
 func (s *Server) parseSession(name, source string, csv []byte, lopts loadRequest) (*session, error) {
-	rel, rep, err := table.FromCSV(bytes.NewReader(csv), table.CSVOptions{
+	rel, rep, err := table.FromCSVBytes(csv, table.CSVOptions{
 		Name:                      name,
 		ForceCategorical:          lopts.ForceCategorical,
 		ForceNumeric:              lopts.ForceNumeric,

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"bytes"
 	"encoding/csv"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -74,43 +76,56 @@ type CSVReport struct {
 
 // FromCSVFile loads a relation from a CSV file with a header row.
 func FromCSVFile(path string, opts CSVOptions) (*Relation, *CSVReport, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer func() { _ = f.Close() }() // read-only file: Close cannot lose data
 	if opts.Name == "" {
 		base := filepath.Base(path)
 		opts.Name = strings.TrimSuffix(base, filepath.Ext(base))
 	}
-	return FromCSV(f, opts)
+	return FromCSVBytes(data, opts)
 }
 
-// FromCSV loads a relation from CSV data with a header row, inferring for
-// each column whether it is a categorical attribute or a numeric measure:
-// a column where every non-empty cell parses as a float is numeric, all
-// others are categorical. The paper assumes the user "only has to
-// distinguish between numeric and categorical attributes"; the Force*
-// options are that knob.
+// FromCSV reads r to its end into one buffer, sized from r.Len() when r
+// has one (bytes.Reader, strings.Reader, bytes.Buffer), and loads it
+// with FromCSVBytes.
 func FromCSV(r io.Reader, opts CSVOptions) (*Relation, *CSVReport, error) {
-	cr := csv.NewReader(r)
-	if opts.Comma != 0 {
-		cr.Comma = opts.Comma
+	var buf bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok {
+		buf.Grow(l.Len() + bytes.MinRead)
 	}
-	cr.ReuseRecord = true
-	cr.FieldsPerRecord = -1
+	if _, err := buf.ReadFrom(r); err != nil {
+		return nil, nil, fmt.Errorf("table: reading CSV: %w", err)
+	}
+	return FromCSVBytes(buf.Bytes(), opts)
+}
 
-	header, err := cr.Read()
+// FromCSVBytes loads a relation from CSV data with a header row,
+// inferring for each column whether it is a categorical attribute or a
+// numeric measure: a column where every non-empty cell parses as a float
+// is numeric, all others are categorical. The paper assumes the user
+// "only has to distinguish between numeric and categorical attributes";
+// the Force* options are that knob.
+//
+// The load is one pass over data. Each record is checked (ragged row,
+// UTF-8, MaxRows, in that order) and its cells go straight into the
+// column builders: dictionary codes for categorical columns, floats for
+// numeric ones, one parse per cell. Only an inferred column that turns
+// out categorical after a number had parsed is read a second time, from
+// the same bytes. The relation keeps no reference to data.
+func FromCSVBytes(data []byte, opts CSVOptions) (*Relation, *CSVReport, error) {
+	recs := newRecords(data, opts.Comma)
+	header, _, err := recs.next()
 	if err != nil {
 		return nil, nil, fmt.Errorf("table: reading CSV header: %w", err)
 	}
-	names := append([]string(nil), header...)
-	ncol := len(names)
-	if ncol == 0 {
-		return nil, nil, fmt.Errorf("table: CSV has no columns")
-	}
+	ncol := len(header)
+	names := make([]string, ncol)
 	seenName := make(map[string]int, ncol)
-	for c, n := range names {
+	for c, f := range header {
+		n := string(f)
+		names[c] = n
 		if strings.TrimSpace(n) == "" {
 			return nil, nil, fmt.Errorf("CSV header column %d: %w", c+1, ErrEmptyHeader)
 		}
@@ -123,100 +138,339 @@ func FromCSV(r io.Reader, opts CSVOptions) (*Relation, *CSVReport, error) {
 		seenName[n] = c
 	}
 
-	var records [][]string
+	// Columns are sized once, to a bound on the rows. The header takes a
+	// line and every data row but the last ends in a newline, so the
+	// newline count is one bound. Blank lines inflate it, so take the
+	// bytes too: every row but the last holds at least ncol bytes, its
+	// delimiters and its newline, which keeps the columns' size
+	// proportional to the input's.
+	rowCap := min(bytes.Count(data, []byte{'\n'}), len(data)/ncol+1)
+	if opts.MaxRows > 0 {
+		rowCap = min(rowCap, opts.MaxRows)
+	}
+	cols := newColumns(names, opts, rowCap)
+	rows := 0
 	for {
-		rec, err := cr.Read()
+		rec, line, err := recs.next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return nil, nil, fmt.Errorf("table: reading CSV row %d: %w", len(records)+2, err)
+			return nil, nil, fmt.Errorf("table: reading CSV row %d: %w", rows+2, err)
 		}
 		if len(rec) != ncol {
-			return nil, nil, fmt.Errorf("CSV row %d has %d fields, want %d: %w", len(records)+2, len(rec), ncol, ErrRaggedRow)
+			return nil, nil, fmt.Errorf("CSV row %d has %d fields, want %d: %w", rows+2, len(rec), ncol, ErrRaggedRow)
 		}
-		for c, cell := range rec {
-			if !utf8.ValidString(cell) {
-				return nil, nil, fmt.Errorf("CSV row %d column %d: %w", len(records)+2, c+1, ErrInvalidUTF8)
+		if line == nil || !utf8.Valid(line) {
+			for c, cell := range rec {
+				if !utf8.Valid(cell) {
+					return nil, nil, fmt.Errorf("CSV row %d column %d: %w", rows+2, c+1, ErrInvalidUTF8)
+				}
 			}
 		}
-		if opts.MaxRows > 0 && len(records) >= opts.MaxRows {
+		if opts.MaxRows > 0 && rows >= opts.MaxRows {
 			return nil, nil, fmt.Errorf("CSV has more than %d data rows: %w", opts.MaxRows, ErrTooManyRows)
 		}
-		records = append(records, append([]string(nil), rec...))
-	}
-
-	forceCat := toSet(opts.ForceCategorical)
-	forceNum := toSet(opts.ForceNumeric)
-	drop := toSet(opts.Drop)
-
-	kind := make([]Kind, ncol)
-	dropped := make([]bool, ncol)
-	for c := 0; c < ncol; c++ {
-		switch {
-		case drop[names[c]]:
-			dropped[c] = true
-		case forceCat[names[c]]:
-			kind[c] = Categorical
-		case forceNum[names[c]]:
-			kind[c] = Numeric
-		case columnIsNumeric(records, c):
-			kind[c] = Numeric
-		default:
-			kind[c] = Categorical
+		for c := range cols {
+			cols[c].add(rec[c])
 		}
+		rows++
 	}
-
-	if opts.MaxCategoricalCardinality > 0 {
-		for c := 0; c < ncol; c++ {
-			if dropped[c] || kind[c] != Categorical || forceCat[names[c]] {
-				continue
-			}
-			if distinctCount(records, c, opts.MaxCategoricalCardinality) > opts.MaxCategoricalCardinality {
-				dropped[c] = true
-			}
-		}
+	if err := rereadColumns(data, opts.Comma, cols, rows); err != nil {
+		return nil, nil, err
 	}
-
-	var catNames, measNames []string
-	var catIdx, measIdx []int
-	report := &CSVReport{Rows: len(records)}
-	for c := 0; c < ncol; c++ {
-		switch {
-		case dropped[c]:
-			report.Dropped = append(report.Dropped, names[c])
-		case kind[c] == Categorical:
-			catNames = append(catNames, names[c])
-			catIdx = append(catIdx, c)
-		default:
-			measNames = append(measNames, names[c])
-			measIdx = append(measIdx, c)
-		}
-	}
-	report.Categorical = catNames
-	report.Numeric = measNames
 
 	name := opts.Name
 	if name == "" {
 		name = "csv"
 	}
-	b := NewBuilder(name, catNames, measNames)
-	cats := make([]string, len(catIdx))
-	meas := make([]float64, len(measIdx))
-	for _, rec := range records {
-		for i, c := range catIdx {
-			cats[i] = rec[c]
+	rel := &Relation{name: name, rows: rows}
+	report := &CSVReport{Rows: rows}
+	for c := range cols {
+		col := &cols[c]
+		if col.kind == colBlank {
+			// No cell was ever non-blank: categorical over the raw cells.
+			col.kind = colCategorical
+			col.capDictionary()
 		}
-		for i, c := range measIdx {
-			v, err := strconv.ParseFloat(strings.TrimSpace(rec[c]), 64)
-			if err != nil {
-				v = math.NaN()
-			}
-			meas[i] = v
+		switch col.kind {
+		case colDropped:
+			report.Dropped = append(report.Dropped, names[c])
+		case colCategorical:
+			report.Categorical = append(report.Categorical, names[c])
+			rel.catCols = append(rel.catCols, col.codes)
+			rel.catDicts = append(rel.catDicts, col.dict)
+			rel.catIndex = append(rel.catIndex, col.index)
+		case colNumeric:
+			report.Numeric = append(report.Numeric, names[c])
+			rel.measCols = append(rel.measCols, col.vals)
 		}
-		b.AddRow(cats, meas)
 	}
-	return b.Build(), report, nil
+	rel.catNames = slices.Clone(report.Categorical)
+	rel.measNames = slices.Clone(report.Numeric)
+	return rel, report, nil
+}
+
+// rereadColumns encodes the columns the first pass handed back as
+// colReread — inferred columns whose cells stopped parsing after a
+// number had — from a second pass over data. The first pass validated
+// the same records, so this pass reads the header and rows records and
+// nothing can fail.
+func rereadColumns(data []byte, comma rune, cols []column, rows int) error {
+	var reread []int
+	for c := range cols {
+		if cols[c].kind == colReread {
+			cols[c].kind = colCategorical
+			cols[c].codes = make([]int32, 0, rows)
+			cols[c].index = make(map[string]int32)
+			reread = append(reread, c)
+		}
+	}
+	if len(reread) == 0 {
+		return nil
+	}
+	recs := newRecords(data, comma)
+	for r := 0; r <= rows; r++ {
+		rec, _, err := recs.next()
+		if err != nil {
+			return fmt.Errorf("table: re-reading CSV record %d: %w", r+1, err)
+		}
+		if r == 0 {
+			continue // the header
+		}
+		for _, c := range reread {
+			cols[c].add(rec[c])
+		}
+	}
+	return nil
+}
+
+// colKind is a column's state while FromCSVBytes loads it.
+type colKind uint8
+
+const (
+	// colDropped: named in Drop, or an inferred categorical past the
+	// cardinality cap. Its cells are skipped.
+	colDropped colKind = iota
+	// colCategorical: each raw cell is dictionary-encoded, codes in
+	// first-appearance order.
+	colCategorical
+	// colNumeric: each cell is stored as ParseFloat(TrimSpace(cell)). A
+	// blank cell, or any cell of a ForceNumeric column that fails to
+	// parse (1e400 included: ParseFloat reports ErrRange), is NaN.
+	colNumeric
+	// colBlank: inferred, every cell so far blank. The cells are
+	// dictionary-encoded while the column waits: its first non-blank
+	// cell either parses (the column turns numeric and the blanks NaN)
+	// or not (it turns categorical, the blanks' codes first).
+	colBlank
+	// colReread: inferred, a non-blank cell failed to parse after a
+	// number had parsed. The column is categorical, but its earlier cells
+	// were parsed, not kept, so rereadColumns encodes it afresh.
+	colReread
+)
+
+// column builds one column of a relation being loaded.
+type column struct {
+	kind colKind
+	// inferred: the type was not forced, so a non-blank cell that fails
+	// to parse makes the column categorical, not NaN.
+	inferred bool
+	// limit is MaxCategoricalCardinality for an inferred column: it is
+	// dropped once its dictionary outgrows the limit. 0 means none.
+	limit  int
+	rowCap int
+
+	codes []int32
+	dict  []string
+	index map[string]int32
+	vals  []float64
+}
+
+// newColumns sets up one builder per header column from the options.
+// Drop takes precedence over ForceCategorical, which takes precedence
+// over ForceNumeric.
+func newColumns(names []string, opts CSVOptions, rowCap int) []column {
+	forceCat := toSet(opts.ForceCategorical)
+	forceNum := toSet(opts.ForceNumeric)
+	drop := toSet(opts.Drop)
+	cols := make([]column, len(names))
+	for c, n := range names {
+		col := &cols[c]
+		col.rowCap = rowCap
+		switch {
+		case drop[n]:
+			col.kind = colDropped
+		case forceCat[n]:
+			col.kind = colCategorical
+			col.codes = make([]int32, 0, rowCap)
+			col.index = make(map[string]int32)
+		case forceNum[n]:
+			col.kind = colNumeric
+			col.vals = make([]float64, 0, rowCap)
+		default:
+			col.kind = colBlank
+			col.inferred = true
+			col.limit = opts.MaxCategoricalCardinality
+			col.index = make(map[string]int32)
+		}
+	}
+	return cols
+}
+
+// add takes the column's cell of the next row.
+func (c *column) add(cell []byte) {
+	switch c.kind {
+	case colCategorical:
+		c.encode(cell)
+		c.capDictionary()
+	case colNumeric:
+		t := bytes.TrimSpace(cell)
+		v, err := strconv.ParseFloat(string(t), 64)
+		if err != nil {
+			if c.inferred && len(t) > 0 {
+				c.kind, c.vals = colReread, nil
+				return
+			}
+			v = math.NaN()
+		}
+		c.vals = append(c.vals, v)
+	case colBlank:
+		t := bytes.TrimSpace(cell)
+		if len(t) == 0 {
+			c.encode(cell)
+			return
+		}
+		v, err := strconv.ParseFloat(string(t), 64)
+		if err != nil {
+			c.kind = colCategorical
+			c.codes = slices.Grow(c.codes, max(c.rowCap-len(c.codes), 0))
+			c.encode(cell)
+			c.capDictionary()
+			return
+		}
+		// The first number: the float buffer starts here, the blanks
+		// before it are NaN.
+		c.vals = make([]float64, len(c.codes), max(c.rowCap, len(c.codes)+1))
+		for i := range c.vals {
+			c.vals[i] = math.NaN()
+		}
+		c.vals = append(c.vals, v)
+		c.kind, c.codes, c.dict, c.index = colNumeric, nil, nil, nil
+	}
+}
+
+// encode appends cell's dictionary code, adding cell to the dictionary
+// when it is new. The dictionary holds a copy of the cell, never the
+// input's bytes.
+func (c *column) encode(cell []byte) {
+	code, ok := c.index[string(cell)]
+	if !ok {
+		code = int32(len(c.dict))
+		v := string(cell)
+		c.dict = append(c.dict, v)
+		c.index[v] = code
+	}
+	c.codes = append(c.codes, code)
+}
+
+// capDictionary drops a categorical column whose dictionary has outgrown
+// its limit.
+func (c *column) capDictionary() {
+	if c.limit > 0 && len(c.dict) > c.limit {
+		*c = column{kind: colDropped}
+	}
+}
+
+// records splits CSV input into records of fields.
+//
+// Input with no '"' byte and a one-byte ASCII delimiter is split here,
+// with encoding/csv's rules for unquoted input: a record is a non-empty
+// line, lines end at '\n' with one '\r' before it (or before the end of
+// input) dropped, and fields end at the delimiter. Fields are sub-slices
+// of the input and the record's line comes along: an ASCII delimiter
+// cannot split a UTF-8 sequence, so the line is valid UTF-8 exactly when
+// every field is. Such input cannot fail to split.
+//
+// Any other input (a '"' somewhere, or a delimiter that is not one ASCII
+// byte) goes through encoding/csv, so quoting, multi-line fields and
+// every ParseError stay its own. Its fields are sub-slices of one buffer
+// reused from record to record, and no line comes along.
+type records struct {
+	data   []byte // quote-free input not yet split
+	comma  byte
+	cr     *csv.Reader // nil for quote-free input
+	fields [][]byte
+	buf    []byte
+}
+
+func newRecords(data []byte, comma rune) *records {
+	if comma == 0 {
+		comma = ','
+	}
+	if 0 < comma && comma < utf8.RuneSelf && comma != '"' && comma != '\r' && comma != '\n' &&
+		bytes.IndexByte(data, '"') < 0 {
+		return &records{data: data, comma: byte(comma)}
+	}
+	cr := csv.NewReader(bytes.NewReader(data))
+	cr.Comma = comma
+	cr.ReuseRecord = true
+	cr.FieldsPerRecord = -1
+	return &records{cr: cr}
+}
+
+// next returns the next record's fields and, for quote-free input, its
+// line without the line ending. Both are valid until the next call. At
+// the end of the input it returns io.EOF.
+func (r *records) next() (fields [][]byte, line []byte, err error) {
+	if r.cr != nil {
+		return r.nextCSV()
+	}
+	for len(r.data) > 0 {
+		line = r.data
+		if i := bytes.IndexByte(line, '\n'); i >= 0 {
+			line, r.data = line[:i], line[i+1:]
+		} else {
+			r.data = nil
+		}
+		if n := len(line); n > 0 && line[n-1] == '\r' {
+			line = line[:n-1]
+		}
+		if len(line) == 0 {
+			continue
+		}
+		r.fields = r.fields[:0]
+		rest := line
+		for {
+			i := bytes.IndexByte(rest, r.comma)
+			if i < 0 {
+				break
+			}
+			r.fields = append(r.fields, rest[:i])
+			rest = rest[i+1:]
+		}
+		r.fields = append(r.fields, rest)
+		return r.fields, line, nil
+	}
+	return nil, nil, io.EOF
+}
+
+func (r *records) nextCSV() ([][]byte, []byte, error) {
+	rec, err := r.cr.Read()
+	if err != nil {
+		return nil, nil, err
+	}
+	r.buf = r.buf[:0]
+	for _, f := range rec {
+		r.buf = append(r.buf, f...)
+	}
+	r.fields = r.fields[:0]
+	off := 0
+	for _, f := range rec {
+		r.fields = append(r.fields, r.buf[off:off+len(f)])
+		off += len(f)
+	}
+	return r.fields, nil, nil
 }
 
 // WriteCSV writes the relation as CSV with a header row, categorical
@@ -250,30 +504,4 @@ func toSet(ss []string) map[string]bool {
 		m[s] = true
 	}
 	return m
-}
-
-func columnIsNumeric(records [][]string, c int) bool {
-	seen := false
-	for _, rec := range records {
-		cell := strings.TrimSpace(rec[c])
-		if cell == "" {
-			continue
-		}
-		seen = true
-		if _, err := strconv.ParseFloat(cell, 64); err != nil {
-			return false
-		}
-	}
-	return seen
-}
-
-func distinctCount(records [][]string, c, cap int) int {
-	seen := make(map[string]struct{}, cap+1)
-	for _, rec := range records {
-		seen[rec[c]] = struct{}{}
-		if len(seen) > cap {
-			break
-		}
-	}
-	return len(seen)
 }

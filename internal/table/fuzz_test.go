@@ -2,35 +2,36 @@ package table
 
 import (
 	"bytes"
+	"encoding/csv"
 	"strings"
 	"testing"
 	"testing/quick"
 	"unicode/utf8"
 )
 
-// FuzzCSV feeds arbitrary bytes through the CSV loader. The loader may
-// refuse the input, but it must never panic, never return a partial
-// relation alongside an error, never exceed an armed MaxRows, and every
-// string a successful load retains must be valid UTF-8 — those strings
-// flow verbatim into notebooks and JSON reports.
+// FuzzCSV feeds arbitrary bytes and options through the CSV loader and
+// holds it to the row-copying oracle: the same error text, the same
+// report, and the same relation bit for bit. The loader may refuse the
+// input, but it must never panic, never return a partial relation
+// alongside an error, never exceed an armed MaxRows, and every string a
+// successful load retains must be valid UTF-8 — those strings flow
+// verbatim into notebooks and JSON reports.
+//
+// delim picks the delimiter from fuzzDelims; capN arms
+// MaxCategoricalCardinality; roles gives each of the first eight header
+// columns four bits: 1 Drop, 2 ForceCategorical, 4 ForceNumeric.
 func FuzzCSV(f *testing.F) {
-	f.Add([]byte("continent,cases\nAfrica,3\nAsia,4\n"), int64(0))
-	f.Add([]byte("a,b\n1\n"), int64(0))                    // ragged row
-	f.Add([]byte("a,a\n1,2\n"), int64(0))                  // duplicate header
-	f.Add([]byte(",b\n1,2\n"), int64(0))                   // empty header
-	f.Add([]byte("a,b\nx,\xff\n"), int64(0))               // invalid UTF-8 cell
-	f.Add([]byte("a,b\n1,2\n3,4\n5,6\n"), int64(2))        // MaxRows exceeded
-	f.Add([]byte("a,\"b\nc\",d\n\"x,y\",2,3\n"), int64(0)) // quoting
-	f.Fuzz(func(t *testing.T, data []byte, maxRows int64) {
-		opts := CSVOptions{Name: "fuzz"}
-		if maxRows > 0 {
-			opts.MaxRows = int(maxRows % 1024)
-		}
-		rel, rep, err := FromCSV(bytes.NewReader(data), opts)
+	f.Add([]byte("continent,cases\nAfrica,3\nAsia,4\n"), int64(0), int64(0), int64(0), uint32(0))
+	f.Add([]byte("a,b\n1\n"), int64(0), int64(0), int64(0), uint32(0))                    // ragged row
+	f.Add([]byte("a,a\n1,2\n"), int64(0), int64(0), int64(0), uint32(0))                  // duplicate header
+	f.Add([]byte(",b\n1,2\n"), int64(0), int64(0), int64(0), uint32(0))                   // empty header
+	f.Add([]byte("a,b\nx,\xff\n"), int64(0), int64(0), int64(0), uint32(0))               // invalid UTF-8 cell
+	f.Add([]byte("a,b\n1,2\n3,4\n5,6\n"), int64(2), int64(0), int64(0), uint32(0))        // MaxRows exceeded
+	f.Add([]byte("a,\"b\nc\",d\n\"x,y\",2,3\n"), int64(0), int64(0), int64(0), uint32(0)) // quoting
+	f.Fuzz(func(t *testing.T, data []byte, maxRows, delim, capN int64, roles uint32) {
+		opts := fuzzOptions(data, maxRows, delim, capN, roles)
+		rel, rep, err := loadMatchingOracle(t, data, opts)
 		if err != nil {
-			if rel != nil || rep != nil {
-				t.Fatalf("FromCSV returned partial result alongside error %v", err)
-			}
 			return
 		}
 		if opts.MaxRows > 0 && rel.NumRows() > opts.MaxRows {
@@ -64,6 +65,47 @@ func FuzzCSV(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzDelims are the delimiters FuzzCSV picks from: the default, ASCII
+// ones (the quote-free split), multi-byte ones (encoding/csv), and
+// invalid ones, which encoding/csv refuses.
+var fuzzDelims = []rune{0, ';', '\t', '|', ' ', '¦', '€', '\n', '\r', '"', utf8.RuneError, -1}
+
+// fuzzOptions turns FuzzCSV's arguments into loader options. Force* and
+// Drop name header columns, read here with encoding/csv.
+func fuzzOptions(data []byte, maxRows, delim, capN int64, roles uint32) CSVOptions {
+	opts := CSVOptions{Name: "fuzz", Comma: fuzzDelims[uint64(delim)%uint64(len(fuzzDelims))]}
+	if maxRows > 0 {
+		opts.MaxRows = int(maxRows % 1024)
+	}
+	if capN > 0 {
+		opts.MaxCategoricalCardinality = int(capN % 64)
+	}
+	cr := csv.NewReader(bytes.NewReader(data))
+	if opts.Comma != 0 {
+		cr.Comma = opts.Comma
+	}
+	header, err := cr.Read()
+	if err != nil {
+		return opts
+	}
+	for c, name := range header {
+		if c == 8 {
+			break
+		}
+		r := roles >> (4 * c)
+		if r&1 != 0 {
+			opts.Drop = append(opts.Drop, name)
+		}
+		if r&2 != 0 {
+			opts.ForceCategorical = append(opts.ForceCategorical, name)
+		}
+		if r&4 != 0 {
+			opts.ForceNumeric = append(opts.ForceNumeric, name)
+		}
+	}
+	return opts
 }
 
 // TestQuickCSVNeverPanics feeds arbitrary text through the CSV loader: it
