@@ -5,16 +5,13 @@
 //
 // Usage:
 //
-//	comparenb-vet [-list] [-checks name,name] [-json] [-sarif] [-baseline file] [dir]
+//	comparenb-vet [-list] [dir]
 //
 // dir defaults to "." and may be any directory inside the module (the
 // whole module is always checked — analyzers reason about cross-package
 // properties like determinism, so partial runs would under-report).
-//
-// A baseline file (default: .comparenb-vet-baseline.json at the module
-// root, when present) suppresses accepted, justified findings; entries
-// that no longer match anything are reported as stale and fail the run,
-// so the baseline can only shrink.
+// A justified finding is suppressed where it stands, with a
+// //nolint:<analyzer> // <reason> comment (docs/STATIC_ANALYSIS.md).
 package main
 
 import (
@@ -28,10 +25,6 @@ import (
 
 func main() {
 	list := flag.Bool("list", false, "list available analyzers and exit")
-	checks := flag.String("checks", "", "comma-separated analyzer names to run (default: all)")
-	jsonOut := flag.Bool("json", false, "emit findings as JSON instead of file:line:col lines")
-	sarifOut := flag.Bool("sarif", false, "emit findings as SARIF 2.1.0 instead of file:line:col lines")
-	baselinePath := flag.String("baseline", "", "baseline file of accepted findings (default: "+analysis.BaselineFile+" at the module root, if present; \"none\" disables)")
 	flag.Parse()
 
 	if *list {
@@ -39,20 +32,6 @@ func main() {
 			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
 		}
 		return
-	}
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(os.Stderr, "comparenb-vet: -json and -sarif are mutually exclusive")
-		os.Exit(2)
-	}
-
-	analyzers := analysis.All()
-	if *checks != "" {
-		var err error
-		analyzers, err = analysis.ByName(strings.Split(*checks, ","))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "comparenb-vet:", err)
-			os.Exit(2)
-		}
 	}
 
 	dir := "."
@@ -66,70 +45,16 @@ func main() {
 		}
 	}
 
-	modDir, err := analysis.FindModuleRoot(dir)
+	diags, err := analysis.CheckModule(dir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "comparenb-vet:", err)
 		os.Exit(2)
 	}
-
-	diags, err := analysis.CheckModule(dir, analyzers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "comparenb-vet:", err)
-		os.Exit(2)
+	for _, d := range diags {
+		fmt.Println(d.String())
 	}
-
-	var stale []analysis.BaselineEntry
-	if bl := loadBaseline(*baselinePath, modDir); bl != nil {
-		diags, stale = analysis.ApplyBaseline(modDir, bl, diags)
-	}
-
-	switch {
-	case *jsonOut:
-		if err := analysis.WriteJSON(os.Stdout, modDir, diags); err != nil {
-			fmt.Fprintln(os.Stderr, "comparenb-vet:", err)
-			os.Exit(2)
-		}
-	case *sarifOut:
-		if err := analysis.WriteSARIF(os.Stdout, modDir, analyzers, diags); err != nil {
-			fmt.Fprintln(os.Stderr, "comparenb-vet:", err)
-			os.Exit(2)
-		}
-	default:
-		for _, d := range diags {
-			fmt.Println(d.String())
-		}
-	}
-
-	for _, e := range stale {
-		fmt.Fprintf(os.Stderr, "comparenb-vet: stale baseline entry: %s in %s (%q) no longer matches any finding; remove it\n",
-			e.Analyzer, e.File, e.Message)
-	}
-	if len(diags) > 0 || len(stale) > 0 {
-		fmt.Fprintf(os.Stderr, "comparenb-vet: %d finding(s), %d stale baseline entr(ies)\n", len(diags), len(stale))
+	if len(diags) > 0 {
+		fmt.Fprintf(os.Stderr, "comparenb-vet: %d finding(s)\n", len(diags))
 		os.Exit(1)
 	}
-}
-
-// loadBaseline resolves the baseline file: an explicit -baseline path is
-// required to exist; the default module-root file is optional; "none"
-// disables baselining entirely.
-func loadBaseline(flagPath, modDir string) *analysis.Baseline {
-	if flagPath == "none" {
-		return nil
-	}
-	path := flagPath
-	optional := false
-	if path == "" {
-		path = modDir + string(os.PathSeparator) + analysis.BaselineFile
-		optional = true
-	}
-	bl, err := analysis.LoadBaseline(path)
-	if err != nil {
-		if optional && os.IsNotExist(err) {
-			return nil
-		}
-		fmt.Fprintln(os.Stderr, "comparenb-vet:", err)
-		os.Exit(2)
-	}
-	return bl
 }

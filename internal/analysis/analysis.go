@@ -18,6 +18,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -128,23 +129,17 @@ func RunModule(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 		directives = append(directives, collectNolint(pkg)...)
 	}
 	diags = suppress(directives, diags)
-	for _, a := range analyzers {
-		if a.Name == NolintLint.Name {
-			runNames := map[string]bool{}
-			for _, ra := range analyzers {
-				runNames[ra.Name] = true
-			}
-			// The lint over directives is itself suppressible
-			// (//nolint:nolintlint), one level deep.
-			diags = append(diags, suppress(directives, lintNolint(directives, runNames))...)
-		}
+	if slices.Contains(analyzers, NolintLint) {
+		// The lint over directives is itself suppressible
+		// (//nolint:nolintlint), one level deep.
+		diags = append(diags, suppress(directives, lintNolint(directives))...)
 	}
 	sortDiagnostics(diags)
 	return diags
 }
 
 // sortDiagnostics orders findings by position, then analyzer — the
-// stable order both the CLI contract and the baseline rely on.
+// stable order the CLI prints and the fixture tests compare against.
 func sortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]

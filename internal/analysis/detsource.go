@@ -40,9 +40,9 @@ import (
 //     range suppressed with a justified //nolint:maporder does not taint
 //     callers either.
 //
-// Remaining true-but-justified findings (the pipeline's phase timing
-// reads, the soft-deadline plumbing) are suppressed in the checked-in
-// baseline file, never silently.
+// Remaining true-but-justified findings (the pipeline's run clock, the
+// soft-deadline plumbing) are suppressed where they stand, each with a
+// //nolint:detsource directive that says why, never silently.
 var DetSource = &Analyzer{
 	Name:          "detsource",
 	Doc:           "flags notebook/report-producing functions that transitively reach a nondeterminism source",
@@ -157,10 +157,6 @@ func detPointerFormat(info *types.Info, call *ast.CallExpr) string {
 	}
 	return ""
 }
-
-// detLocal holds a function's directly observed sources: kind → position
-// of the first witness call (used for same-package reporting).
-type detLocal map[string]ast.Node
 
 // detSourceFacts exports each function's local sources.
 func detSourceFacts(fp *FactPass) {

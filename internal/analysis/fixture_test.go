@@ -163,25 +163,6 @@ func TestNolintParsing(t *testing.T) {
 	}
 }
 
-// TestByName pins the registry lookup used by the CLI's -checks flag:
-// known names resolve, unknown names produce an error that names every
-// offender and lists the valid set.
-func TestByName(t *testing.T) {
-	got, err := ByName([]string{"maporder", "floateq"})
-	if err != nil || len(got) != 2 {
-		t.Fatalf("ByName known names: got %d analyzers, err %v; want 2, nil", len(got), err)
-	}
-	got, err = ByName([]string{"maporder", "nosuch", "alsonot"})
-	if got != nil || err == nil {
-		t.Fatalf("ByName with unknown names: got %v, err %v; want nil, error", got, err)
-	}
-	for _, frag := range []string{`"nosuch"`, `"alsonot"`, "maporder", "detsource"} {
-		if !strings.Contains(err.Error(), frag) {
-			t.Errorf("ByName error %q does not mention %s", err, frag)
-		}
-	}
-}
-
 // TestDiagnosticString pins the file:line:col rendering format.
 func TestDiagnosticString(t *testing.T) {
 	l := sharedLoader(t)

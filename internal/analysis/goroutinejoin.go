@@ -68,7 +68,8 @@ func goStmts(fd *ast.FuncDecl) []*ast.GoStmt {
 
 // joinsLocally reports whether fd contains join evidence: a
 // WaitGroup.Wait call, a channel receive expression, or a range over a
-// channel.
+// channel. Evidence inside a go statement does not count: a worker that
+// ranges over its job channel is the goroutine's own work, not its join.
 func joinsLocally(info *types.Info, fd *ast.FuncDecl) bool {
 	found := false
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -76,6 +77,8 @@ func joinsLocally(info *types.Info, fd *ast.FuncDecl) bool {
 			return false
 		}
 		switch n := n.(type) {
+		case *ast.GoStmt:
+			return false
 		case *ast.CallExpr:
 			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Wait" {
 				if isWaitGroupType(info.TypeOf(sel.X)) {

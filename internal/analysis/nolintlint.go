@@ -12,10 +12,6 @@ import (
 // stale comment keeps licensing whatever lands on that line next. This
 // check runs inside RunModule (it needs to see which directives fired
 // across the whole run), so its Run hook is empty.
-//
-// A directive naming an analyzer that is not part of the current run is
-// left alone: running `-checks maporder` must not declare every floateq
-// suppression stale.
 var NolintLint = &Analyzer{
 	Name: "nolintlint",
 	Doc:  "flags //nolint directives that suppress nothing or name unknown analyzers",
@@ -23,8 +19,7 @@ var NolintLint = &Analyzer{
 }
 
 // lintNolint turns unused or malformed directives into diagnostics.
-// runNames is the set of analyzers that actually ran.
-func lintNolint(directives []*nolintDirective, runNames map[string]bool) []Diagnostic {
+func lintNolint(directives []*nolintDirective) []Diagnostic {
 	known := map[string]*Analyzer{}
 	for _, a := range All() {
 		known[a.Name] = a
@@ -47,7 +42,7 @@ func lintNolint(directives []*nolintDirective, runNames map[string]bool) []Diagn
 					Pos:      d.pos,
 					Message:  fmt.Sprintf("//nolint:%s in a test file, but %s does not check test files; remove it", n, n),
 				})
-			case runNames[n] && !d.used[n]:
+			case !d.used[n]:
 				out = append(out, Diagnostic{
 					Analyzer: NolintLint.Name,
 					Pos:      d.pos,

@@ -1,11 +1,5 @@
 package analysis
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
-
 // All returns every analyzer in the suite, in stable (alphabetical)
 // order. Both the comparenb-vet CLI and the selfcheck test run exactly
 // this list, so the command line and the test suite can never disagree
@@ -14,7 +8,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		CtxLoop,
 		DetSource,
-		EncodedEq,
 		ErrCheck,
 		FloatEq,
 		GoroutineJoin,
@@ -26,45 +19,10 @@ func All() []*Analyzer {
 	}
 }
 
-// ByName returns the named analyzers. Unknown names are an error listing
-// every offender, so the CLI can tell the user exactly what it did not
-// recognise.
-func ByName(names []string) ([]*Analyzer, error) {
-	byName := map[string]*Analyzer{}
-	for _, a := range All() {
-		byName[a.Name] = a
-	}
-	var out []*Analyzer
-	var unknown []string
-	for _, n := range names {
-		if a, ok := byName[n]; ok {
-			out = append(out, a)
-		} else {
-			unknown = append(unknown, fmt.Sprintf("%q", n))
-		}
-	}
-	if len(unknown) > 0 {
-		sort.Strings(unknown)
-		return nil, fmt.Errorf("unknown analyzer(s) %s; known: %s",
-			strings.Join(unknown, ", "), strings.Join(Names(), ", "))
-	}
-	return out, nil
-}
-
-// Names lists every registered analyzer name, in All() order.
-func Names() []string {
-	var names []string
-	for _, a := range All() {
-		names = append(names, a.Name)
-	}
-	return names
-}
-
 // CheckModule loads every package of the module containing dir and runs
-// the analyzers over each, returning all surviving diagnostics sorted by
-// position. It is the single entry point shared by cmd/comparenb-vet and
-// selfcheck_test.go.
-func CheckModule(dir string, analyzers []*Analyzer) ([]Diagnostic, error) {
+// the whole suite over them, returning all surviving diagnostics sorted
+// by position: what cmd/comparenb-vet prints.
+func CheckModule(dir string) ([]Diagnostic, error) {
 	l, err := NewLoader(dir)
 	if err != nil {
 		return nil, err
@@ -73,5 +31,5 @@ func CheckModule(dir string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	if err != nil {
 		return nil, err
 	}
-	return RunModule(pkgs, analyzers), nil
+	return RunModule(pkgs, All()), nil
 }

@@ -53,6 +53,21 @@ func goodRangeJoin(xs []int) int {
 	return total
 }
 
+// badWorkerPool feeds workers that range over the job channel but never
+// waits for them: the receive inside the goroutine is its work, not a join.
+func badWorkerPool(xs []int, work func(int)) {
+	next := make(chan int)
+	go func() { // want "no matching join"
+		for v := range next {
+			work(v)
+		}
+	}()
+	for _, v := range xs {
+		next <- v
+	}
+	close(next)
+}
+
 // delegates hands the join to the caller by returning the channel; exempt
 // here, but it exports the "goroutinejoin.unjoined" fact.
 func delegates(xs []int) <-chan int {

@@ -118,8 +118,6 @@ type Config struct {
 	// §5.1.1 reading and the stricter ablations).
 	BHScope BHScope
 
-	// MinSideRows skips degenerate tests whose either side has fewer rows.
-	MinSideRows int
 	// MaxPairsPerAttr caps the (val, val') pairs tested per attribute,
 	// taking the most populated values first (0 = all pairs). A scale
 	// valve for attributes with huge active domains.
@@ -133,13 +131,11 @@ type Config struct {
 	// Figure 8 (≤ 0 means GOMAXPROCS).
 	Threads int
 
-	// UseWSC enables Algorithm 2's group-by merging; MaxCoverSize caps the
-	// candidate group-by set size; MemoryBudget (bytes, 0 = unlimited) is
-	// the in-memory budget — when the chosen cover would exceed it, the
-	// §5.2.2 fallback loads the smallest aggregates (the 2-group-bys).
-	UseWSC       bool
-	MaxCoverSize int
-	MemoryBudget int64
+	// UseWSC enables Algorithm 2's group-by merging over candidate
+	// group-by sets of at most maxCoverSize attributes. When the chosen
+	// cover would exceed MemBudget, the §5.2.2 fallback loads the smallest
+	// aggregates (the 2-group-bys) instead.
+	UseWSC bool
 
 	// CubeCacheBudget bounds the run's partial-aggregate cache (bytes of
 	// cube footprint, <= 0 = unbounded). The cache is shared by Algorithm
@@ -199,19 +195,19 @@ type Config struct {
 	TimeBudget time.Duration
 
 	// MemBudget is a hard in-memory budget (bytes of cube footprint,
-	// 0 = none) enforced at cube-cache admission time. It is distinct
-	// from MemoryBudget (the §5.2.2 planning budget, which only steers
-	// the WSC cover choice) and from CubeCacheBudget (a soft bound,
-	// enforced only by phase-boundary Trims): with MemBudget armed the
-	// cache never holds more than this many bytes at any instant —
-	// entries are evicted largest-first to admit new builds, and a cube
-	// too large to ever fit is simply not cached (the query is still
-	// answered from the freshly built cube, so the run completes; it just
-	// loses reuse). Admission actions are recorded in the run report
-	// (mem_evictions), because mid-phase eviction makes cache contents
-	// scheduling-dependent — byte-identity across thread counts is only
-	// guaranteed while the budget is never hit. When both MemoryBudget
-	// and MemBudget are set, WSC planning respects the smaller.
+	// 0 = none) enforced at cube-cache admission time, and the §5.2.2
+	// planning budget of the WSC cover (a cover the admission layer would
+	// refuse to cache is not worth building). It is distinct from
+	// CubeCacheBudget (a soft bound, enforced only by phase-boundary
+	// Trims): with MemBudget armed the cache never holds more than this
+	// many bytes at any instant — entries are evicted largest-first to
+	// admit new builds, and a cube too large to ever fit is simply not
+	// cached (the query is still answered from the freshly built cube, so
+	// the run completes; it just loses reuse). Admission actions are
+	// recorded in the run report (mem_evictions), because mid-phase
+	// eviction makes cache contents scheduling-dependent — byte-identity
+	// across thread counts is only guaranteed while the budget is never
+	// hit.
 	MemBudget int64
 
 	// Cache, when set, is an externally owned cube cache shared across
@@ -302,6 +298,12 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// minSideRows skips degenerate tests whose either side has fewer rows.
+const minSideRows = 2
+
+// maxCoverSize caps the size of Algorithm 2's candidate group-by sets.
+const maxCoverSize = 4
+
 // NewConfig returns the default configuration: full data, heuristic
 // solver, a 10-query notebook.
 func NewConfig() Config {
@@ -311,12 +313,10 @@ func NewConfig() Config {
 		SampleFrac:      1,
 		Perms:           200,
 		Alpha:           0.05,
-		MinSideRows:     2,
 		Interest:        metric.DefaultInterest,
 		Weights:         metric.DefaultWeights,
 		Threads:         runtime.GOMAXPROCS(0),
 		UseWSC:          false,
-		MaxCoverSize:    4,
 		CubeCacheBudget: 64 << 20,
 		EpsT:            10,
 		EpsD:            1.5,

@@ -138,6 +138,7 @@ func GenerateContext(ctx context.Context, rel *table.Relation, cfg Config) (*Res
 		return nil, err
 	}
 	res := &Result{Relation: rel, Config: cfg}
+	//nolint:detsource // the run clock anchors the governor's soft budget and Timings, neither of which reaches notebook bytes
 	start := time.Now()
 	// Observability: every run reports into a registry — the caller's
 	// (cfg.Obs, exportable afterwards) or a private one — and the phases
@@ -242,6 +243,7 @@ func GenerateContext(ctx context.Context, rel *table.Relation, cfg Config) (*Res
 	tapPhase := obs.StartPhase(ctx, "phase/tap", "phase_tap")
 	switch cfg.Solver {
 	case SolverExact:
+		//nolint:detsource // the anytime solver reads the clock only for a caller-set TimeBudget; without one its search is exhaustive and deterministic
 		any := tap.SolveAnytime(ctx, inst, float64(cfg.EpsT), cfg.EpsD, tap.ExactOptions{
 			Timeout:  cfg.ExactTimeout,
 			Deadline: deadline,
@@ -271,7 +273,7 @@ func GenerateContext(ctx context.Context, rel *table.Relation, cfg Config) (*Res
 		res.Solution = tap.Greedy(inst, float64(cfg.EpsT), cfg.EpsD)
 	}
 	res.Timings.TAP = tapPhase.End()
-	res.Timings.Total = time.Since(start)
+	res.Timings.Total = time.Since(start) //nolint:detsource // wall-clock telemetry; Timings never feed notebook cells
 	reg.Timing("run_total").Observe(res.Timings.Total)
 	cfg.logf("pipeline: %s TAP selected %d queries (interest %.3f) in %v",
 		res.TAP.Solver, len(res.Solution.Order), res.Solution.TotalInterest, res.Timings.TAP)

@@ -234,7 +234,7 @@ func TestBuildPairCubesCancelledWide(t *testing.T) {
 		t.Errorf("cancelled plan built %d cubes", s.Misses)
 	}
 
-	cands := cover.EnumerateCandidates(rel.NumCatAttrs(), cfg.MaxCoverSize)
+	cands := cover.EnumerateCandidates(rel.NumCatAttrs(), maxCoverSize)
 	if err := weighCandidates(ctx, rel, cfg.Seed, cands); !errors.Is(err, context.Canceled) {
 		t.Fatalf("weighCandidates err = %v, want context.Canceled", err)
 	}

@@ -365,7 +365,7 @@ func buildPairCubes(ctx context.Context, rel *table.Relation, cfg Config, needed
 	}
 
 	// Algorithm 2: estimate candidate sizes, solve the weighted cover.
-	cands := cover.EnumerateCandidates(rel.NumCatAttrs(), cfg.MaxCoverSize)
+	cands := cover.EnumerateCandidates(rel.NumCatAttrs(), maxCoverSize)
 	if err := weighCandidates(ctx, rel, cfg.Seed, cands); err != nil {
 		return nil, err
 	}
@@ -373,19 +373,9 @@ func buildPairCubes(ctx context.Context, rel *table.Relation, cfg Config, needed
 	if err != nil && ctx.Err() != nil {
 		return nil, ctx.Err()
 	}
-	fallback := err != nil
-	// Planning budget: the §5.2.2 MemoryBudget, tightened by the hard
-	// MemBudget when both are set — a cover the admission layer would
-	// refuse to cache anyway is not worth building.
-	planBudget := cfg.MemoryBudget
-	if cfg.MemBudget > 0 && (planBudget <= 0 || cfg.MemBudget < planBudget) {
-		planBudget = cfg.MemBudget
-	}
-	if !fallback && planBudget > 0 && cover.TotalWeight(cands, chosen) > float64(planBudget) {
-		// §5.2.2 fallback: load the smallest possible aggregates instead.
-		fallback = true
-	}
-	if fallback {
+	// §5.2.2 fallback: a cover over the memory budget (or no cover at
+	// all) loads the smallest possible aggregates instead.
+	if err != nil || cfg.MemBudget > 0 && cover.TotalWeight(cands, chosen) > float64(cfg.MemBudget) {
 		cfgNoWSC := cfg
 		cfgNoWSC.UseWSC = false
 		return buildPairCubes(ctx, rel, cfgNoWSC, needed, cache)

@@ -174,23 +174,30 @@ func TestWSCMatchesNaive(t *testing.T) {
 }
 
 // TestWSCMemoryBudgetFallback: an absurdly small budget must trigger the
-// §5.2.2 fallback to per-pair cubes, with identical results.
+// §5.2.2 fallback to per-pair cubes, with identical results: the WSC run
+// builds exactly the cubes of the per-pair run under the same budget, not
+// the cover's on top of them.
 func TestWSCMemoryBudgetFallback(t *testing.T) {
 	ds := tinyDataset(t)
 	cfg := testConfig()
 	cfg.UseWSC = true
-	cfg.MemoryBudget = 1 // bytes
+	cfg.MemBudget = 1 // bytes
 	res, err := Generate(ds.Rel, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg2 := testConfig()
+	cfg2.MemBudget = 1
 	plain, err := Generate(ds.Rel, cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Queries) != len(plain.Queries) {
 		t.Errorf("fallback |Q| = %d, naive %d", len(res.Queries), len(plain.Queries))
+	}
+	if res.Counts.CubesBuilt != plain.Counts.CubesBuilt {
+		t.Errorf("fallback built %d cubes, per-pair run %d: the cover was built",
+			res.Counts.CubesBuilt, plain.Counts.CubesBuilt)
 	}
 }
 

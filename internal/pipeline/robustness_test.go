@@ -117,7 +117,7 @@ func TestFullyDependentAttributes(t *testing.T) {
 }
 
 // TestSingleValuePerSide: attributes with values occurring once cannot be
-// tested (MinSideRows) and must be skipped silently.
+// tested (minSideRows) and must be skipped silently.
 func TestSingleValuePerSide(t *testing.T) {
 	b := table.NewBuilder("sparse", []string{"id", "grp", "other"}, []string{"m"})
 	for i := 0; i < 60; i++ {

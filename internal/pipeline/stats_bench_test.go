@@ -111,7 +111,7 @@ func BenchmarkHypoPhase(b *testing.B) {
 // from a 4,096-row sample.
 func BenchmarkWeighCandidates(b *testing.B) {
 	rel := freshBenchRelation()
-	cands := cover.EnumerateCandidates(rel.NumCatAttrs(), NewConfig().MaxCoverSize)
+	cands := cover.EnumerateCandidates(rel.NumCatAttrs(), maxCoverSize)
 	if len(cands) != 154 {
 		b.Fatalf("%d candidates, want 154", len(cands))
 	}

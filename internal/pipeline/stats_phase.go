@@ -340,7 +340,7 @@ func enumeratePairs(rel *table.Relation, a int, part rowPartition, maxPairs int)
 // evaluated (0 when the pair produced no tests).
 func testPair(ctx context.Context, rel *table.Relation, part rowPartition, attr int, val, val2 int32, cfg Config, seed int64, threads, nperm int, alpha float64) (out []statOutcome, tested, minPerms int, err error) {
 	xRows, yRows := part.of(val), part.of(val2)
-	if len(xRows) < cfg.MinSideRows || len(yRows) < cfg.MinSideRows {
+	if len(xRows) < minSideRows || len(yRows) < minSideRows {
 		return nil, 0, 0, nil
 	}
 
@@ -375,7 +375,7 @@ func testPair(ctx context.Context, rel *table.Relation, part rowPartition, attr 
 		nx := len(pooled)
 		pooled = gather(pooled, mcol, yRows)
 		xs, ys := pooled[:nx], pooled[nx:]
-		if len(xs) < cfg.MinSideRows || len(ys) < cfg.MinSideRows {
+		if len(xs) < minSideRows || len(ys) < minSideRows {
 			continue
 		}
 		if sides != [2]int{len(xs), len(ys)} {

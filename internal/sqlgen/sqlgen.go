@@ -80,8 +80,7 @@ func Hypothesis(rel *table.Relation, p Params, kind HypothesisKind) string {
 	sb.WriteString("with comparison as\n(")
 	writeComparisonBody(&sb, rel, p, "  ")
 	sb.WriteString(")\n")
-	c1 := columnAlias(rel, p.SelAttr, p.Val, "l")
-	c2 := columnAlias(rel, p.SelAttr, p.Val2, "r")
+	c1, c2 := columnAliases(rel, p)
 	fmt.Fprintf(&sb, "select '%s' as hypothesis from comparison\nhaving %s;",
 		kind.Label(), kind.predicate(c1, c2))
 	return sb.String()
@@ -92,8 +91,7 @@ func writeComparisonBody(sb *strings.Builder, rel *table.Relation, p Params, ind
 	b := quoteIdent(rel.CatName(p.SelAttr))
 	m := quoteIdent(rel.MeasName(p.Meas))
 	relName := quoteIdent(rel.Name())
-	c1 := columnAlias(rel, p.SelAttr, p.Val, "l")
-	c2 := columnAlias(rel, p.SelAttr, p.Val2, "r")
+	c1, c2 := columnAliases(rel, p)
 	v1 := quoteValue(rel.Value(p.SelAttr, p.Val))
 	v2 := quoteValue(rel.Value(p.SelAttr, p.Val2))
 	aggExpr := func(alias string) string {
@@ -112,16 +110,25 @@ func writeComparisonBody(sb *strings.Builder, rel *table.Relation, p Params, ind
 	fmt.Fprintf(sb, "%sorder by t1.%s", indent, a)
 }
 
-// columnAlias derives a SQL column alias from a selection value, e.g.
-// month '4' → "v_4", continent 'America' → "America". side disambiguates
-// when val = val'.
-func columnAlias(rel *table.Relation, attr int, code int32, side string) string {
-	v := rel.Value(attr, code)
-	id := sanitizeIdent(v)
-	if id == "" {
-		id = "v_" + side
+// columnAliases derives the SQL column aliases of the two sides from
+// their selection values, e.g. month '4' → "v_4", continent 'America' →
+// "America". An empty alias becomes v_l or v_r. Two aliases equal ignoring
+// case ('a-b' and 'a_b', '1' and 'v_1', 'Paris' and 'paris': SQL folds
+// unquoted names) would make the select list ambiguous, so both get their
+// side tag, _l and _r.
+func columnAliases(rel *table.Relation, p Params) (c1, c2 string) {
+	c1 = sanitizeIdent(rel.Value(p.SelAttr, p.Val))
+	c2 = sanitizeIdent(rel.Value(p.SelAttr, p.Val2))
+	if c1 == "" {
+		c1 = "v_l"
 	}
-	return id
+	if c2 == "" {
+		c2 = "v_r"
+	}
+	if strings.EqualFold(c1, c2) {
+		c1, c2 = c1+"_l", c2+"_r"
+	}
+	return c1, c2
 }
 
 func sanitizeIdent(s string) string {

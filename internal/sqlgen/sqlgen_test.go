@@ -88,6 +88,47 @@ func TestQuotingValuesWithQuotes(t *testing.T) {
 	}
 }
 
+// TestCollidingAliasesGetSideTags: distinct selection values whose aliases
+// are equal ignoring case must not both project the same name, which SQL
+// rejects as ambiguous; distinct aliases stay untagged.
+func TestCollidingAliasesGetSideTags(t *testing.T) {
+	b := table.NewBuilder("t", []string{"g", "city"}, []string{"m"})
+	for _, v := range []string{"a-b", "a_b", "1", "v_1", "Paris", "paris", "Lyon"} {
+		b.AddRow([]string{"x", v}, []float64{1})
+	}
+	rel := b.Build()
+	cases := []struct{ v1, v2, c1, c2 string }{
+		{"a-b", "a_b", "a_b_l", "a_b_r"},
+		{"1", "v_1", "v_1_l", "v_1_r"},
+		{"Paris", "paris", "Paris_l", "paris_r"},
+		{"Paris", "Lyon", "Paris", "Lyon"},
+	}
+	for _, c := range cases {
+		v1, _ := rel.CodeOf(1, c.v1)
+		v2, _ := rel.CodeOf(1, c.v2)
+		p := Params{GroupBy: 0, SelAttr: 1, Val: v1, Val2: v2, Meas: 0, Agg: engine.Sum}
+		cmp := Comparison(rel, p)
+		for _, want := range []string{
+			"select t1.g, " + c.c1 + ", " + c.c2 + "\n",
+			"sum(m) as " + c.c1 + "\n",
+			"sum(m) as " + c.c2 + "\n",
+		} {
+			if !strings.Contains(cmp, want) {
+				t.Errorf("%s vs %s: comparison SQL missing %q:\n%s", c.v1, c.v2, want, cmp)
+			}
+		}
+		hyp := Hypothesis(rel, p, MeanGreater)
+		for _, want := range []string{
+			"select t1.g, " + c.c1 + ", " + c.c2 + "\n",
+			"having avg(" + c.c1 + ") > avg(" + c.c2 + ");",
+		} {
+			if !strings.Contains(hyp, want) {
+				t.Errorf("%s vs %s: hypothesis SQL missing %q:\n%s", c.v1, c.v2, want, hyp)
+			}
+		}
+	}
+}
+
 func TestQuoteIdent(t *testing.T) {
 	cases := map[string]string{
 		"continent":  "continent",

@@ -110,28 +110,7 @@ wait "$SRV_PID"
 SRV_PID=""
 
 echo "==> fuzz smoke (every fuzz target, 3s each)"
-# The fuzz packages are found, not listed: every directory with a
-# _test.go file declaring a `func Fuzz...`. go test runs from inside each
-# directory, so a package of perfbench's own module counts too. go test
-# accepts one -fuzz target per invocation, so each target runs briefly
-# against its seed corpus.
-fuzz_pkgs=$(grep -rl --include='*_test.go' --exclude-dir=.git --exclude-dir=.bench_build \
-    --exclude-dir=testdata '^func Fuzz' . | xargs -n1 dirname | sort -u)
-if [ -z "$fuzz_pkgs" ]; then
-    echo "fuzz smoke: no fuzz targets found" >&2
-    exit 1
-fi
-for pkg in $fuzz_pkgs; do
-    targets=$( (cd "$pkg" && go test -list '^Fuzz' .) | grep '^Fuzz' || true)
-    if [ -z "$targets" ]; then
-        echo "fuzz smoke: $pkg declares a fuzz target but go test lists none" >&2
-        exit 1
-    fi
-    for fz in $targets; do
-        echo "    $pkg $fz"
-        (cd "$pkg" && go test -run '^$' -fuzz "^${fz}\$" -fuzztime 3s . > /dev/null)
-    done
-done
+scripts/fuzz.sh 3s
 
 echo "OK: all checks passed"
 # The last line is the non-test Go line count ROADMAP.md and CHANGES.md

@@ -1,28 +1,26 @@
 #!/bin/sh
-# Long-run fuzzing for comparenb. Runs every native fuzz target for a
-# configurable stretch (default 5 minutes each) — the soak counterpart to
-# check.sh's 3-second smoke pass.
+# Runs every native fuzz target for one stretch each: the soak run by
+# default, and check.sh's 3-second smoke pass.
 #
 # Usage:
 #   scripts/fuzz.sh            # 5 minutes per target
-#   scripts/fuzz.sh 30         # 30 minutes per target
-#   FUZZ_MINUTES=10 scripts/fuzz.sh
+#   scripts/fuzz.sh 30m        # any Go duration per target
+#   scripts/fuzz.sh 3s         # the smoke pass
 #
-# When a target fails, `go test` writes the crashing input to the
-# package's testdata/fuzz/<FuzzTarget>/ directory. Commit that file: it
-# becomes a permanent regression seed that every future `go test` run
-# (including check.sh's smoke pass) replays without any -fuzz flag.
+# It fails when no target is found or when any target fails. When a
+# target fails, `go test` writes the crashing input to the package's
+# testdata/fuzz/<FuzzTarget>/ directory. Commit that file: it becomes a
+# permanent regression seed that every future `go test` run replays
+# without any -fuzz flag.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-minutes="${1:-${FUZZ_MINUTES:-5}}"
-case "$minutes" in
-    ''|*[!0-9]*)
-        echo "fuzz.sh: minutes must be a positive integer, got '$minutes'" >&2
-        exit 2
-        ;;
-esac
+duration="${1:-5m}"
+if ! echo "$duration" | grep -Eq '^([0-9]+(\.[0-9]+)?(ns|us|ms|s|m|h))+$'; then
+    echo "fuzz.sh: duration must be a Go duration such as 3s or 5m, got '$duration'" >&2
+    exit 2
+fi
 
 # Every directory with a _test.go file declaring a `func Fuzz...` is a
 # fuzz package; go test runs from inside it, so perfbench's own module
@@ -34,7 +32,7 @@ if [ -z "$packages" ]; then
     exit 1
 fi
 
-echo "==> long-run fuzz: ${minutes}m per target"
+echo "==> fuzz: ${duration} per target"
 failed=0
 for pkg in $packages; do
     targets=$( (cd "$pkg" && go test -list '^Fuzz' .) | grep '^Fuzz' || true)
@@ -43,8 +41,9 @@ for pkg in $packages; do
         exit 1
     fi
     for fz in $targets; do
-        echo "==> $pkg $fz (${minutes}m)"
-        if ! (cd "$pkg" && go test -run '^$' -fuzz "^${fz}\$" -fuzztime "${minutes}m" .); then
+        echo "    $pkg $fz"
+        if ! out=$(cd "$pkg" && go test -run '^$' -fuzz "^${fz}\$" -fuzztime "$duration" . 2>&1); then
+            echo "$out" >&2
             failed=1
             echo "fuzz.sh: $fz FAILED — commit the new seed under ${pkg}/testdata/fuzz/${fz}/ once the bug is fixed" >&2
         fi
@@ -52,7 +51,7 @@ for pkg in $packages; do
 done
 
 if [ "$failed" -ne 0 ]; then
-    echo "fuzz.sh: at least one target found a crasher" >&2
+    echo "fuzz.sh: at least one target failed" >&2
     exit 1
 fi
-echo "OK: all fuzz targets survived ${minutes}m each"
+echo "OK: all fuzz targets survived ${duration} each"
