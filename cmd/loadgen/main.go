@@ -1,28 +1,25 @@
-// Command loadgen drives a running comparenbd with concurrent notebook
-// jobs and reports latency percentiles and shed rate as JSON — the load
-// half of scripts/loadtest.sh.
+// Command loadgen is the client of the server and crash smokes in
+// scripts/check.sh. It drives a running comparenbd and checks what it
+// gets back; it measures nothing (perfbench is the serving benchmark).
 //
 //	comparenbd -addr 127.0.0.1:0 -addr-file /tmp/addr &
-//	loadgen -addr "$(cat /tmp/addr)" -tenants 3 -jobs 4 -out bench.json
+//	loadgen -addr "$(cat /tmp/addr)" -jobs 2 -trace-out /tmp/job.trace.json
 //
 // loadgen uploads its own deterministic dataset (internal/datagen Tiny),
-// fires tenants × jobs requests at once, polls each job to a terminal
-// state, and can download one finished job's trace and metrics artifacts
-// for obscheck validation (-trace-out / -metrics-out), the daemon's
-// flight-recorder snapshot (-flight-out), and one job's flight trace
-// (-jobtrace-out). Every request carries a deterministic W3C traceparent
-// derived from (tenant, seed); the run fails if the server echoes a
-// different trace id. Alongside client-side latency percentiles the
-// summary reports the server's own p50/p99 scraped from the
-// comparenb_server_job_e2e_seconds histogram on /metrics. A 429 shed is
-// not a failure: loadgen honors the Retry-After header with capped,
-// jittered backoff and re-submits, counting a job as shed only once its
-// retry budget is spent.
+// submits -jobs notebook jobs at once under one tenant, and polls each
+// job to a terminal state. Every request carries a deterministic W3C
+// traceparent derived from its seed. The run fails unless every job ends
+// done under the trace id it was submitted with, and the server's
+// comparenb_server_job_e2e_seconds histogram on /metrics counts every
+// one. It can then download one finished job's trace and metrics
+// artifacts for obscheck validation (-trace-out / -metrics-out), that
+// job's flight trace (-jobtrace-out) and the daemon's flight-recorder
+// snapshot (-flight-out).
 //
 // With -resume, loadgen submits nothing: it waits for a restarted
 // durable daemon to report ready (/readyz), then follows every journaled
-// job to a terminal state and summarises the recovery — the verification
-// half of the crash smoke in scripts/check.sh. With -journal it also
+// job to a terminal state and summarises the recovery as JSON (-out) —
+// the verification half of the crash smoke. With -journal it also
 // asserts every recovered job kept the trace id its admission record
 // carried across the crash.
 package main
@@ -32,20 +29,27 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"hash/fnv"
 	"io"
-	"math"
 	"net/http"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"comparenb/internal/datagen"
+	"comparenb/internal/durable"
+)
+
+const (
+	relation = "loadgen" // the uploaded relation's name
+	tenant   = "loadgen" // every job's tenant
+	baseSeed = int64(1)  // dataset seed; job k runs with baseSeed+k
+
+	pollEvery = 15 * time.Millisecond // job status poll interval
 )
 
 func main() {
@@ -55,82 +59,20 @@ func main() {
 	}
 }
 
-// jobOutcome is one request's fate as seen by the client.
-type jobOutcome struct {
-	state         string // done | failed | cancelled | shed
-	jobID         string
-	trace         string        // trace id sent with the request
-	traceMismatch bool          // server echoed a different trace id
-	latency       time.Duration // POST to terminal status
-	retries       int           // 429s absorbed before admission
-}
-
-type benchLatency struct {
-	P50MS float64 `json:"p50_ms"`
-	P95MS float64 `json:"p95_ms"`
-	P99MS float64 `json:"p99_ms"`
-}
-
-// benchServerLatency is the server's own view of job latency, read back
-// from the comparenb_server_job_e2e_seconds histogram on /metrics.
-// Quantiles are bucket upper bounds (log2-spaced), so they bound the
-// client-side percentiles from above.
-type benchServerLatency struct {
-	P50MS float64 `json:"p50_ms"`
-	P99MS float64 `json:"p99_ms"`
-	Count int64   `json:"count"`
-}
-
-type benchCache struct {
-	Hits       int64 `json:"hits"`
-	RollupHits int64 `json:"rollup_hits"`
-	Misses     int64 `json:"misses"`
-	Evictions  int64 `json:"evictions"`
-}
-
-type benchOut struct {
-	Addr          string       `json:"addr"`
-	Tenants       int          `json:"tenants"`
-	JobsPerTenant int          `json:"jobs_per_tenant"`
-	Rows          int          `json:"rows"`
-	Perms         int          `json:"perms"`
-	Requests      int          `json:"requests"`
-	Completed     int          `json:"completed"`
-	Shed          int          `json:"shed"`
-	Failed        int          `json:"failed"`
-	Retries       int          `json:"retries"`
-	TraceMismatch int          `json:"trace_mismatch"`
-	WallMS        int64        `json:"wall_ms"`
-	JobsPerSecond float64      `json:"jobs_per_second"`
-	ShedRate      float64      `json:"shed_rate"`
-	Latency       benchLatency `json:"latency"`
-
-	ServerLatency benchServerLatency `json:"server_latency"`
-
-	Cache benchCache `json:"cache"`
-}
-
 func run() error {
 	var (
 		addr        = flag.String("addr", "", "daemon address, host:port or http://host:port (required)")
-		tenants     = flag.Int("tenants", 3, "concurrent tenants")
-		jobs        = flag.Int("jobs", 4, "jobs per tenant, all submitted at once")
+		jobs        = flag.Int("jobs", 4, "notebook jobs, all submitted at once")
 		rows        = flag.Int("rows", 400, "rows of the generated dataset")
 		queries     = flag.Int("queries", 5, "notebook size per job")
 		perms       = flag.Int("perms", 100, "permutations per statistical test")
-		seed        = flag.Int64("seed", 1, "dataset and pipeline seed")
-		relation    = flag.String("relation", "loadgen", "relation name to upload under")
-		out         = flag.String("out", "", "write the JSON results here (default stdout)")
 		traceOut    = flag.String("trace-out", "", "download one finished job's Chrome trace artifact to this file")
 		metricsOut  = flag.String("metrics-out", "", "download the same job's metrics exposition to this file")
 		jobtraceOut = flag.String("jobtrace-out", "", "download the same job's flight-recorder trace (GET /v1/jobs/{id}/trace) to this file")
 		flightOut   = flag.String("flight-out", "", "download the daemon's flight snapshot (GET /debug/flight) to this file")
-		pollEvery   = flag.Duration("poll", 15*time.Millisecond, "job status poll interval")
-		maxRetries  = flag.Int("max-retries", 5, "re-submissions after a 429 before a job counts as shed")
-		retryCap    = flag.Duration("retry-cap", 5*time.Second, "upper bound on one Retry-After backoff sleep")
 		resume      = flag.Bool("resume", false, "submit nothing; wait for a restarted daemon's recovery and summarise journaled jobs")
-		resumeWait  = flag.Duration("resume-timeout", 2*time.Minute, "with -resume, how long to wait for readiness and terminal jobs")
 		journalPath = flag.String("journal", "", "with -resume, the daemon's journal.jsonl: recovered jobs must keep their admission trace_id")
+		out         = flag.String("out", "", "with -resume, write the JSON summary here (default stdout)")
 	)
 	flag.Parse()
 	if *addr == "" {
@@ -141,148 +83,87 @@ func run() error {
 	if !strings.HasPrefix(base, "http") {
 		base = "http://" + base
 	}
-	cl := &client{base: base, http: &http.Client{Timeout: 5 * time.Minute}, maxRetries: *maxRetries, retryCap: *retryCap}
+	cl := &client{base: base, http: &http.Client{Timeout: 5 * time.Minute}}
 
 	if *resume {
-		return runResume(cl, *out, *journalPath, *pollEvery, *resumeWait)
+		return runResume(cl, *out, *journalPath, pollEvery, 2*time.Minute)
 	}
 
-	ds, err := datagen.Tiny(*seed, *rows)
+	doneID, err := runSubmit(cl, *jobs, *rows, *queries, *perms)
 	if err != nil {
 		return err
 	}
-	var csv bytes.Buffer
-	if err := ds.Rel.WriteCSV(&csv); err != nil {
-		return err
-	}
-	if err := cl.upload(*relation, csv.Bytes()); err != nil {
-		return err
-	}
-
-	total := *tenants * *jobs
-	outcomes := make([]jobOutcome, total)
-	begin := time.Now()
-	var wg sync.WaitGroup
-	for t := 0; t < *tenants; t++ {
-		for k := 0; k < *jobs; k++ {
-			wg.Add(1)
-			go func(t, k int) {
-				defer wg.Done()
-				tenant := "tenant-" + strconv.Itoa(t)
-				// Distinct seeds keep jobs from being pure cache replays
-				// of one another while staying deterministic.
-				jobSeed := *seed + int64(k)
-				outcomes[t**jobs+k] = cl.oneJob(tenant, *relation, *queries, *perms, jobSeed, *pollEvery)
-			}(t, k)
+	for _, dl := range []struct{ path, dst string }{
+		{"/v1/jobs/" + doneID + "/result?format=trace", *traceOut},
+		{"/v1/jobs/" + doneID + "/result?format=metrics", *metricsOut},
+		{"/v1/jobs/" + doneID + "/trace", *jobtraceOut},
+		{"/debug/flight", *flightOut},
+	} {
+		if dl.dst == "" {
+			continue
 		}
-	}
-	wg.Wait()
-	wall := time.Since(begin)
-
-	res := benchOut{
-		Addr: base, Tenants: *tenants, JobsPerTenant: *jobs,
-		Rows: *rows, Perms: *perms, Requests: total, WallMS: wall.Milliseconds(),
-	}
-	var latencies []time.Duration
-	var doneID string
-	for _, o := range outcomes {
-		switch o.state {
-		case "done":
-			res.Completed++
-			latencies = append(latencies, o.latency)
-			doneID = o.jobID
-		case "shed":
-			res.Shed++
-		default:
-			res.Failed++
+		data, err := cl.get(dl.path)
+		if err != nil {
+			return err
 		}
-		res.Retries += o.retries
-		if o.traceMismatch {
-			res.TraceMismatch++
-		}
-	}
-	if res.TraceMismatch > 0 {
-		return fmt.Errorf("%d of %d jobs came back under a different trace id than submitted", res.TraceMismatch, total)
-	}
-	res.ShedRate = float64(res.Shed) / float64(total)
-	if wall > 0 {
-		res.JobsPerSecond = float64(res.Completed) / wall.Seconds()
-	}
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	res.Latency = benchLatency{
-		P50MS: percentileMS(latencies, 0.50),
-		P95MS: percentileMS(latencies, 0.95),
-		P99MS: percentileMS(latencies, 0.99),
-	}
-	if err := cl.cacheCounters(&res.Cache); err != nil {
-		return err
-	}
-	if err := cl.serverLatency(&res.ServerLatency); err != nil {
-		return err
-	}
-	if res.ServerLatency.Count < int64(res.Completed) {
-		return fmt.Errorf("server e2e histogram counts %d jobs, loadgen completed %d",
-			res.ServerLatency.Count, res.Completed)
-	}
-
-	if doneID != "" {
-		if *traceOut != "" {
-			if err := cl.download("/v1/jobs/"+doneID+"/result?format=trace", *traceOut); err != nil {
-				return err
-			}
-		}
-		if *metricsOut != "" {
-			if err := cl.download("/v1/jobs/"+doneID+"/result?format=metrics", *metricsOut); err != nil {
-				return err
-			}
-		}
-		if *jobtraceOut != "" {
-			if err := cl.download("/v1/jobs/"+doneID+"/trace", *jobtraceOut); err != nil {
-				return err
-			}
-		}
-	} else if *traceOut != "" || *metricsOut != "" || *jobtraceOut != "" {
-		return fmt.Errorf("no job completed; cannot download trace/metrics artifacts")
-	}
-	if *flightOut != "" {
-		if err := cl.download("/debug/flight", *flightOut); err != nil {
+		if err := os.WriteFile(dl.dst, data, 0o644); err != nil {
 			return err
 		}
 	}
-
-	enc, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	enc = append(enc, '\n')
-	if *out == "" {
-		_, err = os.Stdout.Write(enc)
-		return err
-	}
-	return os.WriteFile(*out, enc, 0o644)
+	return nil
 }
 
-// percentileMS is the nearest-rank percentile in milliseconds (0 when
-// nothing completed).
-func percentileMS(sorted []time.Duration, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
+// runSubmit uploads the dataset, submits jobs notebook jobs at once and
+// follows each to a terminal state. It fails unless every job ends done
+// under the trace id it was submitted with and the server's e2e
+// histogram counts at least that many jobs; otherwise it returns the id
+// of one finished job.
+func runSubmit(cl *client, jobs, rows, queries, perms int) (doneID string, err error) {
+	if jobs < 1 {
+		return "", fmt.Errorf("-jobs must be at least 1, got %d", jobs)
 	}
-	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
+	ds, err := datagen.Tiny(baseSeed, rows)
+	if err != nil {
+		return "", err
 	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
+	var csv bytes.Buffer
+	if err := ds.Rel.WriteCSV(&csv); err != nil {
+		return "", err
 	}
-	return float64(sorted[idx]) / float64(time.Millisecond)
+	if err := cl.upload(relation, csv.Bytes()); err != nil {
+		return "", err
+	}
+
+	ids := make([]string, jobs)
+	errs := make([]error, jobs)
+	var wg sync.WaitGroup
+	for k := 0; k < jobs; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			// Distinct seeds keep jobs from being pure cache replays
+			// of one another while staying deterministic.
+			ids[k], errs[k] = cl.oneJob(queries, perms, baseSeed+int64(k))
+		}(k)
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return "", err
+	}
+
+	counted, err := cl.e2eCount()
+	if err != nil {
+		return "", err
+	}
+	if counted < int64(jobs) {
+		return "", fmt.Errorf("server e2e histogram counts %d jobs, loadgen finished %d", counted, jobs)
+	}
+	return ids[jobs-1], nil
 }
 
 type client struct {
-	base       string
-	http       *http.Client
-	maxRetries int           // 429 re-submissions per job
-	retryCap   time.Duration // bound on one backoff sleep
+	base string
+	http *http.Client
 }
 
 func (c *client) upload(name string, csv []byte) error {
@@ -305,23 +186,19 @@ func (c *client) upload(name string, csv []byte) error {
 }
 
 // requestTraceparent derives a deterministic per-request W3C traceparent
-// from (tenant, seed): reruns of one workload carry the same trace ids,
-// so a server-side flight recorder or journal can be diffed across runs.
-func requestTraceparent(tenant string, seed int64) (header, traceID string) {
+// from the job's seed: reruns carry the same trace ids, so a server-side
+// flight recorder or journal can be diffed across runs.
+func requestTraceparent(seed int64) (header, traceID string) {
 	sum := sha256.Sum256([]byte(fmt.Sprintf("loadgen|%s|%d", tenant, seed)))
 	traceID = hex.EncodeToString(sum[:16])
 	parent := hex.EncodeToString(sum[16:24])
 	return "00-" + traceID + "-" + parent + "-01", traceID
 }
 
-// oneJob submits one notebook job and follows it to a terminal state.
-// Sheds (429) are absorbed by sleeping the server's Retry-After — scaled
-// by attempt, capped, deterministically jittered so one tenant's jobs
-// don't re-stampede in lockstep — and re-submitting, up to maxRetries.
-// Each submission carries a deterministic traceparent; the server must
-// echo the same trace id in the 202 body or the run fails.
-func (c *client) oneJob(tenant, relation string, queries, perms int, seed int64, poll time.Duration) jobOutcome {
-	begin := time.Now()
+// oneJob submits one notebook job under its deterministic traceparent
+// and follows it to a terminal state. It fails unless the server admits
+// the job, echoes the trace id it was sent, and the job ends done.
+func (c *client) oneJob(queries, perms int, seed int64) (jobID string, err error) {
 	reqBody, err := json.Marshal(map[string]any{
 		"relation": relation,
 		"tenant":   tenant,
@@ -330,89 +207,55 @@ func (c *client) oneJob(tenant, relation string, queries, perms int, seed int64,
 		"seed":     seed,
 	})
 	if err != nil {
-		return jobOutcome{state: "failed"}
+		return "", err
 	}
-	traceparent, traceID := requestTraceparent(tenant, seed)
-
+	traceparent, traceID := requestTraceparent(seed)
+	req, err := http.NewRequest("POST", c.base+"/v1/notebooks", bytes.NewReader(reqBody))
+	if err != nil {
+		return "", err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("traceparent", traceparent)
+	resp, err := c.http.Do(req)
+	if err != nil {
+		return "", fmt.Errorf("job seed %d: %w", seed, err)
+	}
+	body, err := io.ReadAll(io.LimitReader(resp.Body, 4096))
+	_ = resp.Body.Close()
+	if err != nil {
+		return "", fmt.Errorf("job seed %d: %w", seed, err)
+	}
+	if resp.StatusCode != http.StatusAccepted {
+		return "", fmt.Errorf("job seed %d: POST /v1/notebooks: %s: %s", seed, resp.Status, bytes.TrimSpace(body))
+	}
 	var admit struct {
 		JobID   string `json:"job_id"`
 		TraceID string `json:"trace_id"`
 	}
-	retries := 0
-	for {
-		req, err := http.NewRequest("POST", c.base+"/v1/notebooks", bytes.NewReader(reqBody))
-		if err != nil {
-			return jobOutcome{state: "failed", trace: traceID}
-		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set("traceparent", traceparent)
-		resp, err := c.http.Do(req)
-		if err != nil {
-			return jobOutcome{state: "failed", trace: traceID, retries: retries}
-		}
-		decErr := json.NewDecoder(resp.Body).Decode(&admit)
-		_ = resp.Body.Close()
-		if resp.StatusCode == http.StatusTooManyRequests {
-			if retries >= c.maxRetries {
-				return jobOutcome{state: "shed", trace: traceID, retries: retries}
-			}
-			retries++
-			time.Sleep(c.backoff(resp.Header.Get("Retry-After"), tenant, seed, retries))
-			continue
-		}
-		if decErr != nil || resp.StatusCode != http.StatusAccepted {
-			return jobOutcome{state: "failed", trace: traceID, retries: retries}
-		}
-		break
+	if err := json.Unmarshal(body, &admit); err != nil {
+		return "", fmt.Errorf("job seed %d: admission body: %w", seed, err)
+	}
+	if admit.TraceID != traceID {
+		return "", fmt.Errorf("job %s came back under trace id %q, submitted %q", admit.JobID, admit.TraceID, traceID)
 	}
 
 	for {
 		var st struct {
 			State string `json:"state"`
+			Error string `json:"error"`
 		}
 		if err := c.getJSON("/v1/jobs/"+admit.JobID, &st); err != nil {
-			return jobOutcome{state: "failed", jobID: admit.JobID, trace: traceID, retries: retries}
+			return "", fmt.Errorf("job %s: %w", admit.JobID, err)
 		}
-		if terminalJobState(st.State) {
-			o := jobOutcome{
-				state: st.State, jobID: admit.JobID, trace: traceID,
-				traceMismatch: admit.TraceID != traceID,
-				latency:       time.Since(begin), retries: retries,
-			}
-			fmt.Fprintf(os.Stderr, "loadgen: job %s %s %s in %dms trace=%s\n",
-				o.jobID, tenant, o.state, o.latency.Milliseconds(), admit.TraceID)
-			return o
+		switch st.State {
+		case "done":
+			fmt.Fprintf(os.Stderr, "loadgen: job %s done trace=%s\n", admit.JobID, traceID)
+			return admit.JobID, nil
+		case "failed", "cancelled", "failed_permanent":
+			return "", fmt.Errorf("job %s ended %s: %s", admit.JobID, st.State, st.Error)
 		}
-		time.Sleep(poll)
+		time.Sleep(pollEvery)
 	}
-}
-
-// terminalJobState mirrors the server's terminal states, including the
-// quarantine state a durable daemon can surface after crash recovery.
-func terminalJobState(st string) bool {
-	switch st {
-	case "done", "failed", "cancelled", "failed_permanent":
-		return true
-	}
-	return false
-}
-
-// backoff turns a Retry-After header into one sleep: the advertised
-// seconds (default 1s) scaled by the attempt number, capped, plus up to
-// 50% jitter keyed on (tenant, seed, attempt) so reruns are repeatable.
-func (c *client) backoff(retryAfter, tenant string, seed int64, attempt int) time.Duration {
-	base := time.Second
-	if secs, err := strconv.Atoi(strings.TrimSpace(retryAfter)); err == nil && secs > 0 {
-		base = time.Duration(secs) * time.Second
-	}
-	d := base * time.Duration(attempt)
-	if d > c.retryCap {
-		d = c.retryCap
-	}
-	h := fnv.New64a()
-	_, _ = fmt.Fprintf(h, "%s|%d|%d", tenant, seed, attempt) // fnv never errors
-	jitter := time.Duration(h.Sum64() % uint64(d/2+1))
-	return d/2 + jitter // in [d/2, d]
 }
 
 // resumeOut is the -resume summary: the fate of every journaled job
@@ -494,7 +337,7 @@ func runResume(cl *client, out, journalPath string, poll, timeout time.Duration)
 
 	// Crash recovery must keep trace correlation: every job the journal
 	// admitted under a trace id must come back under the same one.
-	if len(admitted) > 0 {
+	if journalPath != "" {
 		seen := map[string]string{}
 		for _, j := range jobs {
 			seen[j.ID] = j.TraceID
@@ -526,36 +369,21 @@ func runResume(cl *client, out, journalPath string, poll, timeout time.Duration)
 	return os.WriteFile(out, enc, 0o644)
 }
 
-// journalTraces reads a daemon's journal.jsonl and maps job id → the
-// trace id its admission record carried. Returns an empty map when no
-// path was given (trace verification off). A torn final line is ignored,
-// mirroring the daemon's own replay.
+// journalTraces reads a daemon's journal.jsonl with the daemon's own
+// reader (durable.ReadJournal, which skips a torn final line) and maps
+// job id → the trace id its admission record carried. Returns nil when
+// no path was given (trace verification off).
 func journalTraces(path string) (map[string]string, error) {
 	if path == "" {
 		return nil, nil
 	}
-	data, err := os.ReadFile(path)
+	recs, err := durable.ReadJournal(path)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("journal %s: %w", path, err)
 	}
 	traces := map[string]string{}
-	lines := strings.Split(string(data), "\n")
-	for i, line := range lines {
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		var rec struct {
-			Type  string `json:"t"`
-			ID    string `json:"id"`
-			Trace string `json:"trace"`
-		}
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			if i == len(lines)-1 {
-				continue // torn tail from the crash
-			}
-			return nil, fmt.Errorf("journal %s line %d: %w", path, i+1, err)
-		}
-		if rec.Type == "job-admit" && rec.Trace != "" {
+	for _, rec := range recs {
+		if rec.Type == durable.RecJobAdmit && rec.Trace != "" {
 			traces[rec.ID] = rec.Trace
 		}
 	}
@@ -574,121 +402,31 @@ func (c *client) getJSON(path string, v any) error {
 	return json.NewDecoder(resp.Body).Decode(v)
 }
 
-func (c *client) download(path, dst string) error {
+func (c *client) get(path string) ([]byte, error) {
 	resp, err := c.http.Get(c.base + path)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer func() { _ = resp.Body.Close() }()
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: %s", path, resp.Status)
+		return nil, fmt.Errorf("GET %s: %s", path, resp.Status)
 	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(dst, data, 0o644)
+	return io.ReadAll(resp.Body)
 }
 
-// serverLatency scrapes the global comparenb_server_job_e2e_seconds
-// histogram from /metrics and computes nearest-rank p50/p99 from its
-// cumulative buckets — the server's own admit-to-done latency, free of
-// client-side polling granularity.
-func (c *client) serverLatency(out *benchServerLatency) error {
-	resp, err := c.http.Get(c.base + "/metrics")
+// e2eCount reads the global comparenb_server_job_e2e_seconds_count from
+// /metrics: how many jobs the server itself timed admit to done.
+func (c *client) e2eCount() (int64, error) {
+	data, err := c.get("/metrics")
 	if err != nil {
-		return err
+		return 0, err
 	}
-	defer func() { _ = resp.Body.Close() }()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	const family = "comparenb_server_job_e2e_seconds"
-	type bucket struct {
-		le  float64
-		cum int64
-	}
-	var buckets []bucket
+	// Global line only: the per-tenant instances carry a tenant label.
+	const prefix = "comparenb_server_job_e2e_seconds_count "
 	for _, line := range strings.Split(string(data), "\n") {
-		// Global lines only: the per-tenant instances carry a tenant label.
-		if rest, ok := strings.CutPrefix(line, family+`_bucket{le="`); ok {
-			le, cum, ok := strings.Cut(rest, `"} `)
-			if !ok {
-				continue
-			}
-			b := bucket{le: math.Inf(1)}
-			if le != "+Inf" {
-				if b.le, err = strconv.ParseFloat(le, 64); err != nil {
-					continue
-				}
-			}
-			if b.cum, err = strconv.ParseInt(cum, 10, 64); err != nil {
-				continue
-			}
-			buckets = append(buckets, b)
-		} else if rest, ok := strings.CutPrefix(line, family+"_count "); ok {
-			out.Count, _ = strconv.ParseInt(rest, 10, 64)
+		if rest, ok := strings.CutPrefix(line, prefix); ok {
+			return strconv.ParseInt(rest, 10, 64)
 		}
 	}
-	sort.Slice(buckets, func(i, j int) bool { return buckets[i].le < buckets[j].le })
-	quantileMS := func(q float64) float64 {
-		if out.Count == 0 {
-			return 0
-		}
-		rank := int64(math.Ceil(q * float64(out.Count)))
-		if rank < 1 {
-			rank = 1
-		}
-		ms := 0.0
-		for _, b := range buckets {
-			if math.IsInf(b.le, 1) {
-				// The overflow bucket has no finite bound; report the
-				// largest finite one rather than an unmarshalable Inf.
-				break
-			}
-			ms = b.le * 1000
-			if b.cum >= rank {
-				break
-			}
-		}
-		return ms
-	}
-	out.P50MS = quantileMS(0.50)
-	out.P99MS = quantileMS(0.99)
-	return nil
-}
-
-// cacheCounters scrapes the shared cache's counters from /metrics.
-func (c *client) cacheCounters(out *benchCache) error {
-	resp, err := c.http.Get(c.base + "/metrics")
-	if err != nil {
-		return err
-	}
-	defer func() { _ = resp.Body.Close() }()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		name, val, ok := strings.Cut(line, " ")
-		if !ok {
-			continue
-		}
-		n, err := strconv.ParseInt(val, 10, 64)
-		if err != nil {
-			continue
-		}
-		switch name {
-		case "comparenb_engine_cache_hits_total":
-			out.Hits = n
-		case "comparenb_engine_cache_rollup_hits_total":
-			out.RollupHits = n
-		case "comparenb_engine_cache_misses_total":
-			out.Misses = n
-		case "comparenb_engine_cache_evictions_total":
-			out.Evictions = n
-		}
-	}
-	return nil
+	return 0, fmt.Errorf("/metrics has no %s line", strings.TrimSpace(prefix))
 }

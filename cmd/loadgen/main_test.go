@@ -42,12 +42,12 @@ func startDaemon(t *testing.T, stateDir string) (cl *client, stop func()) {
 		})
 	}
 	t.Cleanup(stop)
-	return &client{base: hs.URL, http: &http.Client{Timeout: time.Minute}, maxRetries: 3, retryCap: time.Second}, stop
+	return &client{base: hs.URL, http: &http.Client{Timeout: time.Minute}}, stop
 }
 
 // admit submits one notebook job under loadgen's deterministic
 // traceparent without following it, and returns its job id.
-func admit(t *testing.T, cl *client, tenant string, seed int64) string {
+func admit(t *testing.T, cl *client, seed int64) string {
 	t.Helper()
 	body, err := json.Marshal(map[string]any{"relation": "tiny", "tenant": tenant, "queries": 3, "perms": 40, "seed": seed})
 	if err != nil {
@@ -58,7 +58,7 @@ func admit(t *testing.T, cl *client, tenant string, seed int64) string {
 		t.Fatal(err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	header, _ := requestTraceparent(tenant, seed)
+	header, _ := requestTraceparent(seed)
 	req.Header.Set("traceparent", header)
 	resp, err := cl.http.Do(req)
 	if err != nil {
@@ -95,7 +95,7 @@ func restartedDaemon(t *testing.T) (*client, string, []string) {
 	}
 	var ids []string
 	for seed := int64(1); seed <= 3; seed++ {
-		ids = append(ids, admit(t, cl, "tenant-0", seed))
+		ids = append(ids, admit(t, cl, seed))
 	}
 	stop()
 	cl, _ = startDaemon(t, dir)
@@ -128,7 +128,7 @@ func TestResumeFailsOnTraceMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Rewrite the trace id of the first job's admission record.
-	want, _ := requestTraceparent("tenant-0", 1)
+	want, _ := requestTraceparent(1)
 	trace := strings.Split(want, "-")[1]
 	if !bytes.Contains(data, []byte(trace)) {
 		t.Fatalf("journal holds no record with trace %s:\n%s", trace, data)
@@ -174,7 +174,23 @@ func TestJournalTracesTornLines(t *testing.T) {
 		t.Errorf("torn last line: traces %v, want both admitted jobs", got)
 	}
 
-	if _, err := journalTraces(write("middle.jsonl", a+"\n"+torn+"\n"+b+"\n")); err == nil || !strings.Contains(err.Error(), "line 2") {
-		t.Errorf("torn middle line: err = %v, want an error naming line 2", err)
+	if _, err := journalTraces(write("middle.jsonl", a+"\n"+torn+"\n"+b+"\n")); err == nil || !strings.Contains(err.Error(), "record 2") {
+		t.Errorf("torn middle line: err = %v, want an error naming record 2", err)
+	}
+}
+
+// TestSubmitFailsUnlessEveryJobIsDone drives the server smoke's submit
+// mode: a run whose jobs all finish passes, and one the daemon refuses
+// (10 permutations cannot reach significance at α = 0.05) must fail
+// rather than pass with no job done.
+func TestSubmitFailsUnlessEveryJobIsDone(t *testing.T) {
+	cl, _ := startDaemon(t, t.TempDir())
+	id, err := runSubmit(cl, 2, 200, 3, 40)
+	if err != nil || id == "" {
+		t.Fatalf("runSubmit = %q, %v; want a finished job", id, err)
+	}
+	_, err = runSubmit(cl, 2, 200, 3, 10)
+	if err == nil || !strings.Contains(err.Error(), "Perms=10") {
+		t.Fatalf("runSubmit with -perms 10: err = %v, want the daemon's Perms=10 refusal", err)
 	}
 }

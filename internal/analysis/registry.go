@@ -15,7 +15,6 @@ func All() []*Analyzer {
 		NolintLint,
 		NoPanic,
 		SpanEnd,
-		SyncByValue,
 	}
 }
 

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"os/exec"
 	"strings"
 	"testing"
 )
@@ -56,5 +57,26 @@ func TestSelfCheck(t *testing.T) {
 	if len(failures) > 0 {
 		t.Errorf("comparenb-vet found %d unsuppressed finding(s):\n%s",
 			len(failures), strings.Join(failures, "\n"))
+	}
+}
+
+// TestGoVet runs the toolchain's full `go vet ./...` over the module and
+// fails on any output. go test vets the package under test with only a
+// few high-confidence passes; this adds the rest, copylocks among them,
+// so a copied lock (say, a value receiver on server.Server) breaks the
+// tier-1 suite rather than only scripts/check.sh.
+func TestGoVet(t *testing.T) {
+	if testing.Short() {
+		t.Skip("go vet checks the whole module; skipped in -short mode")
+	}
+	root, err := findModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command("go", "vet", "./...")
+	cmd.Dir = root
+	out, err := cmd.CombinedOutput()
+	if err != nil || len(out) > 0 {
+		t.Fatalf("go vet ./... in %s: %v\n%s", root, err, out)
 	}
 }

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"sort"
-
 	"comparenb/internal/faultinject"
 	"comparenb/internal/table"
 )
@@ -48,8 +46,7 @@ func EstimateCubeBytes(rel *table.Relation, attrs []int) int64 {
 	if prod < groups {
 		groups = prod
 	}
-	perGroup := int64(len(attrs))*4 + 8 + int64(rel.NumMeasures())*3*8
-	return groups * perGroup
+	return groups * groupBytes(rel, len(attrs))
 }
 
 // admitPrepare is the pre-build half of memory-budget admission: it
@@ -99,37 +96,11 @@ func (cc *CubeCache) admitInsertLocked(key cacheKey, cube *Cube, sorted []int, a
 	cc.insertLocked(key, cube, sorted)
 }
 
-// evictForLocked removes entries largest-footprint-first (ties broken
-// by key string — the same victim rule as Trim, a pure function of the
-// entry set) until `need` more bytes fit under the memory budget.
-// Callers hold cc.mu.
+// evictForLocked evicts in evictLargestLocked's victim order (the same
+// as Trim's) until `need` more bytes fit under the memory budget,
+// counting each victim as an admission eviction. Callers hold cc.mu.
 func (cc *CubeCache) evictForLocked(need int64) {
-	if cc.memBudget <= 0 || cc.bytes+need <= cc.memBudget {
-		return
+	if cc.memBudget > 0 {
+		cc.evictLargestLocked(cc.memBudget-need, cc.admitEvictions)
 	}
-	type victim struct {
-		key   cacheKey
-		bytes int64
-	}
-	// Collect keys, then sort: the iteration feeds a deterministic sort,
-	// so map order cannot leak into which entries survive.
-	var all []victim
-	for key, e := range cc.entries {
-		all = append(all, victim{key: key, bytes: e.bytes})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].bytes != all[j].bytes {
-			return all[i].bytes > all[j].bytes
-		}
-		return all[i].key.attrs < all[j].key.attrs
-	})
-	for _, v := range all {
-		if cc.bytes+need <= cc.memBudget {
-			break
-		}
-		delete(cc.entries, v.key)
-		cc.bytes -= v.bytes
-		cc.admitEvictions.Inc()
-	}
-	cc.nEntries = len(cc.entries)
 }

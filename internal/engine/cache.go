@@ -288,15 +288,25 @@ func isSubset(sub, sup []int) bool {
 	return true
 }
 
-// Trim evicts entries until the total footprint fits the budget. Victims
-// are chosen largest-footprint-first (ties broken by key string), a pure
-// function of the entry set, so the surviving contents do not depend on
-// the order entries were inserted in. Call it from a single-threaded phase
-// boundary; it is the only method that removes entries.
+// Trim evicts entries until the total footprint fits the budget, in
+// evictLargestLocked's victim order, so the surviving contents do not
+// depend on the order entries were inserted in. Call it from a
+// single-threaded phase boundary; it is the only method that removes
+// entries.
 func (cc *CubeCache) Trim() {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	if cc.budget <= 0 || cc.bytes <= cc.budget {
+	if cc.budget > 0 {
+		cc.evictLargestLocked(cc.budget, cc.evictions)
+	}
+}
+
+// evictLargestLocked removes entries largest-footprint-first, ties broken
+// by key string, until the total footprint is at most limit, and bumps
+// counter once per victim. The victim order is a pure function of the
+// entry set. Callers hold cc.mu.
+func (cc *CubeCache) evictLargestLocked(limit int64, counter *obs.Counter) {
+	if cc.bytes <= limit {
 		return
 	}
 	type victim struct {
@@ -316,12 +326,12 @@ func (cc *CubeCache) Trim() {
 		return all[i].key.attrs < all[j].key.attrs
 	})
 	for _, v := range all {
-		if cc.bytes <= cc.budget {
+		if cc.bytes <= limit {
 			break
 		}
 		delete(cc.entries, v.key)
 		cc.bytes -= v.bytes
-		cc.evictions.Inc()
+		counter.Inc()
 	}
 	cc.nEntries = len(cc.entries)
 }

@@ -82,9 +82,14 @@ func (c *Cube) Value(g, m int, agg Agg) float64 {
 // is the weight used by Algorithm 2's weighted set cover and the unit the
 // CubeCache budget is expressed in.
 func (c *Cube) MemoryFootprint() int64 {
-	g := int64(c.NumGroups())
-	perGroup := int64(len(c.attrs))*4 + 8 + int64(c.rel.NumMeasures())*3*8
-	return g * perGroup
+	return int64(c.NumGroups()) * groupBytes(c.rel, len(c.attrs))
+}
+
+// groupBytes is the footprint of one group of a cube over nAttrs
+// attributes of rel: a 4-byte code per attribute, an 8-byte count, and a
+// sum, min and max per measure.
+func groupBytes(rel *table.Relation, nAttrs int) int64 {
+	return int64(nAttrs)*4 + 8 + int64(rel.NumMeasures())*3*8
 }
 
 // buildShardRows is the fixed shard width of the sharded cube build. It

@@ -112,10 +112,11 @@ func writeComparisonBody(sb *strings.Builder, rel *table.Relation, p Params, ind
 
 // columnAliases derives the SQL column aliases of the two sides from
 // their selection values, e.g. month '4' → "v_4", continent 'America' →
-// "America". An empty alias becomes v_l or v_r. Two aliases equal ignoring
-// case ('a-b' and 'a_b', '1' and 'v_1', 'Paris' and 'paris': SQL folds
-// unquoted names) would make the select list ambiguous, so both get their
-// side tag, _l and _r.
+// "America". An empty alias becomes v_l or v_r. An alias equal ignoring
+// case (SQL folds unquoted names) to the other one ('a-b' and 'a_b', '1'
+// and 'v_1', 'Paris' and 'paris') or to A's or B's name (month value
+// 'continent' grouped by continent) would make the select list
+// ambiguous, so both aliases get their side tag, _l and _r.
 func columnAliases(rel *table.Relation, p Params) (c1, c2 string) {
 	c1 = sanitizeIdent(rel.Value(p.SelAttr, p.Val))
 	c2 = sanitizeIdent(rel.Value(p.SelAttr, p.Val2))
@@ -125,7 +126,9 @@ func columnAliases(rel *table.Relation, p Params) (c1, c2 string) {
 	if c2 == "" {
 		c2 = "v_r"
 	}
-	if strings.EqualFold(c1, c2) {
+	a, b := rel.CatName(p.GroupBy), rel.CatName(p.SelAttr)
+	collides := func(c string) bool { return strings.EqualFold(c, a) || strings.EqualFold(c, b) }
+	if strings.EqualFold(c1, c2) || collides(c1) || collides(c2) {
 		c1, c2 = c1+"_l", c2+"_r"
 	}
 	return c1, c2

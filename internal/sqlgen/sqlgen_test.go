@@ -88,12 +88,13 @@ func TestQuotingValuesWithQuotes(t *testing.T) {
 	}
 }
 
-// TestCollidingAliasesGetSideTags: distinct selection values whose aliases
-// are equal ignoring case must not both project the same name, which SQL
-// rejects as ambiguous; distinct aliases stay untagged.
+// TestCollidingAliasesGetSideTags: a selection value's alias must not
+// project the same name, ignoring case, as the other side's alias or as
+// the grouping or selection attribute, which SQL rejects as ambiguous;
+// distinct aliases stay untagged.
 func TestCollidingAliasesGetSideTags(t *testing.T) {
 	b := table.NewBuilder("t", []string{"g", "city"}, []string{"m"})
-	for _, v := range []string{"a-b", "a_b", "1", "v_1", "Paris", "paris", "Lyon"} {
+	for _, v := range []string{"a-b", "a_b", "1", "v_1", "Paris", "paris", "Lyon", "G", "city"} {
 		b.AddRow([]string{"x", v}, []float64{1})
 	}
 	rel := b.Build()
@@ -102,6 +103,8 @@ func TestCollidingAliasesGetSideTags(t *testing.T) {
 		{"1", "v_1", "v_1_l", "v_1_r"},
 		{"Paris", "paris", "Paris_l", "paris_r"},
 		{"Paris", "Lyon", "Paris", "Lyon"},
+		{"G", "Lyon", "G_l", "Lyon_r"},         // A's name
+		{"Paris", "city", "Paris_l", "city_r"}, // B's name
 	}
 	for _, c := range cases {
 		v1, _ := rel.CodeOf(1, c.v1)

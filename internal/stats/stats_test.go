@@ -323,56 +323,3 @@ func TestStudentTTwoSidedMonotone(t *testing.T) {
 		t.Errorf("p(t=0) = %v, want 1", p)
 	}
 }
-
-func TestPairedTKnown(t *testing.T) {
-	// Differences 2,2,2,2 with no variance → P = 0 (certain difference).
-	res := PairedT([]float64{3, 4, 5, 6}, []float64{1, 2, 3, 4})
-	if res.P != 0 {
-		t.Errorf("constant difference: P = %v, want 0", res.P)
-	}
-	// Identical pairs → P = 1.
-	x := []float64{1, 5, 3}
-	res = PairedT(x, x)
-	if res.P != 1 || res.T != 0 {
-		t.Errorf("identical pairs: T=%v P=%v", res.T, res.P)
-	}
-	// Hand-checked example: d = {1, -1, 2, 0, 3} → mean 1, sd^2 = 2.5,
-	// t = 1 / sqrt(2.5/5) = sqrt(2) ≈ 1.4142, df = 4, p ≈ 0.23.
-	res = PairedT([]float64{2, 1, 4, 3, 8}, []float64{1, 2, 2, 3, 5})
-	if !almostEqual(res.T, math.Sqrt2, 1e-9) {
-		t.Errorf("T = %v, want √2", res.T)
-	}
-	if res.P < 0.2 || res.P > 0.26 {
-		t.Errorf("P = %v, want ≈ 0.23", res.P)
-	}
-}
-
-func TestPairedTDegenerate(t *testing.T) {
-	if res := PairedT([]float64{1}, []float64{2}); res.P != 1 {
-		t.Errorf("single pair: P = %v", res.P)
-	}
-	if res := PairedT([]float64{1, 2}, []float64{1}); res.P != 1 {
-		t.Errorf("mismatched lengths: P = %v", res.P)
-	}
-}
-
-// TestPairedTMorePowerfulThanWelch: with a shared per-subject offset, the
-// paired test must detect a shift Welch dilutes.
-func TestPairedTMorePowerfulThanWelch(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	x := make([]float64, 12)
-	y := make([]float64, 12)
-	for i := range x {
-		base := rng.NormFloat64() * 10 // large shared offset
-		x[i] = base + 1 + rng.NormFloat64()*0.3
-		y[i] = base + rng.NormFloat64()*0.3
-	}
-	paired := PairedT(x, y)
-	welch := WelchT(x, y)
-	if paired.P >= welch.P {
-		t.Errorf("paired P=%v not smaller than Welch P=%v despite shared offsets", paired.P, welch.P)
-	}
-	if paired.P > 0.01 {
-		t.Errorf("paired test missed a clear shift: P=%v", paired.P)
-	}
-}

@@ -33,34 +33,6 @@ func WelchT(x, y []float64) WelchResult {
 	return WelchResult{T: t, DF: df, P: studentTTwoSided(t, df)}
 }
 
-// PairedT runs the paired-samples t-test: x[i] and y[i] are two ratings by
-// the same rater, so the test statistic is the mean of the differences
-// over their standard error, with n−1 degrees of freedom. More powerful
-// than WelchT when ratings share per-rater bias (as the simulated panel's
-// do). Returns P = 1 for degenerate inputs; P = 0 when the difference is
-// nonzero and exactly constant.
-func PairedT(x, y []float64) WelchResult {
-	if len(x) != len(y) || len(x) < 2 {
-		return WelchResult{T: math.NaN(), DF: math.NaN(), P: 1}
-	}
-	d := make([]float64, len(x))
-	for i := range x {
-		d[i] = x[i] - y[i]
-	}
-	md := Mean(d)
-	vd := Variance(d)
-	n := float64(len(d))
-	if NearZero(vd) {
-		if NearZero(md) {
-			return WelchResult{T: 0, DF: n - 1, P: 1}
-		}
-		return WelchResult{T: math.Inf(sign(md)), DF: n - 1, P: 0}
-	}
-	t := md / math.Sqrt(vd/n)
-	df := n - 1
-	return WelchResult{T: t, DF: df, P: studentTTwoSided(t, df)}
-}
-
 func sign(v float64) int {
 	if v < 0 {
 		return -1

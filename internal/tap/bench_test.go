@@ -48,6 +48,6 @@ func BenchmarkHeldKarp12(b *testing.B) {
 	subset := rng.Perm(20)[:12]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		minPathHeldKarp(inst, subset)
+		heldKarpPath(inst, subset)
 	}
 }

@@ -322,7 +322,11 @@ func (s *exactSearch) fractionalBound(idx int, budget float64) float64 {
 	return total
 }
 
-// heldKarpPath is minPathHeldKarp with path reconstruction.
+// heldKarpPath computes an exact minimum open Hamiltonian path over the
+// given query subset (free endpoints) by Held–Karp dynamic programming,
+// O(2^k · k²) time and O(2^k · k) space, and returns the path with its
+// length. It is the feasibility oracle of the exact solver; k is capped
+// by ExactOptions.MaxHeldKarp.
 func heldKarpPath(inst *Instance, subset []int) ([]int, float64) {
 	k := len(subset)
 	switch k {

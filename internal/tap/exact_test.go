@@ -7,6 +7,12 @@ import (
 	"time"
 )
 
+// minPath is the length of heldKarpPath's exact minimum path over subset.
+func minPath(inst *Instance, subset []int) float64 {
+	_, dist := heldKarpPath(inst, subset)
+	return dist
+}
+
 // bruteForce enumerates every subset of size ≤ budget and every ordering
 // feasibility via Held–Karp, returning the optimal interest. Only for tiny
 // instances.
@@ -26,7 +32,7 @@ func bruteForce(inst *Instance, epsT, epsD float64) float64 {
 		if cost > epsT+1e-12 || interest <= best {
 			continue
 		}
-		if minPathHeldKarp(inst, subset) <= epsD+1e-12 {
+		if minPath(inst, subset) <= epsD+1e-12 {
 			best = interest
 		}
 	}
@@ -63,10 +69,6 @@ func TestHeldKarpAgainstBruteForcePermutations(t *testing.T) {
 		}
 	}
 	rec(make([]bool, len(subset)), 0, 0)
-	got := minPathHeldKarp(inst, subset)
-	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("Held–Karp = %v, brute force = %v", got, want)
-	}
 	order, dist := heldKarpPath(inst, subset)
 	if math.Abs(dist-want) > 1e-9 {
 		t.Errorf("heldKarpPath dist = %v, want %v", dist, want)
@@ -78,16 +80,16 @@ func TestHeldKarpAgainstBruteForcePermutations(t *testing.T) {
 
 func TestHeldKarpSmallCases(t *testing.T) {
 	inst := lineInstance([]float64{1, 1, 1}, []float64{0, 3, 10})
-	if got := minPathHeldKarp(inst, nil); got != 0 {
+	if got := minPath(inst, nil); got != 0 {
 		t.Errorf("empty = %v", got)
 	}
-	if got := minPathHeldKarp(inst, []int{1}); got != 0 {
+	if got := minPath(inst, []int{1}); got != 0 {
 		t.Errorf("single = %v", got)
 	}
-	if got := minPathHeldKarp(inst, []int{0, 2}); got != 10 {
+	if got := minPath(inst, []int{0, 2}); got != 10 {
 		t.Errorf("pair = %v", got)
 	}
-	if got := minPathHeldKarp(inst, []int{0, 1, 2}); got != 10 {
+	if got := minPath(inst, []int{0, 1, 2}); got != 10 {
 		t.Errorf("line of three = %v, want 10 (visit in order)", got)
 	}
 }
@@ -99,7 +101,7 @@ func TestMSTLowerBoundsPath(t *testing.T) {
 		k := 2 + rng.Intn(8)
 		subset := rng.Perm(12)[:k]
 		mst := mstWeight(inst, subset)
-		path := minPathHeldKarp(inst, subset)
+		path := minPath(inst, subset)
 		if mst > path+1e-9 {
 			t.Fatalf("MST %v exceeds min path %v", mst, path)
 		}
@@ -119,9 +121,9 @@ func TestMinPathMonotoneUnderAddition(t *testing.T) {
 		perm := rng.Perm(15)
 		subset := perm[:k]
 		super := perm[:k+1]
-		if minPathHeldKarp(inst, subset) > minPathHeldKarp(inst, super)+1e-9 {
+		if minPath(inst, subset) > minPath(inst, super)+1e-9 {
 			t.Fatalf("min path not monotone: %v > %v",
-				minPathHeldKarp(inst, subset), minPathHeldKarp(inst, super))
+				minPath(inst, subset), minPath(inst, super))
 		}
 	}
 }

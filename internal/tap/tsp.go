@@ -2,63 +2,6 @@ package tap
 
 import "math"
 
-// minPathHeldKarp computes the exact minimum open Hamiltonian path over
-// the given query subset (free endpoints) by Held–Karp dynamic
-// programming: O(2^k · k²) time, O(2^k · k) space. It is the feasibility
-// oracle of the exact solver; k is capped by ExactOptions.MaxHeldKarp.
-func minPathHeldKarp(inst *Instance, subset []int) float64 {
-	k := len(subset)
-	switch k {
-	case 0, 1:
-		return 0
-	case 2:
-		return inst.Dist(subset[0], subset[1])
-	}
-	d := make([][]float64, k)
-	for i := range d {
-		d[i] = make([]float64, k)
-		for j := range d[i] {
-			d[i][j] = inst.Dist(subset[i], subset[j])
-		}
-	}
-	size := 1 << k
-	dp := make([]float64, size*k)
-	for i := range dp {
-		dp[i] = math.Inf(1)
-	}
-	for j := 0; j < k; j++ {
-		dp[(1<<j)*k+j] = 0
-	}
-	for mask := 1; mask < size; mask++ {
-		for last := 0; last < k; last++ {
-			if mask&(1<<last) == 0 {
-				continue
-			}
-			cur := dp[mask*k+last]
-			if math.IsInf(cur, 1) {
-				continue
-			}
-			for next := 0; next < k; next++ {
-				if mask&(1<<next) != 0 {
-					continue
-				}
-				nm := mask | 1<<next
-				if v := cur + d[last][next]; v < dp[nm*k+next] {
-					dp[nm*k+next] = v
-				}
-			}
-		}
-	}
-	best := math.Inf(1)
-	full := size - 1
-	for j := 0; j < k; j++ {
-		if v := dp[full*k+j]; v < best {
-			best = v
-		}
-	}
-	return best
-}
-
 // insertionPath builds a path over subset by cheapest insertion and
 // returns its total length: an upper bound on the minimum Hamiltonian
 // path, used when the subset exceeds the Held–Karp cap.

@@ -60,9 +60,11 @@ for _ in $(seq 1 50); do
     sleep 0.1
 done
 [ -s "$OBSDIR/addr" ] || { echo "server smoke: daemon never bound; log:" >&2; cat "$OBSDIR/daemon.log" >&2; exit 1; }
-"$OBSDIR/loadgen" -addr "$(cat "$OBSDIR/addr")" -tenants 1 -jobs 2 -rows 200 -queries 4 -perms 60 \
+# loadgen fails unless both jobs end done under the trace ids they were
+# submitted with and the server's e2e histogram counts them.
+"$OBSDIR/loadgen" -addr "$(cat "$OBSDIR/addr")" -jobs 2 -rows 200 -queries 4 -perms 60 \
     -trace-out "$OBSDIR/job.trace.json" -metrics-out "$OBSDIR/job.metrics.txt" \
-    -jobtrace-out "$OBSDIR/job.flighttrace.json" -flight-out "$OBSDIR/flight.json" > /dev/null
+    -jobtrace-out "$OBSDIR/job.flighttrace.json" -flight-out "$OBSDIR/flight.json"
 "$OBSDIR/obscheck" -q -trace "$OBSDIR/job.trace.json" -metrics "$OBSDIR/job.metrics.txt"
 # The flight recorder's snapshot and its per-job trace download must
 # validate under the same rules as the pipeline's own artifacts.
@@ -86,7 +88,7 @@ SRV_PID=$!
 wait_addr "$OBSDIR/addr-crash1" || { echo "crash smoke: daemon never bound; log:" >&2; cat "$OBSDIR/crash1.log" >&2; exit 1; }
 # Slow-ish jobs so SIGKILL plausibly lands mid-run; recovery is verified
 # either way — every journaled job must settle after the restart.
-"$OBSDIR/loadgen" -addr "$(cat "$OBSDIR/addr-crash1")" -tenants 1 -jobs 3 \
+"$OBSDIR/loadgen" -addr "$(cat "$OBSDIR/addr-crash1")" -jobs 3 \
     -rows 400 -queries 5 -perms 4000 > /dev/null 2>&1 &
 LG_PID=$!
 sleep 0.4
