@@ -58,12 +58,7 @@ func run() error {
 		addrFile      = flag.String("addr-file", "", "write the actual listen address to this file once bound (for scripts using -addr :0)")
 		maxConc       = flag.Int("max-concurrent", 2, "job worker count: notebook generations running at once")
 		queueDepth    = flag.Int("queue-depth", 64, "global admission queue bound; beyond it requests are shed with 429")
-		tenantConc    = flag.Int("tenant-concurrent", 0, "per-tenant running-job cap (0 = max-concurrent)")
-		tenantQueue   = flag.Int("tenant-queue-depth", 0, "per-tenant queue share (0 = queue-depth)")
-		jobTimeBudget = flag.Duration("job-time-budget", 0, "cap on each job's soft TimeBudget, e.g. 30s (0 = requests choose freely)")
-		jobThreads    = flag.Int("job-threads", 0, "cap on per-job worker threads (0 = uncapped)")
 		cacheBudget   = flag.Int64("cache-budget", 256<<20, "shared cube-cache soft budget in bytes")
-		memBudget     = flag.Int64("mem-budget", 0, "shared cube-cache hard admission budget in bytes (0 = disarmed)")
 		maxUpload     = flag.Int64("max-upload", 32<<20, "CSV upload size bound in bytes")
 		maxRelations  = flag.Int("max-relations", 64, "session registry bound")
 		maxRows       = flag.Int("max-rows", 1<<20, "row bound per loaded relation")
@@ -87,24 +82,19 @@ func run() error {
 	}
 
 	srv, err := server.New(server.Options{
-		MaxConcurrent:    *maxConc,
-		QueueDepth:       *queueDepth,
-		TenantConcurrent: *tenantConc,
-		TenantQueueDepth: *tenantQueue,
-		JobTimeBudget:    *jobTimeBudget,
-		JobThreads:       *jobThreads,
-		CacheBudget:      *cacheBudget,
-		CacheMemBudget:   *memBudget,
-		MaxUploadBytes:   *maxUpload,
-		MaxRelations:     *maxRelations,
-		MaxRows:          *maxRows,
-		DrainTimeout:     *drainTimeout,
-		StateDir:         *stateDir,
-		MaxAttempts:      *maxAttempts,
-		RetryBase:        *retryBase,
-		FlightRecent:     *flightRecent,
-		FlightSlowest:    *flightSlowest,
-		Logger:           logger,
+		MaxConcurrent:  *maxConc,
+		QueueDepth:     *queueDepth,
+		CacheBudget:    *cacheBudget,
+		MaxUploadBytes: *maxUpload,
+		MaxRelations:   *maxRelations,
+		MaxRows:        *maxRows,
+		DrainTimeout:   *drainTimeout,
+		StateDir:       *stateDir,
+		MaxAttempts:    *maxAttempts,
+		RetryBase:      *retryBase,
+		FlightRecent:   *flightRecent,
+		FlightSlowest:  *flightSlowest,
+		Logger:         logger,
 	})
 	if err != nil {
 		return err

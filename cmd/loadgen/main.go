@@ -19,9 +19,11 @@
 // With -resume, loadgen submits nothing: it waits for a restarted
 // durable daemon to report ready (/readyz), then follows every journaled
 // job to a terminal state and summarises the recovery as JSON (-out) —
-// the verification half of the crash smoke. With -journal it also
-// asserts every recovered job kept the trace id its admission record
-// carried across the crash.
+// the verification half of the crash smoke. -journal names the journal
+// as the crash left it (a copy taken before the restart): every
+// recovered job must keep the trace id its admission record carried,
+// at least one job must have been started and not finished, and each
+// such job must have re-run to done in a further attempt.
 package main
 
 import (
@@ -71,7 +73,7 @@ func run() error {
 		jobtraceOut = flag.String("jobtrace-out", "", "download the same job's flight-recorder trace (GET /v1/jobs/{id}/trace) to this file")
 		flightOut   = flag.String("flight-out", "", "download the daemon's flight snapshot (GET /debug/flight) to this file")
 		resume      = flag.Bool("resume", false, "submit nothing; wait for a restarted daemon's recovery and summarise journaled jobs")
-		journalPath = flag.String("journal", "", "with -resume, the daemon's journal.jsonl: recovered jobs must keep their admission trace_id")
+		journalPath = flag.String("journal", "", "with -resume, the daemon's journal.jsonl as the crash left it: recovered jobs must keep their admission trace_id, and jobs it shows started and unfinished must re-run to done")
 		out         = flag.String("out", "", "with -resume, write the JSON summary here (default stdout)")
 	)
 	flag.Parse()
@@ -268,15 +270,19 @@ type resumeOut struct {
 	Quarantined   int    `json:"quarantined"`
 	Cancelled     int    `json:"cancelled"`
 	TraceVerified int    `json:"trace_verified"`
+	Rerun         int    `json:"rerun"` // jobs interrupted mid-run that re-ran to done
 	WaitMS        int64  `json:"wait_ms"`
 }
 
 // runResume waits for a restarted daemon to become ready, then follows
 // all journaled jobs to terminal states. It fails (nonzero exit) when
 // the daemon never readies, a job never settles, or the journal turned
-// out empty — a crash smoke that recovered nothing proved nothing.
+// out empty — a crash smoke that recovered nothing proved nothing. With
+// journalPath, the journal as the crash left it, it also fails unless
+// the crash interrupted at least one started job and the restarted
+// daemon re-ran every such job to done.
 func runResume(cl *client, out, journalPath string, poll, timeout time.Duration) error {
-	admitted, err := journalTraces(journalPath)
+	journaled, err := journalJobs(journalPath)
 	if err != nil {
 		return fmt.Errorf("resume: %w", err)
 	}
@@ -298,9 +304,10 @@ func runResume(cl *client, out, journalPath string, poll, timeout time.Duration)
 
 	res := resumeOut{Addr: cl.base}
 	var jobs []struct {
-		ID      string `json:"id"`
-		State   string `json:"state"`
-		TraceID string `json:"trace_id"`
+		ID       string `json:"id"`
+		State    string `json:"state"`
+		TraceID  string `json:"trace_id"`
+		Attempts int    `json:"attempts"`
 	}
 	for {
 		if err := cl.getJSON("/v1/jobs", &jobs); err != nil {
@@ -336,24 +343,38 @@ func runResume(cl *client, out, journalPath string, poll, timeout time.Duration)
 	res.WaitMS = time.Since(begin).Milliseconds()
 
 	// Crash recovery must keep trace correlation: every job the journal
-	// admitted under a trace id must come back under the same one.
+	// admitted under a trace id must come back under the same one. A job
+	// the crash cut off mid-run must run again, to done.
 	if journalPath != "" {
-		seen := map[string]string{}
-		for _, j := range jobs {
-			seen[j.ID] = j.TraceID
+		recovered := map[string]int{}
+		for i, j := range jobs {
+			recovered[j.ID] = i
 		}
-		for id, trace := range admitted {
-			got, ok := seen[id]
+		for _, js := range journaled {
+			i, ok := recovered[js.ID]
 			if !ok {
-				return fmt.Errorf("resume: journaled job %s missing after recovery", id)
+				return fmt.Errorf("resume: journaled job %s missing after recovery", js.ID)
 			}
-			if got != trace {
-				return fmt.Errorf("resume: job %s recovered with trace_id %q, journal admitted %q", id, got, trace)
+			j := jobs[i]
+			if js.Trace != "" {
+				if j.TraceID != js.Trace {
+					return fmt.Errorf("resume: job %s recovered with trace_id %q, journal admitted %q", js.ID, j.TraceID, js.Trace)
+				}
+				res.TraceVerified++
 			}
-			res.TraceVerified++
+			if js.Interrupted() && js.Attempts > 0 {
+				if j.State != "done" || j.Attempts <= js.Attempts {
+					return fmt.Errorf("resume: job %s was interrupted in attempt %d but recovered %s after %d attempts",
+						js.ID, js.Attempts, j.State, j.Attempts)
+				}
+				res.Rerun++
+			}
 		}
 		if res.TraceVerified == 0 {
 			return fmt.Errorf("resume: journal %s admitted no traced jobs — nothing to verify", journalPath)
+		}
+		if res.Rerun == 0 {
+			return fmt.Errorf("resume: journal %s shows no job started and unfinished — the crash interrupted no run", journalPath)
 		}
 	}
 
@@ -369,11 +390,12 @@ func runResume(cl *client, out, journalPath string, poll, timeout time.Duration)
 	return os.WriteFile(out, enc, 0o644)
 }
 
-// journalTraces reads a daemon's journal.jsonl with the daemon's own
-// reader (durable.ReadJournal, which skips a torn final line) and maps
-// job id → the trace id its admission record carried. Returns nil when
-// no path was given (trace verification off).
-func journalTraces(path string) (map[string]string, error) {
+// journalJobs folds a daemon's journal.jsonl with the daemon's own
+// reader and fold (durable.ReadJournal, which skips a torn final line,
+// and durable.Replay): every journaled job in admission order, with its
+// trace id, attempts started and terminal record. Returns nil when no
+// path was given (journal checks off).
+func journalJobs(path string) ([]*durable.JobState, error) {
 	if path == "" {
 		return nil, nil
 	}
@@ -381,13 +403,11 @@ func journalTraces(path string) (map[string]string, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journal %s: %w", path, err)
 	}
-	traces := map[string]string{}
-	for _, rec := range recs {
-		if rec.Type == durable.RecJobAdmit && rec.Trace != "" {
-			traces[rec.ID] = rec.Trace
-		}
+	st, err := durable.Replay(recs)
+	if err != nil {
+		return nil, fmt.Errorf("journal %s: %w", path, err)
 	}
-	return traces, nil
+	return st.Jobs, nil
 }
 
 func (c *client) getJSON(path string, v any) error {

@@ -75,9 +75,11 @@ func admit(t *testing.T, cl *client, seed int64) string {
 }
 
 // restartedDaemon admits three traced jobs on a durable daemon, stops it
-// at once (so later jobs may still be queued or running), and restarts it
-// on the same state dir. It returns the restarted daemon's client, the
-// journal path and the admitted job ids.
+// once the first job is done (later jobs may still be queued or running),
+// and deletes the journal's job-done records: the journal a kill -9
+// between job-start and job-done would leave. It keeps a copy of that
+// journal, restarts the daemon on the state dir, and returns the
+// restarted daemon's client, the copy's path and the admitted job ids.
 func restartedDaemon(t *testing.T) (*client, string, []string) {
 	t.Helper()
 	dir := t.TempDir()
@@ -97,9 +99,45 @@ func restartedDaemon(t *testing.T) (*client, string, []string) {
 	for seed := int64(1); seed <= 3; seed++ {
 		ids = append(ids, admit(t, cl, seed))
 	}
+	waitDone(t, cl, ids[0])
 	stop()
+	journal := filepath.Join(dir, "journal.jsonl")
+	data, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []string
+	for _, line := range strings.SplitAfter(string(data), "\n") {
+		if !strings.Contains(line, `"t":"job-done"`) {
+			kept = append(kept, line)
+		}
+	}
+	crashed := []byte(strings.Join(kept, ""))
+	atCrash := filepath.Join(t.TempDir(), "journal.jsonl")
+	for _, path := range []string{journal, atCrash} {
+		if err := os.WriteFile(path, crashed, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	cl, _ = startDaemon(t, dir)
-	return cl, filepath.Join(dir, "journal.jsonl"), ids
+	return cl, atCrash, ids
+}
+
+// waitDone polls job id until it is done.
+func waitDone(t *testing.T, cl *client, id string) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Minute); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		var st struct {
+			State string `json:"state"`
+		}
+		if err := cl.getJSON("/v1/jobs/"+id, &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.State == "done" {
+			return
+		}
+	}
+	t.Fatalf("job %s not done after a minute", id)
 }
 
 func TestResumeVerifiesRecoveredTraces(t *testing.T) {
@@ -116,8 +154,41 @@ func TestResumeVerifiesRecoveredTraces(t *testing.T) {
 	if err := json.Unmarshal(data, &res); err != nil {
 		t.Fatal(err)
 	}
-	if res.Jobs != len(ids) || res.Done != len(ids) || res.TraceVerified != len(ids) {
-		t.Errorf("resume summary %+v: want %d jobs, all done and trace-verified", res, len(ids))
+	if res.Jobs != len(ids) || res.Done != len(ids) || res.TraceVerified != len(ids) || res.Rerun < 1 {
+		t.Errorf("resume summary %+v: want %d jobs, all done and trace-verified, and at least one re-run", res, len(ids))
+	}
+}
+
+// TestResumeRequiresRerunOfInterruptedJob: -journal fails a recovery in
+// which no started job was cut off, and one in which a cut-off job did
+// not run again.
+func TestResumeRequiresRerunOfInterruptedJob(t *testing.T) {
+	dir := t.TempDir()
+	cl, stop := startDaemon(t, dir)
+	if _, err := runSubmit(cl, 2, 200, 3, 40); err != nil {
+		t.Fatal(err)
+	}
+	stop()
+	cl, _ = startDaemon(t, dir)
+	err := runResume(cl, filepath.Join(t.TempDir(), "resume.json"), filepath.Join(dir, "journal.jsonl"), 5*time.Millisecond, time.Minute)
+	if err == nil || !strings.Contains(err.Error(), "interrupted no run") {
+		t.Errorf("every job finished before the stop: runResume err = %v, want a no-interrupted-run failure", err)
+	}
+
+	cl, journal, ids := restartedDaemon(t)
+	data, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Claim the first job had already used more attempts than its re-run
+	// brings it to.
+	forged := filepath.Join(t.TempDir(), "journal.jsonl")
+	if err := os.WriteFile(forged, bytes.ReplaceAll(data, []byte(`"attempt":1`), []byte(`"attempt":9`)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = runResume(cl, filepath.Join(t.TempDir(), "resume.json"), forged, 5*time.Millisecond, time.Minute)
+	if err == nil || !strings.Contains(err.Error(), ids[0]) || !strings.Contains(err.Error(), "attempt 9") {
+		t.Errorf("runResume err = %v, want a failure naming %s interrupted in attempt 9", err, ids[0])
 	}
 }
 
@@ -166,15 +237,16 @@ func TestJournalTracesTornLines(t *testing.T) {
 		return path
 	}
 
-	got, err := journalTraces(write("tail.jsonl", a+"\n"+b+"\n"+torn))
+	got, err := journalJobs(write("tail.jsonl", a+"\n"+b+"\n"+torn))
 	if err != nil {
 		t.Fatalf("torn last line: %v", err)
 	}
-	if len(got) != 2 || got["j000001"] != "0123456789abcdef0123456789abcdef" || got["j000002"] != "fedcba9876543210fedcba9876543210" {
-		t.Errorf("torn last line: traces %v, want both admitted jobs", got)
+	if len(got) != 2 || got[0].ID != "j000001" || got[0].Trace != "0123456789abcdef0123456789abcdef" ||
+		got[1].ID != "j000002" || got[1].Trace != "fedcba9876543210fedcba9876543210" {
+		t.Errorf("torn last line: jobs %+v, want both admitted jobs with their traces", got)
 	}
 
-	if _, err := journalTraces(write("middle.jsonl", a+"\n"+torn+"\n"+b+"\n")); err == nil || !strings.Contains(err.Error(), "record 2") {
+	if _, err := journalJobs(write("middle.jsonl", a+"\n"+torn+"\n"+b+"\n")); err == nil || !strings.Contains(err.Error(), "record 2") {
 		t.Errorf("torn middle line: err = %v, want an error naming record 2", err)
 	}
 }

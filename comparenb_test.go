@@ -201,7 +201,6 @@ func TestSolverHeuristicPlusEndToEnd(t *testing.T) {
 	cfg.Seed = 5
 	cfg.EpsT = 3
 	cfg.Solver = SolverHeuristicPlus
-	cfg.AutoConciseness = true
 	res, err := Generate(ds, cfg)
 	if err != nil {
 		t.Fatal(err)

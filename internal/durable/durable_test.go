@@ -271,11 +271,11 @@ func TestRetryPolicy(t *testing.T) {
 	}
 
 	// Exponential envelope: delay for attempt N lies in [base·2^(N−1), 1.5×that], capped.
-	p = RetryPolicy{MaxAttempts: 10, Base: 100 * time.Millisecond, Cap: time.Second}.WithDefaults()
-	for attempt := 1; attempt <= 8; attempt++ {
+	p = RetryPolicy{MaxAttempts: 10, Base: 100 * time.Millisecond}.WithDefaults()
+	for attempt := 1; attempt <= 9; attempt++ {
 		want := 100 * time.Millisecond << (attempt - 1)
-		if want > time.Second {
-			want = time.Second
+		if limit := 64 * 100 * time.Millisecond; want > limit {
+			want = limit
 		}
 		d := p.Backoff("job", attempt)
 		if d < want || d > want+want/2 {

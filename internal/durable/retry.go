@@ -15,23 +15,21 @@ type RetryPolicy struct {
 	// before quarantine (minimum 1).
 	MaxAttempts int
 	// Base is the first retry's backoff; each further attempt doubles
-	// it (capped by Cap).
+	// it, up to 64×Base.
 	Base time.Duration
-	// Cap bounds a single backoff delay (0 = 64×Base).
-	Cap time.Duration
 }
 
+// maxBackoffDoublings caps a backoff delay at Base·2^6 = 64×Base.
+const maxBackoffDoublings = 6
+
 // WithDefaults returns p with zero fields defaulted: 3 attempts, 250 ms
-// base, 64×base cap.
+// base.
 func (p RetryPolicy) WithDefaults() RetryPolicy {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = 3
 	}
 	if p.Base <= 0 {
 		p.Base = 250 * time.Millisecond
-	}
-	if p.Cap <= 0 {
-		p.Cap = 64 * p.Base
 	}
 	return p
 }
@@ -43,25 +41,15 @@ func (p RetryPolicy) Exhausted(attempt int) bool {
 }
 
 // Backoff returns the delay before re-running a job whose attempt-N run
-// was interrupted: Base·2^(N−1) plus a deterministic jitter of up to half
-// the delay, derived from (id, attempt) so the schedule is reproducible
-// across restarts yet de-synchronised across jobs. attempt 0 (admitted
-// but never started) retries immediately.
+// was interrupted: Base·2^(N−1), at most 64×Base, plus a deterministic
+// jitter of up to half the delay, derived from (id, attempt) so the
+// schedule is reproducible across restarts yet de-synchronised across
+// jobs. attempt 0 (admitted but never started) retries immediately.
 func (p RetryPolicy) Backoff(id string, attempt int) time.Duration {
 	if attempt <= 0 {
 		return 0
 	}
-	d := p.Base
-	for i := 1; i < attempt; i++ {
-		d *= 2
-		if d >= p.Cap {
-			d = p.Cap
-			break
-		}
-	}
-	if d > p.Cap {
-		d = p.Cap
-	}
+	d := p.Base << min(attempt-1, maxBackoffDoublings)
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(id)) // fnv's Write cannot fail
 	var buf [1]byte

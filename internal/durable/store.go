@@ -34,9 +34,6 @@ func OpenStore(dir string) (*Store, error) {
 	return s, nil
 }
 
-// Root returns the store's root directory.
-func (s *Store) Root() string { return s.root }
-
 // sweepTemp removes abandoned temp files anywhere under the root.
 func (s *Store) sweepTemp() error {
 	return filepath.WalkDir(s.root, func(path string, d os.DirEntry, err error) error {

@@ -70,10 +70,10 @@ func TestAdmitEvictsLargestFirstToFit(t *testing.T) {
 		t.Error("no AdmitEvictions recorded despite overflowing inserts")
 	}
 	// Largest-first victim rule: the wide cube is gone, the narrow survives.
-	if cc.Get(rel, []int{0, 1, 2}) != nil {
+	if cachedCube(cc, rel, []int{0, 1, 2}) != nil {
 		t.Error("widest cube survived admission eviction")
 	}
-	if cc.Get(rel, []int{0}) == nil {
+	if cachedCube(cc, rel, []int{0}) == nil {
 		t.Error("narrowest cube was evicted before the budget required it")
 	}
 }

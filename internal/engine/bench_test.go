@@ -151,13 +151,12 @@ func BenchmarkCubeCacheExactHit(b *testing.B) {
 // up a cached 4-attribute superset instead of rescanning the relation.
 func BenchmarkCubeCacheRollupHit(b *testing.B) {
 	rel := benchRelation(b, 50000)
-	cc := NewCubeCache(0)
-	mustGetOrBuild(b, cc, rel, []int{0, 1, 2, 3})
+	super := mustBuildCube(b, rel, []int{0, 1, 2, 3}, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		fresh := NewCubeCache(0)
-		fresh.Add(cc.Get(rel, []int{0, 1, 2, 3}))
+		fresh.insertLocked(cacheKey{rel: rel, attrs: attrsKey(super.attrs)}, super, super.attrs)
 		b.StartTimer()
 		mustGetOrBuild(b, fresh, rel, []int{0, 3})
 	}

@@ -147,21 +147,6 @@ func sortedAttrs(attrs []int) []int {
 	return sorted
 }
 
-// Get returns the cached cube for exactly this attribute set, or nil.
-// An exact match counts as a hit; a miss is only counted by the *OrBuild
-// variants, which know whether a build actually happened.
-func (cc *CubeCache) Get(rel *table.Relation, attrs []int) *Cube {
-	sorted := sortedAttrs(attrs)
-	key := cacheKey{rel: rel, attrs: attrsKey(sorted)}
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if e, ok := cc.entries[key]; ok {
-		cc.hits.Inc()
-		return e.cube
-	}
-	return nil
-}
-
 // GetOrBuild returns a cube over attrs, in order of preference: the exact
 // cached cube, a roll-up of the cheapest cached strict superset, or a fresh
 // BuildCube from the relation. The result is inserted into the cache. The
@@ -224,21 +209,6 @@ func (cc *CubeCache) getOrBuild(ctx context.Context, rel *table.Relation, attrs 
 	}
 	cc.admitInsertLocked(key, cube, sorted, admitted)
 	return cube, nil
-}
-
-// Add inserts a cube built elsewhere. Without a memory budget it never
-// evicts (see Trim); with one armed it goes through admission, which may
-// evict entries to make room or refuse to cache the cube (see
-// SetMemBudget).
-func (cc *CubeCache) Add(cube *Cube) {
-	sorted := sortedAttrs(cube.attrs)
-	key := cacheKey{rel: cube.rel, attrs: attrsKey(sorted)}
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if _, ok := cc.entries[key]; ok {
-		return
-	}
-	cc.admitInsertLocked(key, cube, sorted, true)
 }
 
 func (cc *CubeCache) insertLocked(key cacheKey, cube *Cube, sorted []int) {

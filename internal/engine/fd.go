@@ -12,33 +12,21 @@ type FD struct {
 // DetectFDs finds all pairwise functional dependencies between categorical
 // attributes. This is the pre-processing step of the paper (footnote 2):
 // the pipeline later skips comparison queries (A, B, ...) where A→B or
-// B→A, e.g. selecting two days and grouping over months.
+// B→A, e.g. selecting two days and grouping over months. Both directions
+// of a pair come from one joint count of the pair's codes. On an empty
+// relation every dependency holds.
 func DetectFDs(rel *table.Relation) []FD {
-	return DetectFDsApprox(rel, 0)
-}
-
-// DetectFDsApprox finds approximate pairwise functional dependencies: a
-// dependency det → dep holds when its g3 error — the minimum fraction of
-// tuples that must be removed for the FD to hold exactly — is at most
-// maxError. Real data is dirty; a commune column with a handful of
-// mistyped departments should still disqualify the degenerate queries the
-// FD pre-processing exists to prevent. maxError = 0 is the exact check.
-//
-// The g3 error of det → dep is 1 − (Σ over det values of the most common
-// dep value's count) / N, and 0 on an empty relation. Both directions of
-// a pair come from one joint count of the pair's codes.
-func DetectFDsApprox(rel *table.Relation, maxError float64) []FD {
 	n := rel.NumCatAttrs()
-	g3 := make([]float64, n*n) // g3[det*n+dep]
+	holds := make([]bool, n*n) // holds[det*n+dep]
 	for a := 0; a < n; a++ {
 		for b := a + 1; b < n; b++ {
-			g3[a*n+b], g3[b*n+a] = pairFDErrors(rel, a, b)
+			holds[a*n+b], holds[b*n+a] = pairFDs(rel, a, b)
 		}
 	}
 	var fds []FD
 	for det := 0; det < n; det++ {
 		for dep := 0; dep < n; dep++ {
-			if det != dep && g3[det*n+dep] <= maxError {
+			if det != dep && holds[det*n+dep] {
 				fds = append(fds, FD{Det: det, Dep: dep})
 			}
 		}
@@ -46,14 +34,15 @@ func DetectFDsApprox(rel *table.Relation, maxError float64) []FD {
 	return fds
 }
 
-// pairFDErrors returns the g3 errors of a → b and b → a. The joint count
-// is a dense table over dom(a)·dom(b) cells when that is no larger than
-// the row count, as in groupFreqs, and a map over the code pairs present
-// otherwise.
-func pairFDErrors(rel *table.Relation, a, b int) (ab, ba float64) {
+// pairFDs reports whether a → b and b → a hold: det → dep holds when,
+// summed over det's values, the most common dep value's count covers
+// every row. The joint count is a dense table over dom(a)·dom(b) cells
+// when that is no larger than the row count, as in groupFreqs, and a map
+// over the code pairs present otherwise.
+func pairFDs(rel *table.Relation, a, b int) (ab, ba bool) {
 	nRows := rel.NumRows()
 	if nRows == 0 {
-		return 0, 0
+		return true, true
 	}
 	colA, colB := rel.CatCol(a), rel.CatCol(b)
 	domA, domB := rel.DomSize(a), rel.DomSize(b)
@@ -89,7 +78,7 @@ func pairFDErrors(rel *table.Relation, a, b int) (ab, ba float64) {
 	for _, c := range bestA {
 		keepBA += c
 	}
-	return 1 - float64(keepAB)/float64(nRows), 1 - float64(keepBA)/float64(nRows)
+	return keepAB == nRows, keepBA == nRows
 }
 
 // FDSet is a lookup structure over detected FDs.

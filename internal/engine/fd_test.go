@@ -2,17 +2,17 @@ package engine
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
 	"comparenb/internal/table"
 )
 
-// FDError is the per-direction reference for DetectFDsApprox: the g3
-// error of det → dep, 1 − (Σ over det values of the most common dep
+// FDError is the per-direction reference for DetectFDs: the g3 error of
+// det → dep, 1 − (Σ over det values of the most common dep
 // value's count) / N, from a map over the code pairs of every row. An
-// empty relation has error 0.
+// empty relation has error 0, and a dependency holds exactly when its
+// error is 0.
 func FDError(rel *table.Relation, det, dep int) float64 {
 	nRows := rel.NumRows()
 	if nRows == 0 {
@@ -40,14 +40,14 @@ func FDError(rel *table.Relation, det, dep int) float64 {
 	return 1 - float64(keep)/float64(nRows)
 }
 
-// detectFDsReference is DetectFDsApprox by the per-direction oracle: one
+// detectFDsReference is DetectFDs by the per-direction oracle: one
 // FDError map per ordered attribute pair.
-func detectFDsReference(rel *table.Relation, maxError float64) []FD {
+func detectFDsReference(rel *table.Relation) []FD {
 	n := rel.NumCatAttrs()
 	var fds []FD
 	for det := 0; det < n; det++ {
 		for dep := 0; dep < n; dep++ {
-			if det != dep && FDError(rel, det, dep) <= maxError {
+			if det != dep && FDError(rel, det, dep) == 0 {
 				fds = append(fds, FD{Det: det, Dep: dep})
 			}
 		}
@@ -81,9 +81,8 @@ func fdRelation(rng *rand.Rand, rows int, domains []int, noise float64) *table.R
 }
 
 // TestDetectFDsMatchesFDError checks the one-count-per-pair detection
-// against the per-direction oracle: the same FDs, in the same order, at
-// every threshold, in both count regimes and on one-row and empty
-// relations.
+// against the per-direction oracle: the same FDs, in the same order, in
+// both count regimes and on one-row and empty relations.
 func TestDetectFDsMatchesFDError(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	type tc struct {
@@ -103,24 +102,22 @@ func TestDetectFDsMatchesFDError(t *testing.T) {
 		cases = append(cases, tc{fmt.Sprintf("map-%d", i), fdRelation(rng, 200+rng.Intn(600), []int{60, 40, 4, 2}, 0.05*float64(i%3))})
 	}
 	for _, c := range cases {
-		for _, maxErr := range []float64{0, 0.01, 0.05, 0.1, 0.3, 0.5, 0.9} {
-			got, want := DetectFDsApprox(c.rel, maxErr), detectFDsReference(c.rel, maxErr)
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Errorf("%s maxError=%v: %v, oracle %v", c.name, maxErr, got, want)
-			}
+		got, want := DetectFDs(c.rel), detectFDsReference(c.rel)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: %v, oracle %v", c.name, got, want)
 		}
 		n := c.rel.NumCatAttrs()
 		for a := 0; a < n; a++ {
 			for b := a + 1; b < n; b++ {
-				ab, ba := pairFDErrors(c.rel, a, b)
-				if math.Float64bits(ab) != math.Float64bits(FDError(c.rel, a, b)) ||
-					math.Float64bits(ba) != math.Float64bits(FDError(c.rel, b, a)) {
-					t.Errorf("%s (%d, %d): errors (%v, %v), oracle (%v, %v)", c.name, a, b, ab, ba, FDError(c.rel, a, b), FDError(c.rel, b, a))
+				ab, ba := pairFDs(c.rel, a, b)
+				wantAB, wantBA := FDError(c.rel, a, b) == 0, FDError(c.rel, b, a) == 0
+				if ab != wantAB || ba != wantBA {
+					t.Errorf("%s (%d, %d): holds (%v, %v), oracle (%v, %v)", c.name, a, b, ab, ba, wantAB, wantBA)
 				}
 			}
 		}
 	}
-	if got := len(DetectFDsApprox(cases[0].rel, 0)); got != 2 {
+	if got := len(DetectFDs(cases[0].rel)); got != 2 {
 		t.Errorf("empty relation: %d FDs, want both directions", got)
 	}
 }
@@ -204,13 +201,8 @@ func TestFDErrorAndApprox(t *testing.T) {
 	if errG3 <= 0 || errG3 > 0.05 {
 		t.Fatalf("g3 error = %v, want (0, 0.05] for 4 dirty of 100", errG3)
 	}
-	exact := NewFDSet(DetectFDsApprox(rel, 0))
-	if exact.MeaninglessPair(0, 1) {
-		t.Error("exact detection should reject the dirty FD")
-	}
-	approx := NewFDSet(DetectFDsApprox(rel, 0.05))
-	if !approx.MeaninglessPair(0, 1) {
-		t.Error("approximate detection should accept the dirty FD")
+	if NewFDSet(DetectFDs(rel)).MeaninglessPair(0, 1) {
+		t.Error("detection should reject the dirty FD")
 	}
 }
 

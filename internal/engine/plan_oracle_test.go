@@ -113,7 +113,13 @@ func Scan(rel *table.Relation) *ScanOp { return &ScanOp{Rel: rel} }
 // Run implements Plan.
 func (s *ScanOp) Run() (*Rows, error) {
 	rel := s.Rel
-	names := append(rel.CatNames(), rel.MeasNames()...)
+	var names []string
+	for a := 0; a < rel.NumCatAttrs(); a++ {
+		names = append(names, rel.CatName(a))
+	}
+	for m := 0; m < rel.NumMeasures(); m++ {
+		names = append(names, rel.MeasName(m))
+	}
 	kinds := make([]ColKind, len(names))
 	for i := rel.NumCatAttrs(); i < len(names); i++ {
 		kinds[i] = Num

@@ -110,7 +110,6 @@ type Governor struct {
 	phaseAt  [numPhases]time.Time // when the phase started
 	deadline [numPhases]time.Time // the phase's soft deadline
 	started  [numPhases]bool
-	maxLevel [numPhases]Level // worst level Admit handed out
 
 	// Admission-decision counters, bound by Instrument. Nil (no-op) on an
 	// uninstrumented governor. Note these are wall-clock-derived: an
@@ -188,8 +187,8 @@ func (g *Governor) Deadline(p Phase) time.Time {
 // Shed when the phase deadline has already passed; Degrade when the
 // linear projection from measured progress overruns the deadline; Full
 // otherwise (including before any unit has finished — the first unit is
-// the measurement). The worst level handed out is retained for
-// MaxLevel. Safe to call from any number of workers.
+// the measurement). Each answer bumps its governor_admit_* counter. Safe
+// to call from any number of workers.
 func (g *Governor) Admit(p Phase, done, total int) Level {
 	if g == nil {
 		return Full
@@ -220,32 +219,5 @@ func (g *Governor) Admit(p Phase, done, total int) Level {
 	case Shed:
 		g.admitShed.Inc()
 	}
-	if level != Full {
-		g.Observe(p, level)
-	}
 	return level
-}
-
-// Observe records that the phase actually ran a unit at the given
-// level, so MaxLevel reflects forced (test-pinned) rungs as well as
-// Admit's own decisions.
-func (g *Governor) Observe(p Phase, l Level) {
-	if g == nil || l == Full {
-		return
-	}
-	g.mu.Lock()
-	if l > g.maxLevel[p] {
-		g.maxLevel[p] = l
-	}
-	g.mu.Unlock()
-}
-
-// MaxLevel returns the worst rung the phase was admitted at.
-func (g *Governor) MaxLevel(p Phase) Level {
-	if g == nil {
-		return Full
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.maxLevel[p]
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"comparenb/internal/faultinject"
+	"comparenb/internal/obs"
 )
 
 // fakeClock drives a governor with a hand-advanced clock so every
@@ -27,15 +28,13 @@ func newTestGovernor(total time.Duration) (*Governor, *fakeClock) {
 
 func TestNilGovernorIsUngoverned(t *testing.T) {
 	var g *Governor
-	g.StartPhase(Stats) // must not panic
+	g.Instrument(obs.New()) // must not panic
+	g.StartPhase(Stats)
 	if lvl := g.Admit(Stats, 5, 10); lvl != Full {
 		t.Errorf("nil governor Admit = %v, want Full", lvl)
 	}
 	if !g.Deadline(TAP).IsZero() {
 		t.Errorf("nil governor Deadline = %v, want zero", g.Deadline(TAP))
-	}
-	if g.MaxLevel(Stats) != Full {
-		t.Errorf("nil governor MaxLevel = %v, want Full", g.MaxLevel(Stats))
 	}
 	if New(0, time.Now()) != nil {
 		t.Error("New(0) should return the nil (ungoverned) governor")
@@ -71,6 +70,8 @@ func TestBudgetSplitAndRollForward(t *testing.T) {
 
 func TestAdmitLevels(t *testing.T) {
 	g, clk := newTestGovernor(10 * time.Second)
+	reg := obs.New()
+	g.Instrument(reg)
 	g.StartPhase(Stats) // deadline = +6s
 
 	if lvl := g.Admit(Stats, 0, 100); lvl != Full {
@@ -94,11 +95,14 @@ func TestAdmitLevels(t *testing.T) {
 	if lvl := g.Admit(Stats, 99, 100); lvl != Shed {
 		t.Errorf("past deadline: Admit = %v, want Shed", lvl)
 	}
-	if g.MaxLevel(Stats) != Shed {
-		t.Errorf("MaxLevel = %v, want Shed", g.MaxLevel(Stats))
-	}
-	if g.MaxLevel(Hypo) != Full {
-		t.Errorf("other phase MaxLevel = %v, want Full", g.MaxLevel(Hypo))
+	// Every answer is counted once under its rung.
+	for _, c := range []struct {
+		name string
+		want int64
+	}{{"governor_admit_full", 2}, {"governor_admit_degrade", 1}, {"governor_admit_shed", 1}} {
+		if got := reg.Counter(c.name).Value(); got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, got, c.want)
+		}
 	}
 }
 
@@ -110,19 +114,6 @@ func TestAdmitExhaustedBudgetShedsEveryPhase(t *testing.T) {
 		if lvl := g.Admit(p, 0, 10); lvl != Shed {
 			t.Errorf("phase %v with spent budget: Admit = %v, want Shed", p, lvl)
 		}
-	}
-}
-
-func TestObserveRecordsForcedLevels(t *testing.T) {
-	g, _ := newTestGovernor(time.Hour)
-	g.StartPhase(Stats)
-	g.Observe(Stats, Degrade)
-	if g.MaxLevel(Stats) != Degrade {
-		t.Errorf("MaxLevel after Observe = %v, want Degrade", g.MaxLevel(Stats))
-	}
-	g.Observe(Stats, Full) // Full never lowers the recorded maximum
-	if g.MaxLevel(Stats) != Degrade {
-		t.Errorf("MaxLevel after Observe(Full) = %v, want Degrade", g.MaxLevel(Stats))
 	}
 }
 

@@ -1,11 +1,10 @@
 // Package metric implements §4.2: the manifold interestingness of a
-// comparison query (conciseness × significance × surprise), the weighted
-// Hamming distance over query parts, and the uniform cost model.
+// comparison query (conciseness × significance × surprise) and the
+// weighted Hamming distance over query parts.
 package metric
 
 import (
 	"math"
-	"sort"
 
 	"comparenb/internal/insight"
 )
@@ -38,38 +37,6 @@ func Conciseness(theta, gamma int, p ConcisenessParams) float64 {
 	g := float64(gamma)
 	d := g - t*p.Alpha
 	return math.Exp(-(d * d) / math.Pow(t, p.Delta))
-}
-
-// ThetaGamma is one observed (tuples aggregated, result groups) pair.
-type ThetaGamma struct {
-	Theta, Gamma int
-}
-
-// CalibrateConciseness derives conciseness parameters from observed
-// candidate queries, automating the paper's "empirically tuned to a good
-// trade-off": α is set to the median γ/θ ratio (so a typical query sits at
-// the conciseness peak) and δ to 1 (the spread that keeps the score
-// discriminative across the observed θ range). Falls back to
-// DefaultConciseness when no usable samples exist.
-func CalibrateConciseness(samples []ThetaGamma) ConcisenessParams {
-	ratios := make([]float64, 0, len(samples))
-	for _, s := range samples {
-		if s.Theta > 0 && s.Gamma > 0 && s.Gamma <= s.Theta {
-			ratios = append(ratios, float64(s.Gamma)/float64(s.Theta))
-		}
-	}
-	if len(ratios) == 0 {
-		return DefaultConciseness
-	}
-	sort.Float64s(ratios)
-	alpha := ratios[len(ratios)/2]
-	if len(ratios)%2 == 0 {
-		alpha = (alpha + ratios[len(ratios)/2-1]) / 2
-	}
-	if alpha <= 0 {
-		return DefaultConciseness
-	}
-	return ConcisenessParams{Alpha: alpha, Delta: 1}
 }
 
 // InterestParams bundles the knobs of Def. 4.3.
@@ -158,9 +125,3 @@ func Distance(q1, q2 insight.Query, w Weights) float64 {
 	}
 	return d / w.total()
 }
-
-// UniformCost is the cost model argued for in §4.2: the evaluation cost of
-// all comparison queries is roughly the same (Figure 5), so every query
-// costs 1 and the time budget ε_t simply bounds the number of queries in
-// the notebook.
-func UniformCost(insight.Query) float64 { return 1 }

@@ -161,33 +161,3 @@ func TestDistanceOrderingOfParts(t *testing.T) {
 		t.Errorf("changing B (%v) must cost more than changing one value (%v)", dB, dVal)
 	}
 }
-
-func TestUniformCost(t *testing.T) {
-	if got := UniformCost(insight.Query{}); got != 1 {
-		t.Errorf("UniformCost = %v, want 1", got)
-	}
-}
-
-func TestCalibrateConciseness(t *testing.T) {
-	// Typical queries have γ/θ ≈ 0.05: calibration should put the peak
-	// there.
-	var samples []ThetaGamma
-	for i := 1; i <= 21; i++ {
-		samples = append(samples, ThetaGamma{Theta: 1000, Gamma: 50 + i - 11})
-	}
-	p := CalibrateConciseness(samples)
-	if math.Abs(p.Alpha-0.05) > 0.001 {
-		t.Errorf("calibrated α = %v, want ≈ 0.05 (median ratio)", p.Alpha)
-	}
-	// The median query must now score near the conciseness peak.
-	if got := Conciseness(1000, 50, p); got < 0.99 {
-		t.Errorf("median query conciseness = %v, want ≈ 1", got)
-	}
-	// Degenerate inputs fall back to the defaults.
-	if got := CalibrateConciseness(nil); got != DefaultConciseness {
-		t.Errorf("nil samples: %+v", got)
-	}
-	if got := CalibrateConciseness([]ThetaGamma{{Theta: 0, Gamma: 0}}); got != DefaultConciseness {
-		t.Errorf("degenerate samples: %+v", got)
-	}
-}

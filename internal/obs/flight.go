@@ -26,17 +26,14 @@ type SpanSnapshot struct {
 	DurUS   float64 `json:"dur_us"`
 }
 
-// SnapshotSpans copies up to max recorded spans (<= 0 selects the flight
-// default) plus the track label table out of the registry. Call after
-// the run has completed; returns nils when tracing was never enabled.
-func (r *Registry) SnapshotSpans(max int) ([]SpanSnapshot, []string) {
+// SnapshotSpans copies up to maxFlightSpans recorded spans plus the track
+// label table out of the registry. Call after the run has completed;
+// returns nils when tracing was never enabled.
+func (r *Registry) SnapshotSpans() ([]SpanSnapshot, []string) {
 	if r == nil || r.spans.Load() == nil {
 		return nil, nil
 	}
-	if max <= 0 {
-		max = maxFlightSpans
-	}
-	return r.snapshot(max)
+	return r.snapshot(maxFlightSpans)
 }
 
 // snapshot copies up to max recorded spans (every span when max < 0) and

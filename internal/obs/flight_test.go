@@ -178,15 +178,15 @@ func TestFlightEntryWriteTraceClamped(t *testing.T) {
 // truncation cap records honestly.
 func TestSnapshotSpans(t *testing.T) {
 	r := New()
-	r.EnableTracing(16)
+	r.EnableTracing(maxFlightSpans + 16)
 	ctx := NewContext(context.Background(), r)
-	for i := 0; i < 6; i++ {
+	for i := 0; i < maxFlightSpans+6; i++ {
 		sp := StartSpan(ctx, "s")
 		sp.End()
 	}
-	spans, tracks := r.SnapshotSpans(4)
-	if len(spans) != 4 {
-		t.Errorf("snapshot len = %d, want truncation to 4", len(spans))
+	spans, tracks := r.SnapshotSpans()
+	if len(spans) != maxFlightSpans {
+		t.Errorf("snapshot len = %d, want truncation to %d", len(spans), maxFlightSpans)
 	}
 	if len(tracks) != 1 || tracks[0] != "run" {
 		t.Errorf("tracks = %v, want [run]", tracks)
@@ -196,10 +196,10 @@ func TestSnapshotSpans(t *testing.T) {
 	}
 	// Nil / untraced registries answer nils.
 	var nilReg *Registry
-	if s, tr := nilReg.SnapshotSpans(0); s != nil || tr != nil {
+	if s, tr := nilReg.SnapshotSpans(); s != nil || tr != nil {
 		t.Error("nil registry snapshot not nil")
 	}
-	if s, _ := New().SnapshotSpans(0); s != nil {
+	if s, _ := New().SnapshotSpans(); s != nil {
 		t.Error("untraced registry snapshot not nil")
 	}
 }

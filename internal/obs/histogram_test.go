@@ -117,50 +117,3 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 		t.Errorf("bucket sum = %d, want %d", sum, workers*per)
 	}
 }
-
-// TestQuantileMonotone: the nearest-rank estimate is monotone in q, the
-// empty histogram answers 0, and the estimate brackets the data.
-func TestQuantileMonotone(t *testing.T) {
-	var empty Timing
-	if got := empty.Quantile(0.99); got != 0 {
-		t.Errorf("empty quantile = %v, want 0", got)
-	}
-	var nilT *Timing
-	if got := nilT.Quantile(0.5); got != 0 {
-		t.Errorf("nil quantile = %v, want 0", got)
-	}
-
-	var tm Timing
-	for i := 1; i <= 1000; i++ {
-		tm.Observe(time.Duration(i) * time.Microsecond)
-	}
-	prev := time.Duration(-1)
-	for _, q := range []float64{-0.5, 0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1, 1.5} {
-		got := tm.Quantile(q)
-		if got < prev {
-			t.Errorf("Quantile(%v) = %v < previous %v — not monotone", q, got, prev)
-		}
-		prev = got
-	}
-	// The p50 of 1µs..1000µs is ~500µs; the log2 estimate answers the
-	// upper bound of the bucket holding rank 500, which is 2^19 ns.
-	if p50 := tm.Quantile(0.5); p50 != time.Duration(1<<19) {
-		t.Errorf("p50 = %v, want %v", p50, time.Duration(1<<19))
-	}
-	if p100 := tm.Quantile(1); p100 < 1000*time.Microsecond {
-		t.Errorf("p100 = %v, below the maximum observation", p100)
-	}
-}
-
-// TestQuantileSingleObservation: rank arithmetic at n=1 must not
-// underflow to rank 0.
-func TestQuantileSingleObservation(t *testing.T) {
-	var tm Timing
-	tm.Observe(3 * time.Millisecond)
-	for _, q := range []float64{0, 0.5, 1} {
-		got := tm.Quantile(q)
-		if got < 3*time.Millisecond || got > 8*time.Millisecond {
-			t.Errorf("Quantile(%v) = %v, want the ~4ms bucket bound", q, got)
-		}
-	}
-}

@@ -178,44 +178,6 @@ func (t *Timing) Buckets() [TimingBuckets]int64 {
 	return out
 }
 
-// Quantile estimates the q-quantile (0 <= q <= 1) by nearest rank over
-// the bucket counts, returning the upper bound of the bucket holding
-// that rank — an overestimate by at most one bucket width (2x). Returns
-// 0 when the histogram is empty. Monotone in q by construction.
-func (t *Timing) Quantile(q float64) time.Duration {
-	if t == nil {
-		return 0
-	}
-	counts := t.Buckets()
-	var n int64
-	for _, c := range counts {
-		n += c
-	}
-	if n == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	} else if q > 1 {
-		q = 1
-	}
-	rank := int64(float64(n)*q + 0.9999999)
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > n {
-		rank = n
-	}
-	var cum int64
-	for i, c := range counts {
-		cum += c
-		if cum >= rank {
-			return BucketBound(i)
-		}
-	}
-	return BucketBound(TimingBuckets - 1)
-}
-
 // maxTracks bounds trace-track allocation so runaway pool forking cannot
 // grow the track table without bound; spans past the cap are untracked.
 const maxTracks = 4096

@@ -145,18 +145,6 @@ type Config struct {
 	// base relation. See docs/PERFORMANCE.md for keying and eviction.
 	CubeCacheBudget int64
 
-	// AutoConciseness calibrates the conciseness parameters α, δ from the
-	// observed (θ, γ) of the candidate queries instead of using
-	// Interest.Conciseness — automating the paper's "empirically tuned"
-	// setting (see metric.CalibrateConciseness).
-	AutoConciseness bool
-
-	// FDMaxError is the g3 error tolerated when detecting functional
-	// dependencies in pre-processing (0 = exact FDs only). A small value
-	// (e.g. 0.01) lets a few dirty rows not defeat the degenerate-query
-	// pruning of footnote 2.
-	FDMaxError float64
-
 	// DisableTransitivePruning keeps deducible insights (ablation).
 	DisableTransitivePruning bool
 
@@ -284,8 +272,6 @@ func (c Config) Validate() error {
 	//nolint:floateq // 0 is the explicit "unset" sentinel for SampleFrac, not a computed value
 	case c.Sampling != sampling.None && c.SampleFrac == 0:
 		return fmt.Errorf("pipeline: %v sampling with SampleFrac 0 would test nothing", c.Sampling)
-	case c.FDMaxError < 0 || c.FDMaxError >= 1:
-		return fmt.Errorf("pipeline: FDMaxError must be in [0, 1), got %v", c.FDMaxError)
 	case c.TimeBudget < 0:
 		return fmt.Errorf("pipeline: TimeBudget must be non-negative, got %v", c.TimeBudget)
 	case c.MemBudget < 0:

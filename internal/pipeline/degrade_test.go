@@ -202,7 +202,7 @@ func TestMemBudgetDegradesEngineAndCompletes(t *testing.T) {
 	if res.Degraded.MemEvictions == 0 {
 		t.Error("no admission actions recorded under a 300-byte budget")
 	}
-	cs := res.CacheStats()
+	cs := res.cache.Stats()
 	if cs.Bytes > cfg.MemBudget {
 		t.Errorf("cache holds %d B over the %d B budget", cs.Bytes, cfg.MemBudget)
 	}

@@ -43,8 +43,8 @@ func renderAll(t *testing.T, cfg Config) (ipynb, md, html, report []byte) {
 // TestPipelineDeterminism is the contract the maporder analyzer exists to
 // protect: two full pipeline runs on the same seeded dataset must produce
 // byte-identical notebooks in every output format — with a multi-threaded
-// worker pool and the auto-calibration paths enabled, so both parallel
-// scheduling and map-iteration nondeterminism would be caught here.
+// worker pool and hypothesis cells enabled, so both parallel scheduling
+// and map-iteration nondeterminism would be caught here.
 func TestPipelineDeterminism(t *testing.T) {
 	cfg := NewConfig()
 	cfg.Perms = 150
@@ -52,7 +52,6 @@ func TestPipelineDeterminism(t *testing.T) {
 	cfg.Threads = 4
 	cfg.EpsT = 5
 	cfg.EpsD = 1.5
-	cfg.AutoConciseness = true
 	cfg.Interest.UseConciseness = true
 	cfg.IncludeHypotheses = true
 
@@ -121,7 +120,7 @@ func TestPipelineCacheCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := res.CacheStats()
+	cs := res.cache.Stats()
 	if cs.Misses == 0 {
 		t.Error("no cube was ever built from the base relation")
 	}
@@ -138,7 +137,7 @@ func TestPipelineCacheCounters(t *testing.T) {
 	// BuildNotebook's verification tables answer from the same cache.
 	before := cs.Hits + cs.RollupHits
 	BuildNotebook(res)
-	after := res.CacheStats()
+	after := res.cache.Stats()
 	if after.Hits+after.RollupHits <= before {
 		t.Error("notebook verification queries did not touch the cache")
 	}

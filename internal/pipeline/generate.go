@@ -49,16 +49,6 @@ type Result struct {
 	cache *engine.CubeCache
 }
 
-// CacheStats returns the cube-cache counters, including any hits recorded
-// after Generate (notebook verification queries). Zero value when the
-// Result was not produced by Generate.
-func (r *Result) CacheStats() engine.CacheStats {
-	if r.cache == nil {
-		return engine.CacheStats{}
-	}
-	return r.cache.Stats()
-}
-
 // Sequence returns the selected queries in notebook order.
 func (r *Result) Sequence() []ScoredQuery {
 	out := make([]ScoredQuery, len(r.Solution.Order))
@@ -158,7 +148,7 @@ func GenerateContext(ctx context.Context, rel *table.Relation, cfg Config) (*Res
 
 	// Pre-processing: functional dependencies (footnote 2).
 	fdPhase := obs.StartPhase(ctx, "phase/fd", "phase_fd")
-	fds := engine.NewFDSet(engine.DetectFDsApprox(rel, cfg.FDMaxError))
+	fds := engine.NewFDSet(engine.DetectFDs(rel))
 	res.Timings.FD = fdPhase.End()
 	cfg.logf("pipeline: FD pre-processing done in %v", res.Timings.FD)
 

@@ -118,8 +118,6 @@ func evalHypotheses(ctx context.Context, rel *table.Relation, cfg Config, fds *e
 	level := cfg.forceHypoLevel
 	if level == governor.Full {
 		level = gov.Admit(governor.Hypo, 0, 0)
-	} else {
-		gov.Observe(governor.Hypo, level)
 	}
 	sig, dropped := capCandidates(sig, hypoCandidateCap(level, cfg.EpsT))
 	if dropped > 0 {
@@ -236,25 +234,6 @@ func evalHypotheses(ctx context.Context, rel *table.Relation, cfg Config, fds *e
 			}
 			acc.supported = append(acc.supported, ins)
 		}
-	}
-
-	// Optionally calibrate conciseness on the observed candidates before
-	// scoring (Config.AutoConciseness).
-	if cfg.AutoConciseness && cfg.Interest.UseConciseness {
-		// Iterate accum in sorted query order so calibration sees the same
-		// sample sequence every run (map order is randomised).
-		qs := make([]insight.Query, 0, len(accum))
-		for q := range accum {
-			qs = append(qs, q)
-		}
-		sort.Slice(qs, func(a, b int) bool { return lessQuery(qs[a], qs[b]) })
-		samples := make([]metric.ThetaGamma, 0, len(qs))
-		for _, q := range qs {
-			samples = append(samples, metric.ThetaGamma{Theta: accum[q].theta, Gamma: accum[q].gamma})
-		}
-		cfg.Interest.Conciseness = metric.CalibrateConciseness(samples)
-		cfg.logf("pipeline: calibrated conciseness α=%.4f δ=%.1f from %d candidates",
-			cfg.Interest.Conciseness.Alpha, cfg.Interest.Conciseness.Delta, len(samples))
 	}
 
 	// Score and dedup (Algorithm 1 lines 14–17): among queries equal up to

@@ -267,9 +267,6 @@ func TestObsHistogramsThreadInvariantBytes(t *testing.T) {
 				t.Errorf("threads=%d: %s buckets hold %d observations, count says %d",
 					threads, name, occupied, tm.Count())
 			}
-			if q := tm.Quantile(0.99); q <= 0 {
-				t.Errorf("threads=%d: %s p99 = %v", threads, name, q)
-			}
 		}
 
 		if threads == 1 {

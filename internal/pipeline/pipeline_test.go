@@ -298,9 +298,6 @@ func TestResultTableWithoutCache(t *testing.T) {
 			t.Errorf("%s: cache-less table\n%s\nwant\n%s", sq.Query.Describe(ds.Rel), got, want)
 		}
 	}
-	if bare.CacheStats() != (engine.CacheStats{}) {
-		t.Error("a cache-less Result reported cache counters")
-	}
 }
 
 func TestBuildNotebook(t *testing.T) {
@@ -483,31 +480,6 @@ func TestIncludeHypothesesAndLogf(t *testing.T) {
 	}
 }
 
-func TestAutoConciseness(t *testing.T) {
-	ds := tinyDataset(t)
-	cfg := testConfig()
-	cfg.AutoConciseness = true
-	res, err := Generate(ds.Rel, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Queries) == 0 {
-		t.Fatal("no queries")
-	}
-	// With a calibrated peak, the best query should score a conciseness
-	// near 1, so top interests should not be vanishingly small compared
-	// to the sig-only ceiling.
-	top := 0.0
-	for _, q := range res.Queries {
-		if q.Interest > top {
-			top = q.Interest
-		}
-	}
-	if top < 0.05 {
-		t.Errorf("top interest = %v; calibration failed to lift the conciseness peak", top)
-	}
-}
-
 func TestConfigValidate(t *testing.T) {
 	good := testConfig()
 	if err := good.Validate(); err != nil {
@@ -521,7 +493,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.EpsD = -1 },
 		func(c *Config) { c.SampleFrac = 2 },
 		func(c *Config) { c.Sampling = sampling.Random; c.SampleFrac = 0 },
-		func(c *Config) { c.FDMaxError = 1 },
 		func(c *Config) { c.Perms = 5; c.Alpha = 0.05 }, // p-floor unreachable
 	}
 	for i, mutate := range cases {

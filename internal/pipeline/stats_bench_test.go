@@ -91,7 +91,7 @@ func BenchmarkHypoPhase(b *testing.B) {
 		b.Fatal(err)
 	}
 	sig = insight.PruneTransitive(sig)
-	fds := engine.NewFDSet(engine.DetectFDsApprox(rel, cfg.FDMaxError))
+	fds := engine.NewFDSet(engine.DetectFDs(rel))
 	cache := engine.NewCubeCache(0)
 	if _, _, _, err := evalHypotheses(ctx, rel, cfg, fds, sig, cache, nil); err != nil {
 		b.Fatal(err)

@@ -163,8 +163,6 @@ func runStatTests(ctx context.Context, rel *table.Relation, cfg Config, gov *gov
 		level := cfg.forceStatsLevel
 		if level == governor.Full {
 			level = gov.Admit(governor.Stats, int(done.Load()), len(jobs))
-		} else {
-			gov.Observe(governor.Stats, level)
 		}
 		nperm, alpha := cfg.Perms, 0.0
 		switch level {

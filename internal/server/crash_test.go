@@ -142,7 +142,7 @@ func TestCrashRecoveryAtFaultSites(t *testing.T) {
 			csv := writeTinyCSV(t, 21, 60)
 			runCrashHelper(t, stateDir, csv, tc.site, tc.n)
 
-			wantIpynb, _, _ := oneShot(t, csv, crashJobRequest(), Options{MaxConcurrent: 1})
+			wantIpynb, _, _ := oneShot(t, csv, crashJobRequest())
 
 			s, err := New(Options{StateDir: stateDir, MaxConcurrent: 1})
 			if err != nil {

@@ -203,7 +203,7 @@ func (s *Server) recoverJob(js *durable.JobState) {
 		s.quarantineJob(js, req, fmt.Sprintf("recovery: relation %q not recoverable", req.Relation))
 		return
 	}
-	cfg, err := buildConfig(req, s.opts)
+	cfg, err := buildConfig(req)
 	if err != nil {
 		s.quarantineJob(js, req, "recovery: invalid request: "+err.Error())
 		return

@@ -169,13 +169,13 @@ func runServerJob(t *testing.T, base string, req jobRequest) (ipynb, md, report 
 
 // oneShot runs the batch pipeline with the exact Config the server would
 // build for req — the reference the daemon's bytes must reproduce.
-func oneShot(t *testing.T, csvPath string, req jobRequest, opts Options) (ipynb, md, report []byte) {
+func oneShot(t *testing.T, csvPath string, req jobRequest) (ipynb, md, report []byte) {
 	t.Helper()
 	rel, _, err := table.FromCSVFile(csvPath, table.CSVOptions{Name: req.Relation})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := buildConfig(req, opts.withDefaults())
+	cfg, err := buildConfig(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestServerMatchesOneShot(t *testing.T) {
 	for i, threads := range []int{1, 3} {
 		req := jobRequest{Relation: "tiny", Queries: 5, Perms: 120, Seed: 7, Threads: threads}
 		gotNB, gotMD, gotRep := runServerJob(t, base, req)
-		wantNB, wantMD, wantRep := oneShot(t, csvPath, req, Options{})
+		wantNB, wantMD, wantRep := oneShot(t, csvPath, req)
 
 		if !bytes.Equal(gotNB, wantNB) {
 			t.Errorf("threads=%d: server ipynb differs from one-shot (%d vs %d bytes)", threads, len(gotNB), len(wantNB))
@@ -283,7 +283,7 @@ func TestServerDegradedRunMatchesOneShot(t *testing.T) {
 		t.Errorf("degraded run's report carries no phase_degraded record")
 	}
 
-	wantNB, _, wantRep := oneShot(t, csvPath, req, Options{})
+	wantNB, _, wantRep := oneShot(t, csvPath, req)
 	if !bytes.Equal(gotNB, wantNB) {
 		t.Errorf("degraded server ipynb differs from degraded one-shot")
 	}
@@ -357,8 +357,8 @@ func TestServerSessionLifecycle(t *testing.T) {
 	if drop.CacheEntriesDropped == 0 {
 		t.Errorf("dropping a relation that just ran a job evicted no cache entries")
 	}
-	if s.Cache().Stats().Entries != 0 {
-		t.Errorf("cache still holds %d entries after the only relation was dropped", s.Cache().Stats().Entries)
+	if s.cache.Stats().Entries != 0 {
+		t.Errorf("cache still holds %d entries after the only relation was dropped", s.cache.Stats().Entries)
 	}
 	if status, _ := postJSON(t, base+"/v1/notebooks", jobRequest{Relation: "up", Queries: 4, Perms: 100}); status != http.StatusNotFound {
 		t.Errorf("job on dropped relation: status %d, want 404", status)

@@ -50,8 +50,8 @@ func terminalState(st string) bool {
 // one-shot reference runs.
 type jobRequest struct {
 	Relation string `json:"relation"`
-	// Tenant scopes quota accounting; empty falls back to the X-Tenant
-	// header, then to "default".
+	// Tenant labels the job's per-tenant metrics; empty falls back to
+	// the X-Tenant header, then to "default".
 	Tenant string `json:"tenant,omitempty"`
 
 	Queries           int      `json:"queries,omitempty"`
@@ -66,17 +66,16 @@ type jobRequest struct {
 	WSC               *bool    `json:"wsc,omitempty"`
 	IncludeHypotheses bool     `json:"include_hypotheses,omitempty"`
 	// TimeBudgetNS is the soft per-run budget in nanoseconds (the
-	// degradation ladder, not hard cancellation), capped by the daemon's
-	// JobTimeBudget.
+	// degradation ladder, not hard cancellation).
 	TimeBudgetNS int64 `json:"time_budget_ns,omitempty"`
 }
 
 // buildConfig maps a request onto a pipeline.Config, starting from
-// NewConfig defaults and applying the daemon's caps. The server later
-// overwrites Cache, Obs and Logf — everything the response bytes depend
-// on is decided here, which is what makes server output reproducible by
-// a one-shot pipeline.Generate with the same Config.
-func buildConfig(req jobRequest, opts Options) (pipeline.Config, error) {
+// NewConfig defaults. The server later overwrites Cache, Obs and Logf —
+// everything the response bytes depend on is decided here, which is what
+// makes server output reproducible by a one-shot pipeline.Generate with
+// the same Config.
+func buildConfig(req jobRequest) (pipeline.Config, error) {
 	cfg := pipeline.NewConfig()
 	cfg.Name = "server"
 	if req.Queries > 0 {
@@ -94,9 +93,6 @@ func buildConfig(req jobRequest, opts Options) (pipeline.Config, error) {
 	cfg.Seed = req.Seed
 	if req.Threads > 0 {
 		cfg.Threads = req.Threads
-	}
-	if opts.JobThreads > 0 && cfg.Threads > opts.JobThreads {
-		cfg.Threads = opts.JobThreads
 	}
 	var err error
 	if req.Solver != "" {
@@ -119,11 +115,7 @@ func buildConfig(req jobRequest, opts Options) (pipeline.Config, error) {
 	if req.TimeBudgetNS < 0 {
 		return cfg, fmt.Errorf("time_budget_ns must be non-negative, got %d", req.TimeBudgetNS)
 	}
-	tb := time.Duration(req.TimeBudgetNS)
-	if opts.JobTimeBudget > 0 && (tb == 0 || tb > opts.JobTimeBudget) {
-		tb = opts.JobTimeBudget
-	}
-	cfg.TimeBudget = tb
+	cfg.TimeBudget = time.Duration(req.TimeBudgetNS)
 	return cfg, cfg.Validate()
 }
 
@@ -464,7 +456,7 @@ func (j *job) artifact(format string) (state string, art pipeline.Artifact, ok b
 // an open-ended journal entry (the job re-runs on the next boot) or a
 // fully durable result, never an acknowledged-but-lost notebook.
 func (s *Server) runJob(jobsCtx context.Context, j *job) {
-	defer s.release(j)
+	defer s.release()
 	queueWait := time.Since(j.created)
 	s.mu.Lock()
 	tn := s.tenantLocked(j.tenant)
@@ -591,7 +583,7 @@ func (s *Server) finishJob(j *job, reg *obs.Registry, tn *tenantState, queueWait
 	s.cSpans.Add(int64(reg.SpanCount()))
 	s.cSpansDropped.Add(reg.Dropped())
 
-	spans, tracks := reg.SnapshotSpans(0)
+	spans, tracks := reg.SnapshotSpans()
 	shift := time.Duration(0)
 	if d := reg.StartTime().Sub(j.created); d > 0 {
 		shift = d
@@ -648,7 +640,7 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "tenant name too long (max 64 bytes)")
 		return
 	}
-	cfg, err := buildConfig(req, s.opts)
+	cfg, err := buildConfig(req)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
@@ -672,12 +664,11 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, fmt.Sprintf("relation %q not loaded", req.Relation))
 		return
 	}
-	t := s.tenantLocked(tenant)
-	if len(s.queue) >= s.opts.QueueDepth || t.queued >= s.opts.TenantQueueDepth {
-		shedC, tenantShedC := s.cAdmitShed, t.shed
+	if len(s.queue) >= s.opts.QueueDepth {
+		tenantShed := s.tenantLocked(tenant).shed
 		s.mu.Unlock()
-		shedC.Inc()
-		tenantShedC.Inc()
+		s.cAdmitShed.Inc()
+		tenantShed.Inc()
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusTooManyRequests, admitResponse{
 			Admit: governor.Shed.String(),
@@ -686,7 +677,7 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	admit := governor.Degrade
-	if s.runningN < s.opts.MaxConcurrent && t.running < s.opts.TenantConcurrent && len(s.queue) == 0 {
+	if s.runningN < s.opts.MaxConcurrent && len(s.queue) == 0 {
 		admit = governor.Full
 	}
 	s.seq++

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -192,8 +193,140 @@ func TestDroppedRelationCubesLeaveCache(t *testing.T) {
 	if v := waitJob(t, base, id); v.State != stateDone {
 		t.Fatalf("job over a dropped relation finished %s (%s), want done", v.State, v.Error)
 	}
-	if st := s.Cache().Stats(); st.Entries != 0 || st.Bytes != 0 {
+	if st := s.cache.Stats(); st.Entries != 0 || st.Bytes != 0 {
 		t.Errorf("shared cache after the job settled: %d entries, %d bytes; want both 0",
 			st.Entries, st.Bytes)
+	}
+}
+
+// TestDispatchFollowsAdmissionOrder interleaves submissions from several
+// tenants and plays the workers itself: dequeue hands jobs out in
+// admission order whatever their tenant, and admission answers full only
+// while a worker is free and the queue is empty.
+func TestDispatchFollowsAdmissionOrder(t *testing.T) {
+	csv := writeTinyCSV(t, 3, 50)
+	s, err := New(Options{MaxConcurrent: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.LoadRelationFile("tiny", csv); err != nil {
+		t.Fatal(err)
+	}
+	seed := int64(0)
+	submit := func(tenant, wantAdmit string) *job {
+		t.Helper()
+		seed++
+		j := submitDirect(t, s, jobRequest{Relation: "tiny", Tenant: tenant, Queries: 3, Perms: 40, Seed: seed})
+		if got := j.admit.String(); got != wantAdmit {
+			t.Fatalf("job %s (tenant %s, %d running, %d queued): admit %s, want %s",
+				j.id, tenant, s.runningN, len(s.queue), got, wantAdmit)
+		}
+		return j
+	}
+	dequeue := func(want *job) {
+		t.Helper()
+		if got := s.dequeue(); got != want {
+			t.Fatalf("dequeue returned %v, want %s", got, want.id)
+		}
+	}
+
+	a1 := submit("a", "full") // both workers free, queue empty
+	b1 := submit("b", "degrade")
+	a2 := submit("a", "degrade")
+	dequeue(a1)
+	dequeue(b1)
+	c1 := submit("c", "degrade") // both workers busy
+	s.release()
+	dequeue(a2)
+	s.release()
+	dequeue(c1)
+	b2 := submit("b", "degrade") // queue empty, but no worker free
+	s.release()
+	c2 := submit("c", "degrade") // a worker is free, but b2 waits
+	dequeue(b2)
+	s.release()
+	dequeue(c2)
+	if j := s.dequeue(); j != nil {
+		t.Fatalf("dequeue on an empty queue returned %s", j.id)
+	}
+	s.release()
+	submit("a", "full") // one worker free again, queue empty
+}
+
+// TestTenantSeriesBounded floods admission with requests that are all
+// shed, each naming a new tenant. The per-tenant series stop growing at
+// maxTenantSeries labels; later tenants share the overflow series, and a
+// job of such a tenant still runs and keeps its own name.
+func TestTenantSeriesBounded(t *testing.T) {
+	csv := writeTinyCSV(t, 3, 50)
+	s, err := New(Options{MaxConcurrent: 1, QueueDepth: 1, StateDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.recoverDurable(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = s.journal.Close() }()
+	if err := s.LoadRelationFile("tiny", csv); err != nil {
+		t.Fatal(err)
+	}
+	first := submitDirect(t, s, jobRequest{Relation: "tiny", Queries: 3, Perms: 40, Seed: 1})
+
+	const flood = 200
+	for i := 0; i < flood; i++ {
+		body := fmt.Sprintf(`{"relation":"tiny","queries":3,"perms":40,"tenant":"t%03d"}`, i)
+		if rec := serve(s, http.MethodPost, "/v1/notebooks", body); rec.Code != http.StatusTooManyRequests {
+			t.Fatalf("request %d with the queue full: status %d, want 429", i, rec.Code)
+		}
+	}
+	if n := len(s.tenants); n > maxTenantSeries+1 {
+		t.Errorf("%d tenant states after %d shed requests, want at most %d", n, flood, maxTenantSeries+1)
+	}
+	labels := map[string]bool{}
+	for _, line := range strings.Split(serve(s, http.MethodGet, "/metrics", "").Body.String(), "\n") {
+		if _, rest, ok := strings.Cut(line, `tenant="`); ok {
+			label, _, _ := strings.Cut(rest, `"`)
+			labels[label] = true
+		}
+	}
+	if len(labels) > maxTenantSeries+1 {
+		t.Errorf("/metrics carries %d tenant labels, want at most %d", len(labels), maxTenantSeries+1)
+	}
+	if got, want := s.reg.Counter("server_tenant_"+overflowTenant+"_shed").Value(), int64(flood-maxTenantSeries); got != want {
+		t.Errorf("overflow shed counter = %d, want %d", got, want)
+	}
+
+	// Free the queue, then run a job of one more new tenant to the end.
+	if got := s.dequeue(); got != first {
+		t.Fatalf("dequeue returned %v, want %s", got, first.id)
+	}
+	s.release()
+	late := submitDirect(t, s, jobRequest{Relation: "tiny", Tenant: "late-tenant", Queries: 3, Perms: 40, Seed: 2})
+	if got := s.dequeue(); got != late {
+		t.Fatalf("dequeue returned %v, want %s", got, late.id)
+	}
+	s.runJob(context.Background(), late)
+	if v := s.statusView(late); v.State != stateDone || v.Tenant != "late-tenant" {
+		t.Errorf("late job: state %s tenant %q, want done under its own name", v.State, v.Tenant)
+	}
+	if e, ok := s.flight.Get(late.id); !ok || e.Labels["tenant"] != "late-tenant" {
+		t.Errorf("flight entry of the late job: %v, labels %v; want tenant late-tenant", ok, e.Labels)
+	}
+	metrics := serve(s, http.MethodGet, "/metrics", "").Body.String()
+	if want := `comparenb_server_job_e2e_seconds_count{tenant="` + overflowTenant + `"} 1`; !strings.Contains(metrics, want) {
+		t.Errorf("/metrics lacks %q", want)
+	}
+	journalPath, err := durable.StateDirLayout(s.opts.StateDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := durable.ReadJournal(journalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if rec.ID == late.id && rec.Type == durable.RecJobAdmit && rec.Tenant != "late-tenant" {
+			t.Errorf("journaled admission of %s names tenant %q", late.id, rec.Tenant)
+		}
 	}
 }

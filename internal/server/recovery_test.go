@@ -297,7 +297,12 @@ func TestReadyzGatesDuringReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Ready() {
+	ready := func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.ready
+	}
+	if ready() {
 		t.Fatal("durable server reports ready before Run replayed the journal")
 	}
 	ts := httptest.NewServer(s.Handler())
@@ -317,8 +322,8 @@ func TestReadyzGatesDuringReplay(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- s.Run(ctx) }()
 	waitReady(t, hs)
-	if !s.Ready() {
-		t.Error("Ready() false after /readyz turned 200")
+	if !ready() {
+		t.Error("server not ready after /readyz turned 200")
 	}
 	cancel()
 	if err := <-done; err != nil {

@@ -1,7 +1,7 @@
 // Package server is the long-lived notebook-generation daemon behind
 // cmd/comparenbd: an HTTP/JSON service that loads relations once, keeps
 // them in a session registry, and admits concurrent notebook-generation
-// jobs through a bounded queue with per-tenant quotas.
+// jobs through one bounded FIFO queue.
 //
 // The serving path reuses the batch pipeline unchanged — every job runs
 // pipeline.GenerateContext with the daemon's shared engine.CubeCache
@@ -11,13 +11,13 @@
 //
 // Admission reuses the governor's Level vocabulary: Full means a worker
 // slot is free and the job starts immediately, Degrade means it waits in
-// the bounded queue, Shed means the queue (global or per-tenant) is full
-// and the request is refused with 429 + Retry-After. Draining (context
-// cancellation of Run) flips admission to 503, fails queued jobs, lets
-// running jobs finish, and then returns — the graceful half of shutdown;
-// HardStop cancels running jobs too.
+// the bounded queue, Shed means the queue is full and the request is
+// refused with 429 + Retry-After. Draining (context cancellation of Run)
+// flips admission to 503, fails queued jobs, lets running jobs finish,
+// and then returns — the graceful half of shutdown; HardStop cancels
+// running jobs too.
 //
-// See docs/SERVER.md for the API reference and quota model.
+// See docs/SERVER.md for the API reference and admission model.
 package server
 
 import (
@@ -45,27 +45,9 @@ type Options struct {
 	// QueueDepth bounds the global admission queue; a request arriving
 	// with the queue full is shed with 429 (default 64).
 	QueueDepth int
-	// TenantConcurrent caps jobs of one tenant running at once; queued
-	// jobs over the cap stay queued while other tenants' jobs pass them
-	// (default: MaxConcurrent).
-	TenantConcurrent int
-	// TenantQueueDepth bounds one tenant's share of the queue; beyond it
-	// that tenant is shed even while the global queue has room
-	// (default: QueueDepth).
-	TenantQueueDepth int
-	// JobTimeBudget caps the per-job soft TimeBudget: a request asking
-	// for more (or for none) gets exactly this budget, so one tenant
-	// cannot monopolise a worker (0 = no cap; requests choose freely).
-	JobTimeBudget time.Duration
-	// JobThreads caps per-job worker-pool width (0 = no cap).
-	JobThreads int
 	// CacheBudget is the shared cube cache's soft budget in bytes,
 	// enforced by phase-boundary Trims only (default 256 MiB).
 	CacheBudget int64
-	// CacheMemBudget arms the shared cache's hard admission budget
-	// (0 = off). This is the byte-accounting backstop for multi-tenant
-	// operation: the cache never holds more than this many bytes.
-	CacheMemBudget int64
 	// MaxUploadBytes bounds a CSV upload body (default 32 MiB).
 	MaxUploadBytes int64
 	// MaxRelations bounds the session registry (default 64).
@@ -112,12 +94,6 @@ func (o Options) withDefaults() Options {
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 64
 	}
-	if o.TenantConcurrent <= 0 {
-		o.TenantConcurrent = o.MaxConcurrent
-	}
-	if o.TenantQueueDepth <= 0 {
-		o.TenantQueueDepth = o.QueueDepth
-	}
 	if o.CacheBudget <= 0 {
 		o.CacheBudget = 256 << 20
 	}
@@ -142,12 +118,20 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// tenantState is one tenant's live quota usage plus its per-tenant
-// counters and SLO histograms on the server registry.
-type tenantState struct {
-	running int
-	queued  int
+// maxTenantSeries bounds the distinct tenant label values on /metrics.
+// Tenant names come from clients, so every new name would otherwise add
+// two counters and four histograms for the server's lifetime. Past the
+// bound, new tenants share the series labelled overflowTenant; their jobs
+// are admitted as usual and keep their own name everywhere else (status,
+// journal, flight recorder, logs).
+const maxTenantSeries = 64
 
+// overflowTenant labels the shared series of tenants past maxTenantSeries.
+const overflowTenant = "_overflow"
+
+// tenantState is one tenant label's counters and SLO histograms on the
+// server registry.
+type tenantState struct {
 	jobs *obs.Counter // jobs this tenant ran to done, monotone
 	shed *obs.Counter // 429s issued to this tenant
 
@@ -179,8 +163,8 @@ type Server struct {
 	mu         sync.Mutex
 	sessions   map[string]*session
 	jobs       map[string]*job
-	queue      []*job // FIFO; per-tenant caps make dequeue skip, not block
-	tenants    map[string]*tenantState
+	queue      []*job                  // FIFO in admission order
+	tenants    map[string]*tenantState // by metric label, at most maxTenantSeries+1
 	runningN   int
 	draining   bool
 	ready      bool // false while Run replays the journal
@@ -225,9 +209,6 @@ func New(opts Options) (*Server, error) {
 	}
 	s.cache = engine.NewCubeCache(opts.CacheBudget)
 	s.cache.Instrument(s.reg)
-	if opts.CacheMemBudget > 0 {
-		s.cache.SetMemBudget(opts.CacheMemBudget)
-	}
 	s.cAdmitFull = s.reg.Counter("server_admit_full")
 	s.cAdmitQueue = s.reg.Counter("server_admit_degrade")
 	s.cAdmitShed = s.reg.Counter("server_admit_shed")
@@ -275,13 +256,6 @@ func New(opts Options) (*Server, error) {
 // structured access record.
 func (s *Server) Handler() http.Handler { return s.withTracing(s.mux) }
 
-// Cache exposes the shared cube cache (tests assert its counters stay
-// monotone across concurrent jobs).
-func (s *Server) Cache() *engine.CubeCache { return s.cache }
-
-// Registry exposes the server-lifetime metrics registry.
-func (s *Server) Registry() *obs.Registry { return s.reg }
-
 func (s *Server) routes() {
 	s.mux.HandleFunc("POST /v1/relations", s.handleLoadRelation)
 	s.mux.HandleFunc("GET /v1/relations", s.handleListRelations)
@@ -295,7 +269,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancelJob)
 	s.mux.HandleFunc("GET /debug/flight", s.handleFlight)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /livez", s.handleLivez)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 }
@@ -387,21 +360,6 @@ func (s *Server) beginDrain() {
 	s.pokeAll()
 }
 
-// Draining reports whether the server has begun shutting down.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
-// Ready reports whether startup replay has finished and the server is
-// accepting work. In-memory servers are ready from construction.
-func (s *Server) Ready() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ready
-}
-
 func (s *Server) setReady() {
 	s.mu.Lock()
 	s.ready = true
@@ -424,9 +382,9 @@ func (s *Server) worker(ctx, jobsCtx context.Context) {
 	}
 }
 
-// dequeue pops the first queued job whose tenant is under its running
-// cap and whose retry backoff (if any) has elapsed, claiming a slot for
-// it. Returns nil when nothing is eligible or the server is draining.
+// dequeue pops the first queued job whose retry backoff (if any) has
+// elapsed, claiming a slot for it. Returns nil when nothing is eligible
+// or the server is draining.
 func (s *Server) dequeue() *job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -440,12 +398,7 @@ func (s *Server) dequeue() *job {
 		if j.notBefore.After(now) {
 			continue
 		}
-		t := s.tenantLocked(j.tenant)
-		if t.running >= s.opts.TenantConcurrent {
-			continue
-		}
 		s.unqueueLocked(i)
-		t.running++
 		s.runningN++
 		s.gRunning.Set(int64(s.runningN))
 		return j
@@ -458,7 +411,6 @@ func (s *Server) dequeue() *job {
 func (s *Server) enqueueLocked(j *job) {
 	s.jobs[j.id] = j
 	s.queue = append(s.queue, j)
-	s.tenantLocked(j.tenant).queued++
 	s.gQueued.Set(int64(len(s.queue)))
 }
 
@@ -467,7 +419,6 @@ func (s *Server) enqueueLocked(j *job) {
 func (s *Server) unqueueLocked(i int) *job {
 	j := s.queue[i]
 	s.queue = slices.Delete(s.queue, i, i+1)
-	s.tenantLocked(j.tenant).queued--
 	s.gQueued.Set(int64(len(s.queue)))
 	return j
 }
@@ -481,23 +432,25 @@ func (s *Server) unqueue(j *job) {
 	}
 }
 
-// release returns j's worker slot and pokes one idle worker (the freed
-// slot may make a queued job of the same tenant eligible).
-func (s *Server) release(j *job) {
+// release returns a worker slot and pokes one idle worker.
+func (s *Server) release() {
 	s.mu.Lock()
-	s.tenantLocked(j.tenant).running--
 	s.runningN--
 	s.gRunning.Set(int64(s.runningN))
 	s.mu.Unlock()
 	s.poke()
 }
 
-// tenantLocked returns the tenant's state, creating it (and its
-// per-tenant counters) on first sight. Callers hold s.mu.
+// tenantLocked returns the series of the tenant's metric label, creating
+// them on first sight; past maxTenantSeries labels a new tenant gets the
+// overflow series. Callers hold s.mu.
 func (s *Server) tenantLocked(name string) *tenantState {
-	t := s.tenants[name]
+	m := sanitizeMetric(name)
+	if s.tenants[m] == nil && len(s.tenants) >= maxTenantSeries {
+		m = overflowTenant
+	}
+	t := s.tenants[m]
 	if t == nil {
-		m := sanitizeMetric(name)
 		t = &tenantState{
 			jobs:   s.reg.Counter("server_tenant_" + m + "_jobs"),
 			shed:   s.reg.Counter("server_tenant_" + m + "_shed"),
@@ -506,7 +459,7 @@ func (s *Server) tenantLocked(name string) *tenantState {
 			tE2E:   s.reg.Timing(`server_job_e2e{tenant="` + m + `"}`),
 			tSSE:   s.reg.Timing(`server_sse_first_event{tenant="` + m + `"}`),
 		}
-		s.tenants[name] = t
+		s.tenants[m] = t
 	}
 	return t
 }
@@ -604,12 +557,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = s.reg.WriteMetrics(w) // client disconnect; nowhere to report
 }
 
-// handleHealthz reports the full health picture in one body; the
-// orchestration-facing split lives in /livez and /readyz.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.healthLocked())
-}
-
 // handleLivez is pure liveness: the process is up and serving HTTP. It
 // stays 200 during replay and during drain — restarting a server because
 // it is busy recovering would only lose more work.
@@ -619,9 +566,9 @@ func (s *Server) handleLivez(w http.ResponseWriter, r *http.Request) {
 	}{Status: "alive"})
 }
 
-// handleReadyz is readiness: 200 only when startup replay has finished
-// and the server is not draining — the signal a load balancer should
-// gate traffic on.
+// handleReadyz is readiness and the full health picture in one body:
+// 200 only when startup replay has finished and the server is not
+// draining — the signal a load balancer should gate traffic on.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	st := s.healthLocked()
 	code := http.StatusOK

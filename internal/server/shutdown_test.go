@@ -84,7 +84,10 @@ func waitDraining(t *testing.T, s *Server) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if s.Draining() {
+		s.mu.Lock()
+		draining := s.draining
+		s.mu.Unlock()
+		if draining {
 			return
 		}
 		time.Sleep(2 * time.Millisecond)

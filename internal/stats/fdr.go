@@ -34,14 +34,3 @@ func BenjaminiHochberg(p []float64) []float64 {
 	}
 	return q
 }
-
-// RejectBH reports, in input order, which hypotheses the BH procedure
-// rejects at level alpha.
-func RejectBH(p []float64, alpha float64) []bool {
-	q := BenjaminiHochberg(p)
-	out := make([]bool, len(p))
-	for i, v := range q {
-		out[i] = v <= alpha
-	}
-	return out
-}

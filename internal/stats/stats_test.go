@@ -226,17 +226,6 @@ func TestBenjaminiHochbergMonotone(t *testing.T) {
 	}
 }
 
-func TestRejectBH(t *testing.T) {
-	p := []float64{0.001, 0.5, 0.012, 0.9}
-	rej := RejectBH(p, 0.05)
-	if !rej[0] || rej[1] || !rej[2] || rej[3] {
-		t.Errorf("RejectBH = %v", rej)
-	}
-	if got := RejectBH(nil, 0.05); got != nil && len(got) != 0 {
-		t.Errorf("RejectBH(nil) = %v", got)
-	}
-}
-
 func TestWelchTKnownValue(t *testing.T) {
 	x := []float64{1, 2, 3, 4, 5}
 	y := []float64{2, 4, 6, 8, 10}

@@ -244,7 +244,7 @@ func TestFromCSVBytesCopiesDictionary(t *testing.T) {
 		var before []string
 		for a := 0; a < rel.NumCatAttrs(); a++ {
 			before = append(before, rel.CatName(a))
-			before = append(before, rel.Dict(a)...)
+			before = append(before, rel.catDicts[a]...)
 		}
 		for i := range data {
 			data[i] = '#'
@@ -252,7 +252,7 @@ func TestFromCSVBytesCopiesDictionary(t *testing.T) {
 		var after []string
 		for a := 0; a < rel.NumCatAttrs(); a++ {
 			after = append(after, rel.CatName(a))
-			after = append(after, rel.Dict(a)...)
+			after = append(after, rel.catDicts[a]...)
 		}
 		if !slices.Equal(before, after) || strings.Contains(strings.Join(after, ""), "#") {
 			t.Errorf("%q: names and dictionaries %q changed to %q when the input was overwritten", src, before, after)

@@ -66,20 +66,6 @@ func (r *Relation) CatName(a int) string { return r.catNames[a] }
 // MeasName returns the name of measure m.
 func (r *Relation) MeasName(m int) string { return r.measNames[m] }
 
-// CatNames returns a copy of all categorical attribute names.
-func (r *Relation) CatNames() []string {
-	out := make([]string, len(r.catNames))
-	copy(out, r.catNames)
-	return out
-}
-
-// MeasNames returns a copy of all measure names.
-func (r *Relation) MeasNames() []string {
-	out := make([]string, len(r.measNames))
-	copy(out, r.measNames)
-	return out
-}
-
 // CatIndexOf returns the index of the categorical attribute with the given
 // name, or -1 if there is no such attribute.
 func (r *Relation) CatIndexOf(name string) int {
@@ -119,13 +105,6 @@ func (r *Relation) DomSize(a int) int { return len(r.catDicts[a]) }
 
 // Value decodes code c of attribute a back to its string value.
 func (r *Relation) Value(a int, c int32) string { return r.catDicts[a][c] }
-
-// Dict returns a copy of attribute a's dictionary (code → value).
-func (r *Relation) Dict(a int) []string {
-	out := make([]string, len(r.catDicts[a]))
-	copy(out, r.catDicts[a])
-	return out
-}
 
 // CodeOf returns the code for value v of attribute a, and whether the value
 // occurs in the active domain.

@@ -41,7 +41,7 @@ func TestBuilderBasics(t *testing.T) {
 func TestDictionaryRoundTrip(t *testing.T) {
 	r := buildTestRelation(t)
 	for a := 0; a < r.NumCatAttrs(); a++ {
-		for _, v := range r.Dict(a) {
+		for _, v := range r.catDicts[a] {
 			c, ok := r.CodeOf(a, v)
 			if !ok {
 				t.Fatalf("CodeOf(%d, %q) not found", a, v)

@@ -29,12 +29,13 @@ type ExactOptions struct {
 	// (TimedOut=true, incumbent returned). Callers that need an error
 	// check Ctx.Err() themselves afterwards.
 	Ctx context.Context
-	// MaxHeldKarp caps the subset size for which the minimum Hamiltonian
-	// path is computed exactly (2^k DP). Larger subsets fall back to the
-	// cheapest-insertion upper bound and the result is no longer
-	// certified optimal. Default 13.
-	MaxHeldKarp int
 }
+
+// maxHeldKarp caps the subset size for which the minimum Hamiltonian path
+// is computed exactly (2^k DP). Larger subsets fall back to the
+// cheapest-insertion upper bound and the result is no longer certified
+// optimal.
+const maxHeldKarp = 13
 
 // ExactStats reports how the search went.
 type ExactStats struct {
@@ -70,9 +71,6 @@ const budgetCheckNodes = 4096
 // of S. Feasibility of an incumbent is decided exactly by Held–Karp when
 // the subset is small enough.
 func SolveExact(inst *Instance, epsT, epsD float64, opt ExactOptions) (Solution, ExactStats) {
-	if opt.MaxHeldKarp <= 0 {
-		opt.MaxHeldKarp = 13
-	}
 	start := time.Now()
 	n := inst.N()
 	items := make([]int, n)
@@ -270,7 +268,7 @@ func (s *exactSearch) minPath(subset []int) (order []int, dist float64, exact bo
 	if dist <= s.epsD+1e-12 {
 		return order, dist, true
 	}
-	if len(subset) <= s.opt.MaxHeldKarp {
+	if len(subset) <= maxHeldKarp {
 		order, dist = heldKarpPath(s.inst, subset)
 		return order, dist, true
 	}
@@ -326,7 +324,7 @@ func (s *exactSearch) fractionalBound(idx int, budget float64) float64 {
 // given query subset (free endpoints) by Held–Karp dynamic programming,
 // O(2^k · k²) time and O(2^k · k) space, and returns the path with its
 // length. It is the feasibility oracle of the exact solver; k is capped
-// by ExactOptions.MaxHeldKarp.
+// by maxHeldKarp.
 func heldKarpPath(inst *Instance, subset []int) ([]int, float64) {
 	k := len(subset)
 	switch k {

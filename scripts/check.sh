@@ -86,15 +86,33 @@ STATEDIR="$OBSDIR/state"
     -state-dir "$STATEDIR" > "$OBSDIR/crash1.log" 2>&1 &
 SRV_PID=$!
 wait_addr "$OBSDIR/addr-crash1" || { echo "crash smoke: daemon never bound; log:" >&2; cat "$OBSDIR/crash1.log" >&2; exit 1; }
-# Slow-ish jobs so SIGKILL plausibly lands mid-run; recovery is verified
-# either way — every journaled job must settle after the restart.
+# Jobs of about half a second each (on a 2-vCPU VM), so the few
+# milliseconds between seeing a job-start and the SIGKILL cannot let the
+# job finish first.
 "$OBSDIR/loadgen" -addr "$(cat "$OBSDIR/addr-crash1")" -jobs 3 \
-    -rows 400 -queries 5 -perms 4000 > /dev/null 2>&1 &
+    -rows 400 -queries 5 -perms 20000 > /dev/null 2>&1 &
 LG_PID=$!
-sleep 0.4
+# SIGKILL lands mid-run: once the journal holds a job-start whose job has
+# no terminal record yet.
+JOURNAL="$STATEDIR/journal.jsonl"
+job_ids() { grep -E "\"t\":\"job-($1)\"" "$JOURNAL" | grep -o '"id":"[^"]*"' | sort -u; }
+midrun() {
+    [ -f "$JOURNAL" ] || return 1
+    job_ids 'start' > "$OBSDIR/started"
+    job_ids 'done|failed|cancelled' > "$OBSDIR/ended"
+    [ -n "$(comm -23 "$OBSDIR/started" "$OBSDIR/ended")" ]
+}
+for _ in $(seq 1 1500); do
+    midrun && break
+    sleep 0.02
+done
+midrun || { echo "crash smoke: no job started within 30s; log:" >&2; cat "$OBSDIR/crash1.log" >&2; exit 1; }
 kill -9 "$SRV_PID"
 SRV_PID=""
 wait "$LG_PID" 2>/dev/null || true  # its daemon just vanished mid-poll
+# The journal as the crash left it; the restarted daemon appends to the
+# original.
+cp "$JOURNAL" "$OBSDIR/journal-at-kill.jsonl"
 "$OBSDIR/comparenbd" -addr 127.0.0.1:0 -addr-file "$OBSDIR/addr-crash2" \
     -state-dir "$STATEDIR" > "$OBSDIR/crash2.log" 2>&1 &
 SRV_PID=$!
@@ -102,9 +120,10 @@ wait_addr "$OBSDIR/addr-crash2" || { echo "crash smoke: restarted daemon never b
 # -resume waits for /readyz, follows every journaled job to a terminal
 # state, and fails if the journal was empty or anything never settles.
 # -journal additionally asserts every recovered job kept the trace id
-# its admission record carried across the kill -9.
+# its admission record carried across the kill -9, and that each job
+# the kill cut off mid-run ran again, to done.
 "$OBSDIR/loadgen" -addr "$(cat "$OBSDIR/addr-crash2")" -resume \
-    -journal "$STATEDIR/journal.jsonl" -out "$OBSDIR/resume.json" \
+    -journal "$OBSDIR/journal-at-kill.jsonl" -out "$OBSDIR/resume.json" \
     || { echo "crash smoke: recovery verification failed; log:" >&2; cat "$OBSDIR/crash2.log" >&2; exit 1; }
 cat "$OBSDIR/resume.json"
 kill -TERM "$SRV_PID"
