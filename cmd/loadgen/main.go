@@ -17,9 +17,12 @@
 // snapshot (-flight-out).
 //
 // With -resume, loadgen submits nothing: it waits for a restarted
-// durable daemon to report ready (/readyz), then follows every journaled
-// job to a terminal state and summarises the recovery as JSON (-out) —
-// the verification half of the crash smoke. -journal names the journal
+// durable daemon to report ready (/readyz), follows every journaled job
+// to a terminal state, downloads every done job's notebook (which the
+// daemon reads back from its store and must verify) and summarises the
+// recovery as JSON (-out) — the verification half of the crash smoke.
+// The run fails unless each notebook answers 200 with a body that parses
+// as JSON. -journal names the journal
 // as the crash left it (a copy taken before the restart): every
 // recovered job must keep the trace id its admission record carried,
 // at least one job must have been started and not finished, and each
@@ -270,14 +273,17 @@ type resumeOut struct {
 	Quarantined   int    `json:"quarantined"`
 	Cancelled     int    `json:"cancelled"`
 	TraceVerified int    `json:"trace_verified"`
-	Rerun         int    `json:"rerun"` // jobs interrupted mid-run that re-ran to done
+	Rerun         int    `json:"rerun"`          // jobs interrupted mid-run that re-ran to done
+	NotebooksRead int    `json:"notebooks_read"` // done jobs whose notebook downloaded as JSON
 	WaitMS        int64  `json:"wait_ms"`
 }
 
 // runResume waits for a restarted daemon to become ready, then follows
-// all journaled jobs to terminal states. It fails (nonzero exit) when
-// the daemon never readies, a job never settles, or the journal turned
-// out empty — a crash smoke that recovered nothing proved nothing. With
+// all journaled jobs to terminal states and reads every done job's
+// notebook. It fails (nonzero exit) when the daemon never readies, a job
+// never settles, a done job's notebook does not download as JSON, or the
+// journal turned out empty — a crash smoke that recovered nothing proved
+// nothing. With
 // journalPath, the journal as the crash left it, it also fails unless
 // the crash interrupted at least one started job and the restarted
 // daemon re-ran every such job to done.
@@ -341,6 +347,20 @@ func runResume(cl *client, out, journalPath string, poll, timeout time.Duration)
 		time.Sleep(poll)
 	}
 	res.WaitMS = time.Since(begin).Milliseconds()
+
+	for _, j := range jobs {
+		if j.State != "done" {
+			continue
+		}
+		body, err := cl.get("/v1/jobs/" + j.ID + "/result?format=ipynb")
+		if err != nil {
+			return fmt.Errorf("resume: job %s notebook: %w", j.ID, err)
+		}
+		if !json.Valid(body) {
+			return fmt.Errorf("resume: job %s notebook is not JSON (%d bytes)", j.ID, len(body))
+		}
+		res.NotebooksRead++
+	}
 
 	// Crash recovery must keep trace correlation: every job the journal
 	// admitted under a trace id must come back under the same one. A job
@@ -429,7 +449,8 @@ func (c *client) get(path string) ([]byte, error) {
 	}
 	defer func() { _ = resp.Body.Close() }()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s: %s", path, resp.Status)
+		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		return nil, fmt.Errorf("GET %s: %s: %s", path, resp.Status, bytes.TrimSpace(body))
 	}
 	return io.ReadAll(resp.Body)
 }

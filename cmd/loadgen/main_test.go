@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"comparenb/internal/datagen"
+	"comparenb/internal/durable"
 	"comparenb/internal/server"
 )
 
@@ -154,8 +155,27 @@ func TestResumeVerifiesRecoveredTraces(t *testing.T) {
 	if err := json.Unmarshal(data, &res); err != nil {
 		t.Fatal(err)
 	}
-	if res.Jobs != len(ids) || res.Done != len(ids) || res.TraceVerified != len(ids) || res.Rerun < 1 {
-		t.Errorf("resume summary %+v: want %d jobs, all done and trace-verified, and at least one re-run", res, len(ids))
+	if res.Jobs != len(ids) || res.Done != len(ids) || res.TraceVerified != len(ids) || res.Rerun < 1 ||
+		res.NotebooksRead != len(ids) {
+		t.Errorf("resume summary %+v: want %d jobs, all done, trace-verified and read, and at least one re-run", res, len(ids))
+	}
+}
+
+// TestResumeFailsOnUnreadableNotebook: a done job whose stored notebook
+// disappears while the daemon runs fails -resume, which names the job.
+func TestResumeFailsOnUnreadableNotebook(t *testing.T) {
+	dir := t.TempDir()
+	cl, _ := startDaemon(t, dir)
+	id, err := runSubmit(cl, 1, 200, 3, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, durable.ArtifactsDir, id, "ipynb")); err != nil {
+		t.Fatal(err)
+	}
+	err = runResume(cl, filepath.Join(t.TempDir(), "resume.json"), "", 5*time.Millisecond, time.Minute)
+	if err == nil || !strings.Contains(err.Error(), id) || !strings.Contains(err.Error(), "500") {
+		t.Errorf("runResume err = %v, want a failure naming %s and its 500", err, id)
 	}
 }
 

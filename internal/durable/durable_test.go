@@ -106,7 +106,8 @@ func TestJournalMissingFileIsEmpty(t *testing.T) {
 }
 
 func TestStoreWriteReadVerified(t *testing.T) {
-	s, err := OpenStore(t.TempDir())
+	dir := t.TempDir()
+	s, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,12 +135,16 @@ func TestStoreWriteReadVerified(t *testing.T) {
 		t.Errorf("after overwrite read %q, want v2", got)
 	}
 
-	// Verification fails closed on corruption and on missing files.
+	// Verification fails closed on corruption and on missing files, and
+	// its error names the store path, not where the store lives.
 	if _, err := s.ReadVerified("artifacts/j000001/ipynb", meta); err == nil {
 		t.Error("ReadVerified accepted bytes that do not match the recorded hash")
 	}
-	if _, err := s.ReadVerified("artifacts/gone", meta); err == nil {
+	_, err = s.ReadVerified("artifacts/gone", meta)
+	if err == nil {
 		t.Error("ReadVerified accepted a missing file")
+	} else if msg := err.Error(); !strings.Contains(msg, "artifact artifacts/gone failed verification") || strings.Contains(msg, dir) {
+		t.Errorf("missing file: error %q, want one naming the failed verification of artifacts/gone and not %s", msg, dir)
 	}
 }
 

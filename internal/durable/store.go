@@ -3,7 +3,9 @@ package durable
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 
@@ -52,7 +54,7 @@ func (s *Store) sweepTemp() error {
 const tmpExt = ".tmp"
 
 // WriteFile is Put plus the fingerprint the journal records for an
-// artifact, so that ReadVerified can check it on recovery.
+// artifact, so that ReadVerified can check it on every read.
 func (s *Store) WriteFile(rel string, data []byte) (ArtifactMeta, error) {
 	if err := s.Put(rel, data); err != nil {
 		return ArtifactMeta{}, err
@@ -128,12 +130,18 @@ func (s *Store) ReadFile(rel string) ([]byte, error) {
 }
 
 // ReadVerified reads rel and checks it against the recorded fingerprint.
-// Any mismatch — wrong size, wrong hash, missing file — is an error:
-// recovery must treat the artifact as lost, not serve near-right bytes.
+// Any mismatch — wrong size, wrong hash, missing file — is an error that
+// names the failed verification and rel, never the state dir's location
+// (a server sends it to clients): recovery must treat the artifact as
+// lost, and serving must refuse it rather than send near-right bytes.
 func (s *Store) ReadVerified(rel string, meta ArtifactMeta) ([]byte, error) {
 	data, err := s.ReadFile(rel)
 	if err != nil {
-		return nil, fmt.Errorf("reading artifact %s: %w", rel, err)
+		var pathErr *fs.PathError
+		if errors.As(err, &pathErr) {
+			err = pathErr.Err
+		}
+		return nil, fmt.Errorf("artifact %s failed verification: %w", rel, err)
 	}
 	if got := Fingerprint(data); got != meta {
 		return nil, fmt.Errorf("artifact %s failed verification: stored %d bytes %s, journal records %d bytes %s",

@@ -39,15 +39,17 @@ func (r *Registry) SnapshotSpans() ([]SpanSnapshot, []string) {
 // snapshot copies up to max recorded spans (every span when max < 0) and
 // the track label table, which exists whether or not tracing is on.
 func (r *Registry) snapshot(max int) ([]SpanSnapshot, []string) {
-	var recs []spanRecord
-	if ring := r.spans.Load(); ring != nil {
-		recs = ring.records()
+	ring := r.spans.Load()
+	n := 0
+	if ring != nil {
+		n = ring.count()
 	}
-	if max >= 0 && len(recs) > max {
-		recs = recs[:max]
+	if max >= 0 && n > max {
+		n = max
 	}
-	out := make([]SpanSnapshot, len(recs))
-	for i, rec := range recs {
+	out := make([]SpanSnapshot, n)
+	for i := range out {
+		rec := ring.record(i)
 		out[i] = SpanSnapshot{
 			Name:    rec.name,
 			Track:   rec.track,

@@ -16,9 +16,10 @@
 //     *Gauge and nil *Timing, and span collection is a no-op until
 //     EnableTracing is called: a run without observability pays one
 //     atomic pointer load per StartSpan and nothing else.
-//   - Span collection is allocation-light: EnableTracing preallocates a
-//     fixed span buffer; when it fills, later spans are counted as
-//     dropped rather than grown into.
+//   - Span collection is allocation-light and bounded: EnableTracing sets
+//     a span cap, and the sink grows toward it in chunks of 1,024 records
+//     as spans arrive; past the cap, later spans are counted as dropped
+//     rather than grown into.
 //
 // Trace tracks mirror goroutines: spans on one track are opened and
 // closed LIFO by a single goroutine, which is what makes the exported
@@ -182,8 +183,8 @@ func (t *Timing) Buckets() [TimingBuckets]int64 {
 // grow the track table without bound; spans past the cap are untracked.
 const maxTracks = 4096
 
-// defaultSpanCapacity is the EnableTracing buffer size when the caller
-// passes capacity <= 0 (64Ki spans ≈ 3 MiB).
+// defaultSpanCapacity is the EnableTracing span cap when the caller
+// passes capacity <= 0 (64Ki spans, 2.5 MiB if every chunk fills).
 const defaultSpanCapacity = 1 << 16
 
 // Registry is the per-run observability hub. The zero value is not
@@ -263,10 +264,10 @@ func (r *Registry) Timing(name string) *Timing {
 	return t
 }
 
-// EnableTracing arms span collection with a preallocated buffer of the
-// given capacity (<= 0 selects the default). Call before the run starts;
-// enabling mid-run is not synchronised with in-flight StartSpan calls.
-// Nil-safe; repeat calls keep the first buffer.
+// EnableTracing arms span collection with room for capacity spans (<= 0
+// selects the default), allocated in chunks as spans arrive. Call before
+// the run starts; enabling mid-run is not synchronised with in-flight
+// StartSpan calls. Nil-safe; repeat calls keep the first sink.
 func (r *Registry) EnableTracing(capacity int) {
 	if r == nil {
 		return
@@ -274,8 +275,7 @@ func (r *Registry) EnableTracing(capacity int) {
 	if capacity <= 0 {
 		capacity = defaultSpanCapacity
 	}
-	ring := &spanRing{buf: make([]spanRecord, capacity)}
-	r.spans.CompareAndSwap(nil, ring)
+	r.spans.CompareAndSwap(nil, newSpanRing(capacity))
 }
 
 // TracingEnabled reports whether EnableTracing has been called.

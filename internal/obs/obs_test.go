@@ -2,6 +2,9 @@ package obs
 
 import (
 	"context"
+	"fmt"
+	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -140,6 +143,92 @@ func TestEnableTracingKeepsFirstBuffer(t *testing.T) {
 	r.EnableTracing(64) // must not discard the recorded span
 	if r.SpanCount() != 1 {
 		t.Errorf("span count = %d after repeat EnableTracing, want 1", r.SpanCount())
+	}
+}
+
+// TestSpanSinkConcurrent records spans from 8 goroutines at once into the
+// default sink, so chunks are claimed and installed concurrently (run it
+// under -race): every span lands exactly once and none is dropped.
+func TestSpanSinkConcurrent(t *testing.T) {
+	const workers, perWorker = 8, 3000
+	r := New()
+	r.EnableTracing(0)
+	ctx := NewContext(context.Background(), r)
+	names := make([][]string, workers)
+	for g := range names {
+		for i := 0; i < perWorker; i++ {
+			names[g] = append(names[g], fmt.Sprintf("g%d/%d", g, i))
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(wctx context.Context, names []string) {
+			defer wg.Done()
+			for _, name := range names {
+				StartSpan(wctx, name).End()
+			}
+		}(ForkTrack(ctx, "w"), names[g])
+	}
+	wg.Wait()
+
+	if got := r.SpanCount(); got != workers*perWorker {
+		t.Errorf("span count = %d, want %d", got, workers*perWorker)
+	}
+	if got := r.Dropped(); got != 0 {
+		t.Errorf("dropped = %d, want 0", got)
+	}
+	spans, _ := r.snapshot(-1)
+	seen := make(map[string]int, len(spans))
+	for _, sp := range spans {
+		seen[sp.Name]++
+	}
+	for _, ns := range names {
+		for _, name := range ns {
+			if seen[name] != 1 {
+				t.Fatalf("span %s appears %d times in the snapshot, want once", name, seen[name])
+			}
+		}
+	}
+}
+
+// TestSpanSinkCapMidChunk puts the cap inside the sink's second chunk:
+// the spans up to the cap are kept in order and the rest are dropped.
+func TestSpanSinkCapMidChunk(t *testing.T) {
+	r := New()
+	r.EnableTracing(1500)
+	ctx := NewContext(context.Background(), r)
+	for i := 0; i < 2000; i++ {
+		StartSpan(ctx, strconv.Itoa(i)).End()
+	}
+	if got, dropped := r.SpanCount(), r.Dropped(); got != 1500 || dropped != 500 {
+		t.Errorf("span count %d, dropped %d; want 1500 and 500", got, dropped)
+	}
+	spans, _ := r.snapshot(-1)
+	for i, sp := range spans {
+		if sp.Name != strconv.Itoa(i) {
+			t.Fatalf("snapshot[%d] is span %s, want %d", i, sp.Name, i)
+		}
+	}
+}
+
+// TestSpanSinkGrowsInChunks: arming the default 64Ki-span cap and
+// recording a few spans allocates one chunk, not the whole cap.
+func TestSpanSinkGrowsInChunks(t *testing.T) {
+	r := New()
+	ctx := NewContext(context.Background(), r)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r.EnableTracing(0)
+	for i := 0; i < 10; i++ {
+		StartSpan(ctx, "s").End()
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 128<<10 {
+		t.Errorf("EnableTracing(0) and 10 spans allocated %d bytes, want under 128 KiB", got)
+	}
+	if r.SpanCount() != 10 {
+		t.Errorf("span count = %d, want 10", r.SpanCount())
 	}
 }
 

@@ -23,9 +23,10 @@ type Span struct {
 	name  string
 }
 
-// End closes the span and records it. Recording is one atomic add plus a
-// struct store into the preallocated buffer; when the buffer is full the
-// span is counted as dropped instead. A registered span observer (see
+// End closes the span and records it. Recording is one atomic add, one
+// atomic chunk load and a struct store into the sink (plus a chunk
+// allocation for the first span of every spanChunk); past the sink's cap
+// the span is counted as dropped instead. A registered span observer (see
 // Registry.ObserveSpans) is notified after the record lands.
 func (s Span) End() {
 	if s.reg == nil {
@@ -104,39 +105,70 @@ type spanRecord struct {
 	track int32
 }
 
-// spanRing is the preallocated span sink. Slots are claimed with one
-// atomic increment; each claimed slot is written by exactly one
+// spanChunk is how many span records the sink allocates at a time
+// (40 KiB). A job records one to two thousand spans, so its sink holds
+// two or three chunks rather than the whole cap.
+const spanChunk = 1024
+
+// spanRing is the span sink: room for cap records, allocated in chunks
+// of spanChunk as spans arrive. A slot is claimed with one atomic
+// increment and its chunk found with one atomic load; the span that
+// finds its chunk missing (normally the chunk's first) allocates it and
+// installs it with one CAS, and a racer that loses the CAS writes into
+// the winner's chunk. Each claimed slot is written by exactly one
 // goroutine and read only after the run has joined all workers, so slot
-// writes need no lock. When the buffer fills, further spans are dropped
-// (and counted) rather than reallocated — tracing must not introduce
-// run-sized allocations into the hot path.
+// writes need no lock. Past the cap, further spans are dropped (and
+// counted): tracing memory stays bounded whatever the run does.
 type spanRing struct {
 	next    atomic.Int64
 	dropped atomic.Int64
-	buf     []spanRecord
+	cap     int64
+	chunks  []atomic.Pointer[[spanChunk]spanRecord]
+}
+
+func newSpanRing(capacity int) *spanRing {
+	return &spanRing{
+		cap:    int64(capacity),
+		chunks: make([]atomic.Pointer[[spanChunk]spanRecord], (capacity+spanChunk-1)/spanChunk),
+	}
 }
 
 func (r *spanRing) add(rec spanRecord) {
 	i := r.next.Add(1) - 1
-	if i >= int64(len(r.buf)) {
+	if i >= r.cap {
 		r.dropped.Add(1)
 		return
 	}
-	r.buf[i] = rec
-}
-
-// records returns the recorded spans (a view into the buffer, not a
-// copy). Only call after the run has completed.
-func (r *spanRing) records() []spanRecord {
-	n := r.next.Load()
-	if n > int64(len(r.buf)) {
-		n = int64(len(r.buf))
+	slot := &r.chunks[i/spanChunk]
+	c := slot.Load()
+	if c == nil {
+		c = new([spanChunk]spanRecord)
+		if !slot.CompareAndSwap(nil, c) {
+			c = slot.Load()
+		}
 	}
-	return r.buf[:n]
+	c[i%spanChunk] = rec
 }
 
-// Dropped reports how many spans were discarded because the trace buffer
-// was full (0 when tracing is disabled).
+// count returns how many spans were recorded: the claimed slots, up to
+// the cap.
+func (r *spanRing) count() int {
+	return int(min(r.next.Load(), r.cap))
+}
+
+// record returns recorded span i (i < count()). Only call after the run
+// has completed; a span still ending then reads as a zero record, not a
+// nil chunk.
+func (r *spanRing) record(i int) spanRecord {
+	c := r.chunks[i/spanChunk].Load()
+	if c == nil {
+		return spanRecord{}
+	}
+	return c[i%spanChunk]
+}
+
+// Dropped reports how many spans were discarded because the sink had
+// reached its cap (0 when tracing is disabled).
 func (r *Registry) Dropped() int64 {
 	if r == nil {
 		return 0
@@ -149,7 +181,7 @@ func (r *Registry) Dropped() int64 {
 }
 
 // SpanCount reports how many spans were recorded (0 when tracing is
-// disabled). Like records, only meaningful once the run has completed.
+// disabled). Like record, only meaningful once the run has completed.
 func (r *Registry) SpanCount() int {
 	if r == nil {
 		return 0
@@ -158,5 +190,5 @@ func (r *Registry) SpanCount() int {
 	if ring == nil {
 		return 0
 	}
-	return len(ring.records())
+	return ring.count()
 }

@@ -10,17 +10,16 @@ import (
 
 // Artifact is one rendered representation of a finished run — the unit
 // the serving layer stores, journals and recovers. Key names the format
-// (ipynb, markdown, html, report, trace, metrics); ContentType is the
-// HTTP content type the bytes should be served under.
+// (ipynb, markdown, html, report, trace, metrics); ArtifactContentType
+// maps it to the HTTP content type the bytes are served under.
 type Artifact struct {
-	Key         string
-	ContentType string
-	Data        []byte
+	Key  string
+	Data []byte
 }
 
 // artifactContentTypes maps every artifact key to its content type. The
-// mapping is part of the recovery contract: a restarted server rebuilds
-// content types from keys alone, so journal records only carry hashes.
+// server serves every artifact under the type of its key, so a durable
+// one keeps and journals only each file's fingerprint.
 var artifactContentTypes = map[string]string{
 	"ipynb":    "application/x-ipynb+json",
 	"markdown": "text/markdown; charset=utf-8",
@@ -66,7 +65,7 @@ func RenderArtifacts(res *Result, reg *obs.Registry) ([]Artifact, error) {
 		if err := r.write(&buf); err != nil {
 			return nil, fmt.Errorf("rendering %s: %w", r.key, err)
 		}
-		out = append(out, Artifact{Key: r.key, ContentType: artifactContentTypes[r.key], Data: buf.Bytes()})
+		out = append(out, Artifact{Key: r.key, Data: buf.Bytes()})
 	}
 	return out, nil
 }

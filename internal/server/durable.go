@@ -229,29 +229,28 @@ func (s *Server) recoverJob(js *durable.JobState) {
 	s.cRecoveredRequeued.Inc()
 }
 
-// verifiedResult reads a done job's stored artifacts back, verifying
-// every file against its journaled fingerprint. Returns false when any
-// artifact fails verification, or when the journal lists a format this
-// server does not render (a newer server wrote this state dir): refuse
-// rather than serve a subset.
+// verifiedResult checks a done job's stored artifacts at boot, every file
+// against its journaled fingerprint, and returns an end that keeps only
+// the fingerprints: writeArtifact reads and verifies the bytes again on
+// each request, as it does for a job done in this process. Returns false
+// when any artifact fails verification, or when the journal lists a
+// format this server does not render (a newer server wrote this state
+// dir): refuse rather than serve a subset.
 func (s *Server) verifiedResult(js *durable.JobState) (jobEnd, bool) {
 	keys := pipeline.ArtifactKeys()
 	if len(js.Artifacts) != len(keys) {
 		return jobEnd{}, false
 	}
-	end := jobEnd{summary: &jobSummary{}, replayed: true}
 	for _, key := range keys {
 		meta, ok := js.Artifacts[key]
 		if !ok {
 			return jobEnd{}, false
 		}
-		data, err := s.store.ReadVerified(artifactPath(js.ID, key), meta)
-		if err != nil {
+		if _, err := s.store.ReadVerified(artifactPath(js.ID, key), meta); err != nil {
 			return jobEnd{}, false
 		}
-		ct, _ := pipeline.ArtifactContentType(key)
-		end.artifacts = append(end.artifacts, pipeline.Artifact{Key: key, ContentType: ct, Data: data})
 	}
+	end := jobEnd{stored: js.Artifacts, summary: &jobSummary{}, replayed: true}
 	if len(js.Summary) > 0 && json.Unmarshal(js.Summary, end.summary) != nil {
 		return jobEnd{}, false
 	}

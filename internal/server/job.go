@@ -140,12 +140,13 @@ type jobSummary struct {
 	CacheMisses  int      `json:"cache_misses"`
 }
 
-// job is one admitted notebook-generation request.
+// job is one admitted notebook-generation request. Once settled it keeps
+// only what its endpoints serve: status, events, summary and, when done,
+// its artifacts.
 type job struct {
 	id       string
 	tenant   string
 	relation string
-	rel      *table.Relation
 	cfg      pipeline.Config
 	admit    governor.Level
 	created  time.Time
@@ -156,17 +157,24 @@ type job struct {
 	// read under s.mu, so it needs no lock of its own.
 	notBefore time.Time
 
-	mu        sync.Mutex
-	state     string
-	settled   bool // claimed by settle: the job never starts and never settles again
-	attempt   int  // execution attempts, counting across restarts
-	started   time.Time
-	finished  time.Time
-	cancelFn  func()
-	events    []sseEvent
-	firstIdx  int // logical index of events[0]; >0 once the log was bounded
-	notify    []chan struct{}
-	artifacts []pipeline.Artifact // a done job's rendered outputs, in pipeline.ArtifactKeys order
+	mu       sync.Mutex
+	state    string
+	settled  bool // claimed by settle: the job never starts and never settles again
+	attempt  int  // execution attempts, counting across restarts
+	started  time.Time
+	finished time.Time
+	// rel and cancelFn are what the run needs; finish clears both, so a
+	// dropped relation is garbage once the last job over it settles.
+	rel      *table.Relation
+	cancelFn func()
+	events   []sseEvent
+	firstIdx int // logical index of events[0]; >0 once the log was bounded
+	notify   []chan struct{}
+	// A done job's artifacts: their bytes on an in-memory server, in
+	// pipeline.ArtifactKeys order; on a durable one only each format's
+	// journaled fingerprint, and the store holds the bytes.
+	artifacts []pipeline.Artifact
+	stored    map[string]durable.ArtifactMeta
 	errMsg    string
 	failCode  int // HTTP status explaining a failed job
 	summary   *jobSummary
@@ -302,11 +310,12 @@ func (j *job) eventsSince(idx int) (evs []sseEvent, start int, terminal bool) {
 }
 
 // start is the one queued → running transition. Under j.mu it turns
-// only a queued, unsettled job into running, installs its cancel func
-// and counts the attempt; the running event is published only when that
-// happened. It returns false for a job settled while it waited for this
-// worker (a DELETE or the drain won the race).
-func (j *job) start(cancel func()) (attempt int, ok bool) {
+// only a queued, unsettled job into running, installs its cancel func,
+// counts the attempt and hands back the relation to run on; the running
+// event is published only when that happened. It returns false for a job
+// settled while it waited for this worker (a DELETE or the drain won the
+// race).
+func (j *job) start(cancel func()) (rel *table.Relation, attempt int, ok bool) {
 	j.mu.Lock()
 	ok = j.state == stateQueued && !j.settled
 	if ok {
@@ -314,13 +323,14 @@ func (j *job) start(cancel func()) (attempt int, ok bool) {
 		j.started = time.Now()
 		j.cancelFn = cancel
 		j.attempt++
+		rel = j.rel
 	}
 	attempt = j.attempt
 	j.mu.Unlock()
 	if ok {
 		j.publish("state", stateEvent{State: stateRunning})
 	}
-	return attempt, ok
+	return rel, attempt, ok
 }
 
 // cancelRun cancels a running job's pipeline; its worker then settles
@@ -335,13 +345,14 @@ func (j *job) cancelRun() bool {
 	return running
 }
 
-// jobEnd explains a terminal transition: the artifacts and summary of a
-// done job, the HTTP status (code) and message of a failed one, the
-// message of a cancelled one. replayed marks a state read back from the
-// journal, which settle neither journals again nor counts as a run's
-// outcome.
+// jobEnd explains a terminal transition: the artifacts (bytes, or stored
+// fingerprints on a durable server) and summary of a done job, the HTTP
+// status (code) and message of a failed one, the message of a cancelled
+// one. replayed marks a state read back from the journal, which settle
+// neither journals again nor counts as a run's outcome.
 type jobEnd struct {
 	artifacts []pipeline.Artifact
+	stored    map[string]durable.ArtifactMeta
 	summary   *jobSummary
 	code      int
 	msg       string
@@ -360,13 +371,15 @@ type jobEnd struct {
 //   - drops the cubes of a relation dropped while the job ran, which
 //     would otherwise stay cached under a key no request can name;
 //   - bumps the matching counter;
-//   - publishes the state with its terminal event.
+//   - publishes the state with its terminal event and releases the
+//     relation.
 func (s *Server) settle(j *job, from, state string, end jobEnd) bool {
 	j.mu.Lock()
 	claimed := j.state == from && !j.settled
 	if claimed {
 		j.settled = true
 	}
+	rel := j.rel
 	j.mu.Unlock()
 	if !claimed {
 		return false
@@ -386,8 +399,8 @@ func (s *Server) settle(j *job, from, state string, end jobEnd) bool {
 	tn := s.tenantLocked(j.tenant)
 	sess := s.sessions[j.relation]
 	s.mu.Unlock()
-	if j.rel != nil && (sess == nil || sess.rel != j.rel) {
-		s.cache.DropRelation(j.rel)
+	if rel != nil && (sess == nil || sess.rel != rel) {
+		s.cache.DropRelation(rel)
 	}
 
 	switch {
@@ -412,7 +425,8 @@ func (s *Server) settle(j *job, from, state string, end jobEnd) bool {
 // finish is settle's last step: the state, its explanation and the
 // terminal event (done, error, or a cancelled state event) land in one
 // j.mu critical section, so a subscriber that reads a terminal state
-// always finds the terminal event already logged.
+// always finds the terminal event already logged. The same section lets
+// go of the run's inputs.
 func (j *job) finish(state string, end jobEnd) {
 	name, payload := "state", any(stateEvent{State: state})
 	switch state {
@@ -425,24 +439,12 @@ func (j *job) finish(state string, end jobEnd) {
 	j.mu.Lock()
 	j.state = state
 	j.finished = time.Now()
-	j.artifacts, j.summary = end.artifacts, end.summary
+	j.artifacts, j.stored, j.summary = end.artifacts, end.stored, end.summary
 	j.failCode, j.errMsg = end.code, end.msg
+	j.rel, j.cancelFn = nil, nil
 	subs := j.appendLocked(name, data)
 	j.mu.Unlock()
 	wake(subs)
-}
-
-// artifact returns j's state and, when j is done, its rendered output in
-// the given format (ok is false for any other job or format).
-func (j *job) artifact(format string) (state string, art pipeline.Artifact, ok bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	for _, a := range j.artifacts {
-		if a.Key == format {
-			return j.state, a, true
-		}
-	}
-	return j.state, art, false
 }
 
 // runJob executes one claimed job on the calling worker goroutine: a
@@ -466,7 +468,7 @@ func (s *Server) runJob(jobsCtx context.Context, j *job) {
 
 	jctx, cancel := context.WithCancel(jobsCtx)
 	defer cancel()
-	attempt, ok := j.start(cancel)
+	rel, attempt, ok := j.start(cancel)
 	if !ok {
 		return
 	}
@@ -498,7 +500,7 @@ func (s *Server) runJob(jobsCtx context.Context, j *job) {
 	}
 
 	begin := time.Now()
-	res, err := pipeline.GenerateContext(jctx, j.rel, cfg)
+	res, err := pipeline.GenerateContext(jctx, rel, cfg)
 	wall = time.Since(begin)
 	s.tWall.Observe(wall)
 	tn.tWall.Observe(wall)
@@ -525,13 +527,15 @@ func (s *Server) runJob(jobsCtx context.Context, j *job) {
 
 // commit is a finished run's durable commit point: render the artifacts,
 // persist them, then fsync the job-done record. Any failing step fails
-// the job — a done acknowledgement must imply a recoverable result.
+// the job — a done acknowledgement must imply a recoverable result. A
+// durable job keeps the journaled fingerprints, not the bytes; an
+// in-memory one keeps the bytes.
 func (s *Server) commit(j *job, res *pipeline.Result, reg *obs.Registry, wall time.Duration) (jobEnd, error) {
 	arts, err := pipeline.RenderArtifacts(res, reg)
 	if err != nil {
 		return jobEnd{}, fmt.Errorf("rendering artifacts: %w", err)
 	}
-	end := jobEnd{artifacts: arts, summary: &jobSummary{
+	end := jobEnd{summary: &jobSummary{
 		Queries:      len(res.Solution.Order),
 		Insights:     len(res.Insights),
 		Solver:       res.TAP.Solver,
@@ -542,6 +546,7 @@ func (s *Server) commit(j *job, res *pipeline.Result, reg *obs.Registry, wall ti
 		CacheMisses:  res.Counts.CacheMisses,
 	}}
 	if s.journal == nil {
+		end.artifacts = arts
 		return end, nil
 	}
 	// The slice order is pipeline.ArtifactKeys order — deterministic, so
@@ -563,6 +568,7 @@ func (s *Server) commit(j *job, res *pipeline.Result, reg *obs.Registry, wall ti
 	}); err != nil {
 		return jobEnd{}, fmt.Errorf("journaling completion: %w", err)
 	}
+	end.stored = metas
 	return end, nil
 }
 
@@ -787,18 +793,15 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	if format == "" {
 		format = "ipynb"
 	}
-	state, art, ok := j.artifact(format)
+	j.mu.Lock()
+	state, code, msg := j.state, j.failCode, j.errMsg
+	j.mu.Unlock()
 	switch state {
 	case stateDone:
-		if !ok {
+		if !s.writeArtifact(w, j, format) {
 			httpError(w, http.StatusBadRequest, fmt.Sprintf("unknown format %q (ipynb, markdown, html, report, trace, metrics)", format))
-			return
 		}
-		writeArtifact(w, art)
 	case stateFailed, stateFailedPermanent:
-		j.mu.Lock()
-		code, msg := j.failCode, j.errMsg
-		j.mu.Unlock()
 		if code == 0 {
 			code = http.StatusInternalServerError
 		}
@@ -830,11 +833,41 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, admitResponse{JobID: j.id, State: stateCancelled, Admit: j.admit.String()})
 }
 
-// writeArtifact serves one rendered output of a done job.
-func writeArtifact(w http.ResponseWriter, art pipeline.Artifact) {
-	w.Header().Set("Content-Type", art.ContentType)
+// writeArtifact serves done job j's artifact in format: the one path for
+// /result and the /trace fallback, fresh and recovered jobs alike. An
+// in-memory server sends the bytes the job holds. A durable one reads
+// the stored file on every request and sends it only if it matches its
+// journaled fingerprint; otherwise it answers 500 naming the failed
+// verification and counts it in server_artifact_verify_failures. It
+// returns false, having written nothing, when j holds no artifact in
+// format.
+func (s *Server) writeArtifact(w http.ResponseWriter, j *job, format string) bool {
+	j.mu.Lock()
+	meta, stored := j.stored[format]
+	var data []byte
+	found := stored
+	for _, a := range j.artifacts {
+		if a.Key == format {
+			data, found = a.Data, true
+		}
+	}
+	j.mu.Unlock()
+	if !found {
+		return false
+	}
+	if stored {
+		var err error
+		if data, err = s.store.ReadVerified(artifactPath(j.id, format), meta); err != nil {
+			s.cVerifyFail.Inc()
+			httpError(w, http.StatusInternalServerError, err.Error())
+			return true
+		}
+	}
+	ct, _ := pipeline.ArtifactContentType(format)
+	w.Header().Set("Content-Type", ct)
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(art.Data) // client disconnect; nowhere to report
+	_, _ = w.Write(data) // client disconnect; nowhere to report
+	return true
 }
 
 // handleJobEvents is GET /v1/jobs/{id}/events: a server-sent-event

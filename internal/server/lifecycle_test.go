@@ -6,11 +6,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"comparenb/internal/durable"
+	"comparenb/internal/table"
 )
 
 // terminalEvents counts the terminal events in j's event log (done,
@@ -174,14 +177,67 @@ func TestCancelRacesDrain(t *testing.T) {
 	}
 }
 
+// watchCollection puts a finalizer on the *table.Relation of session
+// name and returns a func that forces garbage collection until the
+// finalizer has run, reporting false if it has not after 5 s.
+func watchCollection(t *testing.T, s *Server, name string) (collected func() bool) {
+	t.Helper()
+	s.mu.Lock()
+	sess := s.sessions[name]
+	s.mu.Unlock()
+	if sess == nil {
+		t.Fatalf("relation %q not loaded", name)
+	}
+	finalized := make(chan struct{})
+	runtime.SetFinalizer(sess.rel, func(*table.Relation) { close(finalized) })
+	return func() bool {
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+			runtime.GC()
+			select {
+			case <-finalized:
+				return true
+			default:
+			}
+			if time.Now().After(deadline) {
+				return false
+			}
+		}
+	}
+}
+
+// TestDroppedRelationCollected is fresh-upload's order on a durable
+// server: a job over an uploaded relation finishes, then the relation is
+// dropped. The finished job must not pin it, so it becomes garbage.
+func TestDroppedRelationCollected(t *testing.T) {
+	csv := writeTinyCSV(t, 5, 2048)
+	s, base, shutdown := startDurableServer(t, t.TempDir(), Options{MaxConcurrent: 1})
+	defer shutdown()
+	loadRelation(t, base, "tiny", csv)
+	collected := watchCollection(t, s, "tiny")
+
+	id := submitJob(t, base, jobRequest{Relation: "tiny", Queries: 4, Perms: 100, Seed: 5})
+	if v := waitJob(t, base, id); v.State != stateDone {
+		t.Fatalf("job finished %s (%s), want done", v.State, v.Error)
+	}
+	if status, body := doDelete(t, base+"/v1/relations/tiny"); status != http.StatusOK {
+		t.Fatalf("dropping the relation: status %d: %s", status, body)
+	}
+	if !collected() {
+		t.Error("relation still reachable 5 s after its job finished and it was dropped")
+	}
+	mustGet(t, base+"/v1/jobs/"+id+"/result?format=ipynb")
+}
+
 // TestDroppedRelationCubesLeaveCache drops a relation while a job over
 // it is mid-pipeline. The drop evicts the relation's cubes, but the job
 // keeps building; once it settles, none of its cubes may stay in the
-// shared cache, where no request could name them again.
+// shared cache, where no request could name them again, and the
+// relation itself becomes garbage.
 func TestDroppedRelationCubesLeaveCache(t *testing.T) {
 	csv := writeTinyCSV(t, 5, 2048)
 	s, base, _, _ := bootServer(t, Options{MaxConcurrent: 1})
 	loadRelation(t, base, "tiny", csv)
+	collected := watchCollection(t, s, "tiny")
 	started, release := blockStats(t)
 
 	id := submitJob(t, base, jobRequest{Relation: "tiny", Queries: 4, Perms: 100, Seed: 5})
@@ -196,6 +252,9 @@ func TestDroppedRelationCubesLeaveCache(t *testing.T) {
 	if st := s.cache.Stats(); st.Entries != 0 || st.Bytes != 0 {
 		t.Errorf("shared cache after the job settled: %d entries, %d bytes; want both 0",
 			st.Entries, st.Bytes)
+	}
+	if !collected() {
+		t.Error("relation dropped mid-job still reachable 5 s after the job settled")
 	}
 }
 

@@ -138,6 +138,40 @@ func TestRecoveryVerifiesArtifactHashes(t *testing.T) {
 	}
 }
 
+// TestServeVerifiesStoredArtifacts: a durable server reads a done job's
+// artifacts from its store on each request. Tampering with the stored
+// notebook while the server runs turns that format into a 500 naming the
+// failed verification, never the tampered bytes, and the job's other
+// formats still serve.
+func TestServeVerifiesStoredArtifacts(t *testing.T) {
+	stateDir := t.TempDir()
+	csv := writeTinyCSV(t, 11, 50)
+	s, base, shutdown := startDurableServer(t, stateDir, Options{MaxConcurrent: 1})
+	defer shutdown()
+	loadRelation(t, base, "tiny", csv)
+	id := submitJob(t, base, jobRequest{Relation: "tiny", Queries: 3, Perms: 40, Seed: 11})
+	if v := waitJob(t, base, id); v.State != stateDone {
+		t.Fatalf("job finished %s, want done", v.State)
+	}
+	mustGet(t, base+"/v1/jobs/"+id+"/result?format=ipynb")
+
+	artPath := filepath.Join(stateDir, durable.ArtifactsDir, id, "ipynb")
+	if err := os.WriteFile(artPath, []byte(`{"cells":"tampered"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	status, body := httpGet(t, base+"/v1/jobs/"+id+"/result?format=ipynb")
+	if status != http.StatusInternalServerError || !bytes.Contains(body, []byte("failed verification")) ||
+		bytes.Contains(body, []byte("tampered")) {
+		t.Errorf("tampered notebook: status %d body %.200s; want 500 naming the failed verification", status, body)
+	}
+	if got := s.cVerifyFail.Value(); got != 1 {
+		t.Errorf("server_artifact_verify_failures = %d, want 1", got)
+	}
+	for _, format := range []string{"markdown", "html", "report", "trace", "metrics"} {
+		mustGet(t, base+"/v1/jobs/"+id+"/result?format="+format)
+	}
+}
+
 // TestRecoveryQuarantinesExhaustedJobs: a journal whose job was
 // interrupted MaxAttempts times must come back failed_permanent with the
 // recorded reason — and stay quarantined across yet another restart,

@@ -526,9 +526,9 @@ func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 // handleJobTrace is GET /v1/jobs/{id}/trace: the job's span tree as
 // Chrome trace-event JSON on the admission timeline (queue-wait / run /
 // e2e annotation spans included), straight from the flight recorder.
-// Jobs recovered done from a previous process have no in-memory flight
-// entry; their persisted trace artifact — the same span tree without the
-// admission annotations — serves as the fallback.
+// Done jobs it no longer holds, and jobs recovered done from a previous
+// process, fall back to their trace artifact — the same span tree
+// without the admission annotations — served as /result serves it.
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if e, ok := s.flight.Get(id); ok {
@@ -542,8 +542,7 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	if _, art, ok := j.artifact("trace"); ok {
-		writeArtifact(w, art)
+	if s.writeArtifact(w, j, "trace") {
 		return
 	}
 	httpError(w, http.StatusNotFound, "no trace retained for job "+id)

@@ -119,9 +119,12 @@ SRV_PID=$!
 wait_addr "$OBSDIR/addr-crash2" || { echo "crash smoke: restarted daemon never bound; log:" >&2; cat "$OBSDIR/crash2.log" >&2; exit 1; }
 # -resume waits for /readyz, follows every journaled job to a terminal
 # state, and fails if the journal was empty or anything never settles.
-# -journal additionally asserts every recovered job kept the trace id
-# its admission record carried across the kill -9, and that each job
-# the kill cut off mid-run ran again, to done.
+# It downloads every done job's notebook, which the restarted daemon
+# reads back from its store and verifies, and fails unless each answers
+# 200 with a body that parses as JSON. -journal additionally asserts
+# every recovered job kept the trace id its admission record carried
+# across the kill -9, and that each job the kill cut off mid-run ran
+# again, to done.
 "$OBSDIR/loadgen" -addr "$(cat "$OBSDIR/addr-crash2")" -resume \
     -journal "$OBSDIR/journal-at-kill.jsonl" -out "$OBSDIR/resume.json" \
     || { echo "crash smoke: recovery verification failed; log:" >&2; cat "$OBSDIR/crash2.log" >&2; exit 1; }
