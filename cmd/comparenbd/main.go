@@ -54,21 +54,19 @@ func main() {
 func run() error {
 	var preloads []string
 	var (
-		addr          = flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
-		addrFile      = flag.String("addr-file", "", "write the actual listen address to this file once bound (for scripts using -addr :0)")
-		maxConc       = flag.Int("max-concurrent", 2, "job worker count: notebook generations running at once")
-		queueDepth    = flag.Int("queue-depth", 64, "global admission queue bound; beyond it requests are shed with 429")
-		cacheBudget   = flag.Int64("cache-budget", 256<<20, "shared cube-cache soft budget in bytes")
-		maxUpload     = flag.Int64("max-upload", 32<<20, "CSV upload size bound in bytes")
-		maxRelations  = flag.Int("max-relations", 64, "session registry bound")
-		maxRows       = flag.Int("max-rows", 1<<20, "row bound per loaded relation")
-		drainTimeout  = flag.Duration("drain-timeout", 0, "how long a drain waits for running jobs before hard-cancelling them (0 = indefinitely)")
-		stateDir      = flag.String("state-dir", "", "root of the durable state (job journal + artifact store); empty = in-memory, nothing survives a restart")
-		maxAttempts   = flag.Int("max-attempts", 3, "execution attempts per job before a crash-interrupted job is quarantined (with -state-dir)")
-		retryBase     = flag.Duration("retry-base", 250*time.Millisecond, "first re-enqueue backoff for crash-interrupted jobs; doubles per attempt (with -state-dir)")
-		logFormat     = flag.String("log-format", "json", "structured log format on stderr: json, text, or off")
-		flightRecent  = flag.Int("flight-recent", 64, "flight recorder: most-recent completed jobs kept queryable at /debug/flight")
-		flightSlowest = flag.Int("flight-slowest", 16, "flight recorder: slowest completed jobs kept alongside the recent ring")
+		addr         = flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
+		addrFile     = flag.String("addr-file", "", "write the actual listen address to this file once bound (for scripts using -addr :0)")
+		maxConc      = flag.Int("max-concurrent", 2, "job worker count: notebook generations running at once")
+		queueDepth   = flag.Int("queue-depth", 64, "global admission queue bound; beyond it requests are shed with 429")
+		cacheBudget  = flag.Int64("cache-budget", 256<<20, "shared cube-cache soft budget in bytes")
+		maxUpload    = flag.Int64("max-upload", 32<<20, "CSV upload size bound in bytes")
+		maxRelations = flag.Int("max-relations", 64, "session registry bound")
+		maxRows      = flag.Int("max-rows", 1<<20, "row bound per loaded relation")
+		drainTimeout = flag.Duration("drain-timeout", 0, "how long a drain waits for running jobs before hard-cancelling them (0 = indefinitely)")
+		stateDir     = flag.String("state-dir", "", "root of the durable state (job journal + artifact store); empty = in-memory, nothing survives a restart")
+		maxAttempts  = flag.Int("max-attempts", 3, "execution attempts per job before a crash-interrupted job is quarantined (with -state-dir)")
+		retryBase    = flag.Duration("retry-base", 250*time.Millisecond, "first re-enqueue backoff for crash-interrupted jobs; doubles per attempt (with -state-dir)")
+		logFormat    = flag.String("log-format", "json", "structured log format on stderr: json, text, or off")
 	)
 	flag.Func("load", "preload a relation at startup, as name=path (repeatable)", func(v string) error {
 		preloads = append(preloads, v)
@@ -92,8 +90,6 @@ func run() error {
 		StateDir:       *stateDir,
 		MaxAttempts:    *maxAttempts,
 		RetryBase:      *retryBase,
-		FlightRecent:   *flightRecent,
-		FlightSlowest:  *flightSlowest,
 		Logger:         logger,
 	})
 	if err != nil {

@@ -12,9 +12,7 @@
 // done under the trace id it was submitted with, and the server's
 // comparenb_server_job_e2e_seconds histogram on /metrics counts every
 // one. It can then download one finished job's trace and metrics
-// artifacts for obscheck validation (-trace-out / -metrics-out), that
-// job's flight trace (-jobtrace-out) and the daemon's flight-recorder
-// snapshot (-flight-out).
+// artifacts for obscheck validation (-trace-out / -metrics-out).
 //
 // With -resume, loadgen submits nothing: it waits for a restarted
 // durable daemon to report ready (/readyz), follows every journaled job
@@ -73,8 +71,6 @@ func run() error {
 		perms       = flag.Int("perms", 100, "permutations per statistical test")
 		traceOut    = flag.String("trace-out", "", "download one finished job's Chrome trace artifact to this file")
 		metricsOut  = flag.String("metrics-out", "", "download the same job's metrics exposition to this file")
-		jobtraceOut = flag.String("jobtrace-out", "", "download the same job's flight-recorder trace (GET /v1/jobs/{id}/trace) to this file")
-		flightOut   = flag.String("flight-out", "", "download the daemon's flight snapshot (GET /debug/flight) to this file")
 		resume      = flag.Bool("resume", false, "submit nothing; wait for a restarted daemon's recovery and summarise journaled jobs")
 		journalPath = flag.String("journal", "", "with -resume, the daemon's journal.jsonl as the crash left it: recovered jobs must keep their admission trace_id, and jobs it shows started and unfinished must re-run to done")
 		out         = flag.String("out", "", "with -resume, write the JSON summary here (default stdout)")
@@ -101,8 +97,6 @@ func run() error {
 	for _, dl := range []struct{ path, dst string }{
 		{"/v1/jobs/" + doneID + "/result?format=trace", *traceOut},
 		{"/v1/jobs/" + doneID + "/result?format=metrics", *metricsOut},
-		{"/v1/jobs/" + doneID + "/trace", *jobtraceOut},
-		{"/debug/flight", *flightOut},
 	} {
 		if dl.dst == "" {
 			continue
@@ -191,8 +185,8 @@ func (c *client) upload(name string, csv []byte) error {
 }
 
 // requestTraceparent derives a deterministic per-request W3C traceparent
-// from the job's seed: reruns carry the same trace ids, so a server-side
-// flight recorder or journal can be diffed across runs.
+// from the job's seed: reruns carry the same trace ids, so a server's
+// journal, logs or trace artifacts can be diffed across runs.
 func requestTraceparent(seed int64) (header, traceID string) {
 	sum := sha256.Sum256([]byte(fmt.Sprintf("loadgen|%s|%d", tenant, seed)))
 	traceID = hex.EncodeToString(sum[:16])

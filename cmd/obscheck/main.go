@@ -2,11 +2,11 @@
 // comparenb's -trace-out and -metrics-out flags: the trace must be
 // well-formed Chrome trace-event JSON with balanced per-track nesting and
 // monotone timestamps, and the metrics file must be a well-formed
-// Prometheus-style exposition. It also validates flight-recorder
-// snapshots downloaded from a comparenbd's GET /debug/flight. The CI
-// smoke uses it to gate the artifacts without loading them into a UI.
+// Prometheus-style exposition, as are a comparenbd job's trace and
+// metrics artifacts. The CI smoke uses it to gate the artifacts without
+// loading them into a UI.
 //
-//	obscheck -trace run.trace.json -metrics run.metrics.txt -flight flight.json
+//	obscheck -trace run.trace.json -metrics run.metrics.txt
 //
 // Exit status 0 when every given artifact validates, 1 otherwise. A file
 // whose flag is omitted is skipped, so either artifact can be checked
@@ -25,12 +25,11 @@ func main() {
 	var (
 		tracePath   = flag.String("trace", "", "Chrome trace-event JSON file to validate")
 		metricsPath = flag.String("metrics", "", "metrics exposition file to validate")
-		flightPath  = flag.String("flight", "", "flight-recorder snapshot JSON (GET /debug/flight) to validate")
 		quiet       = flag.Bool("q", false, "print nothing on success")
 	)
 	flag.Parse()
-	if *tracePath == "" && *metricsPath == "" && *flightPath == "" {
-		fmt.Fprintln(os.Stderr, "obscheck: nothing to check; pass -trace, -metrics, and/or -flight")
+	if *tracePath == "" && *metricsPath == "" {
+		fmt.Fprintln(os.Stderr, "obscheck: nothing to check; pass -trace and/or -metrics")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -41,9 +40,6 @@ func main() {
 	}
 	if *metricsPath != "" {
 		ok = checkFile(*metricsPath, "metrics", obs.ValidateMetrics, *quiet) && ok
-	}
-	if *flightPath != "" {
-		ok = checkFile(*flightPath, "flight", obs.ValidateFlight, *quiet) && ok
 	}
 	if !ok {
 		os.Exit(1)

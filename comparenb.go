@@ -228,9 +228,11 @@ func Generate(ds *Dataset, cfg Config) (*Result, error) {
 // GenerateContext is Generate with cooperative cancellation: cancelling
 // ctx abandons the run at the next phase-safe checkpoint and returns
 // ctx's error with no partial result. This is the hard stop; the soft,
-// always-produce-a-notebook deadline is Config.TimeBudget, which lets
-// the analysis finish and degrades the TAP solver instead of failing
-// (see Result.TAP for what actually answered).
+// always-produce-a-notebook deadline is Config.TimeBudget, under which a
+// phase that runs out of its share degrades instead of failing: tests
+// stop early, pairs are shed, hypothesis candidates are capped and the
+// TAP falls back to a heuristic (Result.Degraded and Result.TAP record
+// what gave way).
 func GenerateContext(ctx context.Context, ds *Dataset, cfg Config) (*Result, error) {
 	if ds == nil || ds.Rel == nil {
 		return nil, fmt.Errorf("comparenb: nil dataset")

@@ -34,8 +34,9 @@ import (
 // Record types. The journal is append-only JSONL; each line is one
 // Record whose Type selects which fields are meaningful.
 const (
-	// RecSessionLoad registers a relation: Name, File (the stored CSV,
-	// relative to the state dir) and Load (opaque loader options).
+	// RecSessionLoad registers a relation: Name and File (the stored CSV,
+	// relative to the state dir). Load, opaque here, holds the loader
+	// options older servers journaled with each load.
 	RecSessionLoad = "session-load"
 	// RecSessionDrop removes a relation by Name.
 	RecSessionDrop = "session-drop"

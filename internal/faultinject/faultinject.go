@@ -59,8 +59,8 @@ const (
 	// estimate is compared against the budget.
 	CacheAdmit = "engine.cache.admit"
 	// ServerAdmit fires once per notebook-job admission decision of the
-	// notebook-generation server (internal/server), before the tenant
-	// quotas and queue bounds are consulted. A Sleep hook here holds the
+	// notebook-generation server (internal/server), before the request is
+	// decoded and the queue bound consulted. A Sleep hook here holds the
 	// admission decision open — the deterministic way to line a request up
 	// against a concurrent drain in shutdown tests.
 	ServerAdmit = "server.admit"

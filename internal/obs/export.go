@@ -14,19 +14,51 @@ import (
 // metricPrefix namespaces every exported metric.
 const metricPrefix = "comparenb_"
 
-// WriteTrace exports every recorded span as Chrome trace-event JSON,
-// loadable in Perfetto or chrome://tracing, through the flight entry's
-// writer without the admission track: each track becomes a thread (tid)
-// with an "M" thread_name metadata event, each span a "X" complete event
-// with fractional-microsecond ts/dur so nesting survives rounding. The
-// export is built from whatever the buffer holds, so a trace flushed
-// after an interrupted run is still complete, valid JSON.
+// WriteTrace exports every recorded span as Chrome trace-event JSON (the
+// "JSON Array Format" with a traceEvents wrapper), loadable in Perfetto
+// or chrome://tracing: each track becomes a thread (tid) with an "M"
+// thread_name metadata event, each span a "X" complete event with
+// fractional-microsecond ts/dur so nesting survives rounding. Spans are
+// sorted by track, then start time, then longest first so parents
+// precede children on ties. The export is built from whatever the sink
+// holds, so a trace flushed after an interrupted run is still complete,
+// valid JSON.
 func (r *Registry) WriteTrace(w io.Writer) error {
-	e := FlightEntry{TraceID: r.TraceID()}
-	if r != nil {
-		e.Spans, e.Tracks = r.snapshot(-1)
+	var buf bytes.Buffer
+	buf.WriteString("{\"displayTimeUnit\":\"ms\",")
+	if id := r.TraceID(); id != "" {
+		fmt.Fprintf(&buf, "\"otherData\":{\"trace_id\":%s},", quoteJSON(id))
 	}
-	return e.writeTrace(w, false)
+	buf.WriteString("\"traceEvents\":[")
+	var (
+		spans  []spanRecord
+		tracks []string
+	)
+	if r != nil {
+		spans, tracks = r.spanRecords()
+	}
+	sep := ""
+	for tid, label := range tracks {
+		fmt.Fprintf(&buf, `%s{"name":"thread_name","ph":"M","pid":1,"tid":%d,"args":{"name":%s}}`, sep, tid, quoteJSON(label))
+		sep = ","
+	}
+	sort.SliceStable(spans, func(i, j int) bool {
+		if spans[i].track != spans[j].track {
+			return spans[i].track < spans[j].track
+		}
+		if spans[i].start != spans[j].start {
+			return spans[i].start < spans[j].start
+		}
+		return spans[i].dur > spans[j].dur
+	})
+	for _, sp := range spans {
+		fmt.Fprintf(&buf, `%s{"name":%s,"ph":"X","pid":1,"tid":%d,"ts":%.3f,"dur":%.3f}`,
+			sep, quoteJSON(sp.name), sp.track, float64(sp.start)/1e3, float64(sp.dur)/1e3)
+		sep = ","
+	}
+	buf.WriteString("]}\n")
+	_, err := w.Write(buf.Bytes())
+	return err
 }
 
 // WriteMetrics exports the registry as Prometheus-style text exposition.

@@ -173,3 +173,80 @@ func TestWriteSummary(t *testing.T) {
 		}
 	}
 }
+
+// TestRegistryTraceID: the bound trace id surfaces in both exports and
+// stays out of DeterministicState.
+func TestRegistryTraceID(t *testing.T) {
+	r := New()
+	r.EnableTracing(8)
+	r.SetTraceID("0af7651916cd43dd8448eb211c80319c")
+	r.Counter("x").Inc()
+	if r.TraceID() != "0af7651916cd43dd8448eb211c80319c" {
+		t.Fatalf("TraceID = %q", r.TraceID())
+	}
+	var trace, metrics bytes.Buffer
+	if err := r.WriteTrace(&trace); err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateTrace(trace.Bytes()); err != nil {
+		t.Fatalf("trace with id does not validate: %v", err)
+	}
+	if !strings.Contains(trace.String(), `"otherData":{"trace_id":"0af7651916cd43dd8448eb211c80319c"}`) {
+		t.Error("trace export missing otherData.trace_id")
+	}
+	if err := r.WriteMetrics(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateMetrics(metrics.Bytes()); err != nil {
+		t.Fatalf("metrics with id do not validate: %v", err)
+	}
+	if !strings.Contains(metrics.String(), "# trace_id 0af7651916cd43dd8448eb211c80319c") {
+		t.Error("metrics export missing # trace_id comment")
+	}
+	if _, ok := r.DeterministicState()["trace"]; ok {
+		t.Error("trace id leaked into DeterministicState")
+	}
+	// Nil-safety.
+	var nilReg *Registry
+	nilReg.SetTraceID("x")
+	if nilReg.TraceID() != "" {
+		t.Error("nil registry TraceID != empty")
+	}
+}
+
+// TestWriteMetricsLabeledTiming: a timing registered with an inline
+// label set exports with the labels merged before le, one TYPE header
+// per family, and sparse bucket lines.
+func TestWriteMetricsLabeledTiming(t *testing.T) {
+	r := New()
+	r.Timing(`server_job_e2e{tenant="a"}`).Observe(3_000_000)
+	r.Timing(`server_job_e2e{tenant="b"}`).Observe(5_000_000)
+	r.Timing("server_job_e2e").Observe(1_000_000)
+	var buf bytes.Buffer
+	if err := r.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateMetrics(buf.Bytes()); err != nil {
+		t.Fatalf("labeled metrics do not validate: %v", err)
+	}
+	s := buf.String()
+	for _, want := range []string{
+		`comparenb_server_job_e2e_seconds_bucket{tenant="a",le=`,
+		`comparenb_server_job_e2e_seconds_bucket{tenant="b",le="+Inf"} 1`,
+		`comparenb_server_job_e2e_seconds_sum{tenant="a"} `,
+		`comparenb_server_job_e2e_seconds_count{tenant="b"} 1`,
+		`comparenb_server_job_e2e_seconds_bucket{le="+Inf"} 1`,
+	} {
+		if !strings.Contains(s, want) {
+			t.Errorf("labeled metrics missing %q", want)
+		}
+	}
+	if n := strings.Count(s, "# TYPE comparenb_server_job_e2e_seconds histogram"); n != 1 {
+		t.Errorf("TYPE header emitted %d times, want once per family", n)
+	}
+	// Sparse: one observation → exactly two bucket lines (its own + Inf)
+	// per instance, not 64.
+	if n := strings.Count(s, `comparenb_server_job_e2e_seconds_bucket{tenant="a",`); n != 2 {
+		t.Errorf("tenant=a bucket lines = %d, want 2 (sparse + Inf)", n)
+	}
+}

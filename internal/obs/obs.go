@@ -325,15 +325,6 @@ func (r *Registry) TraceID() string {
 	return r.trace
 }
 
-// StartTime returns the wall-clock instant the registry was created —
-// the zero offset of every span. Zero time on a nil registry.
-func (r *Registry) StartTime() time.Time {
-	if r == nil {
-		return time.Time{}
-	}
-	return r.start
-}
-
 // MarkInterrupted records that the run was cancelled or ran out of
 // budget, so exported artifacts carry the partial-result marker.
 func (r *Registry) MarkInterrupted() {

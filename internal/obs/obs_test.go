@@ -178,15 +178,15 @@ func TestSpanSinkConcurrent(t *testing.T) {
 	if got := r.Dropped(); got != 0 {
 		t.Errorf("dropped = %d, want 0", got)
 	}
-	spans, _ := r.snapshot(-1)
+	spans, _ := r.spanRecords()
 	seen := make(map[string]int, len(spans))
 	for _, sp := range spans {
-		seen[sp.Name]++
+		seen[sp.name]++
 	}
 	for _, ns := range names {
 		for _, name := range ns {
 			if seen[name] != 1 {
-				t.Fatalf("span %s appears %d times in the snapshot, want once", name, seen[name])
+				t.Fatalf("span %s appears %d times among the records, want once", name, seen[name])
 			}
 		}
 	}
@@ -204,10 +204,10 @@ func TestSpanSinkCapMidChunk(t *testing.T) {
 	if got, dropped := r.SpanCount(), r.Dropped(); got != 1500 || dropped != 500 {
 		t.Errorf("span count %d, dropped %d; want 1500 and 500", got, dropped)
 	}
-	spans, _ := r.snapshot(-1)
+	spans, _ := r.spanRecords()
 	for i, sp := range spans {
-		if sp.Name != strconv.Itoa(i) {
-			t.Fatalf("snapshot[%d] is span %s, want %d", i, sp.Name, i)
+		if sp.name != strconv.Itoa(i) {
+			t.Fatalf("record %d is span %s, want %d", i, sp.name, i)
 		}
 	}
 }

@@ -167,6 +167,23 @@ func (r *spanRing) record(i int) spanRecord {
 	return c[i%spanChunk]
 }
 
+// spanRecords copies the recorded spans, in sink order, and the track
+// label table, which exists whether or not tracing is on. Only call
+// after the run has completed.
+func (r *Registry) spanRecords() ([]spanRecord, []string) {
+	var spans []spanRecord
+	if ring := r.spans.Load(); ring != nil {
+		spans = make([]spanRecord, ring.count())
+		for i := range spans {
+			spans[i] = ring.record(i)
+		}
+	}
+	r.mu.Lock()
+	tracks := append([]string(nil), r.tracks...)
+	r.mu.Unlock()
+	return spans, tracks
+}
+
 // Dropped reports how many spans were discarded because the sink had
 // reached its cap (0 when tracing is disabled).
 func (r *Registry) Dropped() int64 {

@@ -170,16 +170,18 @@ type Config struct {
 	ExactTimeout time.Duration
 
 	// TimeBudget is a soft wall-clock budget for the whole run (0 = none).
-	// The analysis phases run to completion; whatever remains of the budget
-	// when the TAP starts becomes the exact solver's deadline, and on
-	// expiry the anytime ladder degrades to a heuristic solution
-	// (Result.TAP records which rung answered and the optimality gap). The
-	// budget is the discipline the paper gets from CPLEX's time-limit
-	// parameter: a notebook always comes back, only its optimality
-	// certificate is sacrificed. A budget the run never exhausts changes
-	// nothing — outputs stay byte-identical to an unbudgeted run. Hard
-	// cancellation (abandon the run, produce nothing) is GenerateContext's
-	// ctx instead.
+	// A governor splits it across the statistics, hypothesis and TAP
+	// phases, and a phase whose share runs out degrades instead of
+	// failing: the statistics phase stops permutation tests early and
+	// sheds low-priority pairs, the hypothesis phase caps its candidates,
+	// and the TAP's anytime ladder falls back from the exact solver to a
+	// heuristic solution (Result.TAP records which rung answered and the
+	// optimality gap). Result.Degraded names every concession. The budget
+	// is the discipline the paper gets from CPLEX's time-limit parameter:
+	// a notebook always comes back. A budget the run never exhausts
+	// changes nothing — outputs stay byte-identical to an unbudgeted run.
+	// Hard cancellation (abandon the run, produce nothing) is
+	// GenerateContext's ctx instead.
 	TimeBudget time.Duration
 
 	// MemBudget is a hard in-memory budget (bytes of cube footprint,

@@ -125,6 +125,12 @@ func (s *Server) recoverDurable() error {
 	return nil
 }
 
+// noLoadOptions is the load field older servers journaled for a relation
+// loaded without loader options, as every upload was. A record with any
+// other load field is not recovered: its relation would come back typed
+// differently from the one its jobs were admitted against.
+const noLoadOptions = `{"name":"","path":""}`
+
 // recoverSession reloads one journaled relation from its stored CSV.
 // Failures are counted, not fatal: jobs referencing a lost relation are
 // quarantined with that reason rather than blocking startup.
@@ -137,19 +143,16 @@ func (s *Server) recoverSession(ss *durable.SessionState) {
 		// New and Run); the live load already journaled itself.
 		return
 	}
+	if len(ss.Load) > 0 && string(ss.Load) != noLoadOptions {
+		s.cJournalErr.Inc()
+		return
+	}
 	data, err := s.store.ReadFile(ss.File)
 	if err != nil {
 		s.cJournalErr.Inc()
 		return
 	}
-	var lr loadRequest
-	if len(ss.Load) > 0 {
-		if err := json.Unmarshal(ss.Load, &lr); err != nil {
-			s.cJournalErr.Inc()
-			return
-		}
-	}
-	sess, err := s.parseSession(ss.Name, "recovered:"+ss.File, data, lr)
+	sess, err := s.parseSession(ss.Name, "recovered:"+ss.File, data)
 	if err != nil {
 		s.cJournalErr.Inc()
 		return

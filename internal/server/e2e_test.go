@@ -69,13 +69,30 @@ func writeTinyCSV(t *testing.T, seed int64, rows int) string {
 	return path
 }
 
-// loadRelation loads path into the server over HTTP (the JSON/path
-// shape) under the given name.
+// upload posts a CSV body to POST /v1/relations?name=name and returns
+// the status and body. It reports errors instead of failing, so it is
+// safe off the test goroutine.
+func upload(base, name string, csv io.Reader) (int, []byte, error) {
+	resp, err := http.Post(base+"/v1/relations?name="+name, "text/csv", csv)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer func() { _ = resp.Body.Close() }()
+	body, err := io.ReadAll(resp.Body)
+	return resp.StatusCode, body, err
+}
+
+// loadRelation uploads the CSV file at path to the server under name.
 func loadRelation(t *testing.T, base, name, path string) {
 	t.Helper()
-	status, body := postJSON(t, base+"/v1/relations", map[string]any{"name": name, "path": path})
-	if status != http.StatusCreated {
-		t.Fatalf("loading relation: status %d: %s", status, body)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = f.Close() }()
+	status, body, err := upload(base, name, f)
+	if err != nil || status != http.StatusCreated {
+		t.Fatalf("loading relation: status %d, err %v: %s", status, err, body)
 	}
 }
 
@@ -308,23 +325,11 @@ func TestServerSessionLifecycle(t *testing.T) {
 	s, base, shutdown := startTestServer(t, Options{MaxConcurrent: 1})
 	defer shutdown()
 
-	upload := func() (int, []byte) {
-		resp, err := http.Post(base+"/v1/relations?name=up", "text/csv", bytes.NewReader(csv.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer func() { _ = resp.Body.Close() }()
-		var buf bytes.Buffer
-		if _, err := buf.ReadFrom(resp.Body); err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, buf.Bytes()
+	if status, body, err := upload(base, "up", bytes.NewReader(csv.Bytes())); err != nil || status != http.StatusCreated {
+		t.Fatalf("upload: status %d, err %v: %s", status, err, body)
 	}
-	if status, body := upload(); status != http.StatusCreated {
-		t.Fatalf("upload: status %d: %s", status, body)
-	}
-	if status, _ := upload(); status != http.StatusConflict {
-		t.Errorf("duplicate upload: status %d, want 409", status)
+	if status, _, err := upload(base, "up", bytes.NewReader(csv.Bytes())); err != nil || status != http.StatusConflict {
+		t.Errorf("duplicate upload: status %d, err %v; want 409", status, err)
 	}
 
 	var list []sessionView
@@ -365,6 +370,31 @@ func TestServerSessionLifecycle(t *testing.T) {
 	}
 }
 
+// TestRelationLoadReadsNoServerFile: a JSON body naming a file on the
+// daemon's filesystem does not load that file. With or without ?name=,
+// neither the response nor the relation list carries any of its bytes.
+func TestRelationLoadReadsNoServerFile(t *testing.T) {
+	secret := filepath.Join(t.TempDir(), "secret.env")
+	if err := os.WriteFile(secret, []byte("db_password=hunter2\nother=1\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	_, base, shutdown := startTestServer(t, Options{MaxConcurrent: 1})
+	defer shutdown()
+
+	leaks := func(body []byte) bool {
+		return bytes.Contains(body, []byte("hunter2")) || bytes.Contains(body, []byte("db_password"))
+	}
+	for _, target := range []string{"/v1/relations", "/v1/relations?name=leak"} {
+		status, body := postJSON(t, base+target, map[string]any{"name": "leak", "path": secret})
+		if leaks(body) {
+			t.Errorf("POST %s naming a file: status %d, body carries the file: %s", target, status, body)
+		}
+	}
+	if list := mustGet(t, base+"/v1/relations"); leaks(list) {
+		t.Errorf("relation list carries the named file: %s", list)
+	}
+}
+
 // TestServerUploadBound: an upload of exactly MaxUploadBytes loads, and
 // one byte more is refused with 413 whether the body declares its length
 // or arrives chunked without one.
@@ -381,19 +411,6 @@ func TestServerUploadBound(t *testing.T) {
 	_, base, shutdown := startTestServer(t, Options{MaxConcurrent: 1, MaxUploadBytes: limit})
 	defer shutdown()
 
-	upload := func(name string, body io.Reader) (int, []byte) {
-		t.Helper()
-		resp, err := http.Post(base+"/v1/relations?name="+name, "text/csv", body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer func() { _ = resp.Body.Close() }()
-		var buf bytes.Buffer
-		if _, err := buf.ReadFrom(resp.Body); err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, buf.Bytes()
-	}
 	over := append(bytes.Clone(csv.Bytes()), '\n') // a blank line: still a valid CSV
 	cases := []struct {
 		name string
@@ -406,9 +423,9 @@ func TestServerUploadBound(t *testing.T) {
 		{"over-chunked", struct{ io.Reader }{bytes.NewReader(over)}, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
-		status, body := upload(tc.name, tc.body)
-		if status != tc.want {
-			t.Errorf("%s: status %d, want %d: %s", tc.name, status, tc.want, body)
+		status, body, err := upload(base, tc.name, tc.body)
+		if err != nil || status != tc.want {
+			t.Errorf("%s: status %d, err %v; want %d: %s", tc.name, status, err, tc.want, body)
 		}
 	}
 	var list []sessionView

@@ -50,8 +50,7 @@ func terminalState(st string) bool {
 // one-shot reference runs.
 type jobRequest struct {
 	Relation string `json:"relation"`
-	// Tenant labels the job's per-tenant metrics; empty falls back to
-	// the X-Tenant header, then to "default".
+	// Tenant labels the job's per-tenant metrics; empty means "default".
 	Tenant string `json:"tenant,omitempty"`
 
 	Queries           int      `json:"queries,omitempty"`
@@ -575,8 +574,8 @@ func (s *Server) commit(j *job, res *pipeline.Result, reg *obs.Registry, wall ti
 // finishJob is a started job's terminal accounting, run once after it
 // settled: the end-to-end admit-to-done histogram (done jobs only, so
 // scrape counts match completed-job totals), the server-lifetime span
-// counters, the flight-recorder entry, and one info-level structured log
-// record keyed by the job's trace id.
+// counters, and one info-level structured log record keyed by the job's
+// trace id.
 func (s *Server) finishJob(j *job, reg *obs.Registry, tn *tenantState, queueWait, wall time.Duration) {
 	j.mu.Lock()
 	state, attempt := j.state, j.attempt
@@ -588,29 +587,6 @@ func (s *Server) finishJob(j *job, reg *obs.Registry, tn *tenantState, queueWait
 	}
 	s.cSpans.Add(int64(reg.SpanCount()))
 	s.cSpansDropped.Add(reg.Dropped())
-
-	spans, tracks := reg.SnapshotSpans()
-	shift := time.Duration(0)
-	if d := reg.StartTime().Sub(j.created); d > 0 {
-		shift = d
-	}
-	s.flight.Add(obs.FlightEntry{
-		ID:      j.id,
-		TraceID: j.trace,
-		Labels: map[string]string{
-			"tenant":   j.tenant,
-			"relation": j.relation,
-			"state":    state,
-		},
-		QueueWaitUS: float64(queueWait) / 1e3,
-		RunUS:       float64(wall) / 1e3,
-		E2EUS:       float64(e2e) / 1e3,
-		ShiftUS:     float64(shift) / 1e3,
-		Tracks:      tracks,
-		Spans:       spans,
-		SpanTotal:   int64(reg.SpanCount()),
-		SpanDropped: reg.Dropped(),
-	})
 
 	s.log.LogAttrs(context.Background(), slog.LevelInfo, "job",
 		slog.String("job_id", j.id),
@@ -636,9 +612,6 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tenant := req.Tenant
-	if tenant == "" {
-		tenant = r.Header.Get("X-Tenant")
-	}
 	if tenant == "" {
 		tenant = "default"
 	}
@@ -834,7 +807,7 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeArtifact serves done job j's artifact in format: the one path for
-// /result and the /trace fallback, fresh and recovered jobs alike. An
+// /result, fresh and recovered jobs alike. An
 // in-memory server sends the bytes the job holds. A durable one reads
 // the stored file on every request and sends it only if it matches its
 // journaled fingerprint; otherwise it answers 500 naming the failed

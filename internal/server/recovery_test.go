@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -34,6 +35,49 @@ func waitReady(t *testing.T, base string) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatal("server never became ready")
+}
+
+// writeCrashedState hand-authors a state dir as a crash left it: the CSV
+// file at csv stored as relations/tiny.csv, and recs as the journal.
+func writeCrashedState(t *testing.T, stateDir, csv string, recs ...durable.Record) {
+	t.Helper()
+	journalPath, err := durable.StateDirLayout(stateDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := durable.OpenStore(stateDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	csvBytes, err := os.ReadFile(csv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.WriteFile("relations/tiny.csv", csvBytes); err != nil {
+		t.Fatal(err)
+	}
+	jr, err := durable.OpenJournal(journalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if err := jr.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jr.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// admitRecord is the job-admit record of job id running req.
+func admitRecord(t *testing.T, id string, req jobRequest) durable.Record {
+	t.Helper()
+	reqJSON, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return durable.Record{Type: durable.RecJobAdmit, ID: id, Tenant: "default", Request: reqJSON}
 }
 
 // TestRecoveryRestoresSessionsAndArtifacts is the clean-restart half of
@@ -182,42 +226,12 @@ func TestRecoveryQuarantinesExhaustedJobs(t *testing.T) {
 
 	// Hand-author the crashed state: a loaded relation and a job that
 	// started twice without ever finishing.
-	journalPath, err := durable.StateDirLayout(stateDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, err := durable.OpenStore(stateDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	csvBytes, err := os.ReadFile(csv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := store.WriteFile("relations/tiny.csv", csvBytes); err != nil {
-		t.Fatal(err)
-	}
-	jr, err := durable.OpenJournal(journalPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqJSON, err := json.Marshal(jobRequest{Relation: "tiny", Queries: 3, Perms: 40, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range []durable.Record{
-		{Type: durable.RecSessionLoad, Name: "tiny", File: "relations/tiny.csv"},
-		{Type: durable.RecJobAdmit, ID: "j000001", Tenant: "default", Request: reqJSON},
-		{Type: durable.RecJobStart, ID: "j000001", Attempt: 1},
-		{Type: durable.RecJobStart, ID: "j000001", Attempt: 2},
-	} {
-		if err := jr.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := jr.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeCrashedState(t, stateDir, csv,
+		durable.Record{Type: durable.RecSessionLoad, Name: "tiny", File: "relations/tiny.csv"},
+		admitRecord(t, "j000001", jobRequest{Relation: "tiny", Queries: 3, Perms: 40, Seed: 3}),
+		durable.Record{Type: durable.RecJobStart, ID: "j000001", Attempt: 1},
+		durable.Record{Type: durable.RecJobStart, ID: "j000001", Attempt: 2},
+	)
 
 	s, base, shutdown := startDurableServer(t, stateDir, Options{MaxConcurrent: 1, MaxAttempts: 2})
 	waitReady(t, base)
@@ -254,41 +268,11 @@ func TestRecoveryBackoffHoldsJob(t *testing.T) {
 	stateDir := t.TempDir()
 	csv := writeTinyCSV(t, 5, 40)
 
-	journalPath, err := durable.StateDirLayout(stateDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, err := durable.OpenStore(stateDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	csvBytes, err := os.ReadFile(csv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := store.WriteFile("relations/tiny.csv", csvBytes); err != nil {
-		t.Fatal(err)
-	}
-	jr, err := durable.OpenJournal(journalPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqJSON, err := json.Marshal(jobRequest{Relation: "tiny", Queries: 3, Perms: 40, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range []durable.Record{
-		{Type: durable.RecSessionLoad, Name: "tiny", File: "relations/tiny.csv"},
-		{Type: durable.RecJobAdmit, ID: "j000001", Tenant: "default", Request: reqJSON},
-		{Type: durable.RecJobStart, ID: "j000001", Attempt: 1},
-	} {
-		if err := jr.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := jr.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeCrashedState(t, stateDir, csv,
+		durable.Record{Type: durable.RecSessionLoad, Name: "tiny", File: "relations/tiny.csv"},
+		admitRecord(t, "j000001", jobRequest{Relation: "tiny", Queries: 3, Perms: 40, Seed: 5}),
+		durable.Record{Type: durable.RecJobStart, ID: "j000001", Attempt: 1},
+	)
 
 	// Backoff for attempt 1 is >= RetryBase: with a 30s base the job
 	// must still be queued well after recovery.
@@ -309,6 +293,65 @@ func TestRecoveryBackoffHoldsJob(t *testing.T) {
 	}
 	if v.Attempts != 1 {
 		t.Errorf("recovered job attempts = %d, want 1", v.Attempts)
+	}
+}
+
+// TestRecoveryReplaysOldLoadRecord: a session-load record as older
+// servers wrote it for every upload, whose load field sets no loader
+// option, recovers its relation, and the job interrupted over it re-runs
+// to done.
+func TestRecoveryReplaysOldLoadRecord(t *testing.T) {
+	stateDir := t.TempDir()
+	writeCrashedState(t, stateDir, writeTinyCSV(t, 3, 40),
+		durable.Record{Type: durable.RecSessionLoad, Name: "tiny", File: "relations/tiny.csv",
+			Load: json.RawMessage(`{"name":"","path":""}`)},
+		admitRecord(t, "j000001", jobRequest{Relation: "tiny", Queries: 3, Perms: 40, Seed: 3}),
+		durable.Record{Type: durable.RecJobStart, ID: "j000001", Attempt: 1},
+	)
+	s, base, shutdown := startDurableServer(t, stateDir, Options{MaxConcurrent: 1, RetryBase: time.Millisecond})
+	defer shutdown()
+	waitReady(t, base)
+	var sessions []sessionView
+	if err := json.Unmarshal(mustGet(t, base+"/v1/relations"), &sessions); err != nil {
+		t.Fatal(err)
+	}
+	if len(sessions) != 1 || sessions[0].Name != "tiny" || sessions[0].Rows != 40 {
+		t.Errorf("recovered sessions = %+v, want tiny with 40 rows", sessions)
+	}
+	if v := waitJob(t, base, "j000001"); v.State != stateDone {
+		t.Errorf("interrupted job recovered as %s (%s), want re-run to done", v.State, v.Error)
+	}
+	if got := s.cJournalErr.Value(); got != 0 {
+		t.Errorf("server_journal_errors = %d, want 0", got)
+	}
+}
+
+// TestRecoveryRefusesOldLoadRecordWithOptions: a session-load record
+// whose load field sets a loader option, as an older server's load of a
+// file could, is not recovered: re-parsed without the option, the
+// relation would not be the one its jobs were admitted against. The
+// refusal counts in server_journal_errors and the job interrupted over
+// the relation is quarantined.
+func TestRecoveryRefusesOldLoadRecordWithOptions(t *testing.T) {
+	stateDir := t.TempDir()
+	writeCrashedState(t, stateDir, writeTinyCSV(t, 3, 40),
+		durable.Record{Type: durable.RecSessionLoad, Name: "tiny", File: "relations/tiny.csv",
+			Load: json.RawMessage(`{"name":"","path":"","max_categorical_cardinality":1000}`)},
+		admitRecord(t, "j000001", jobRequest{Relation: "tiny", Queries: 3, Perms: 40, Seed: 3}),
+		durable.Record{Type: durable.RecJobStart, ID: "j000001", Attempt: 1},
+	)
+	s, base, shutdown := startDurableServer(t, stateDir, Options{MaxConcurrent: 1, RetryBase: time.Millisecond})
+	defer shutdown()
+	waitReady(t, base)
+	if body := mustGet(t, base+"/v1/relations"); !bytes.Equal(bytes.TrimSpace(body), []byte("[]")) {
+		t.Errorf("recovered sessions = %s, want none", body)
+	}
+	v := waitJob(t, base, "j000001")
+	if v.State != stateFailedPermanent || !strings.Contains(v.Error, `relation "tiny" not recoverable`) {
+		t.Errorf("job over the refused relation: %s (%s), want failed_permanent, relation not recoverable", v.State, v.Error)
+	}
+	if got := s.cJournalErr.Value(); got != 1 {
+		t.Errorf("server_journal_errors = %d, want 1", got)
 	}
 }
 

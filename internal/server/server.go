@@ -75,12 +75,6 @@ type Options struct {
 	// job; later attempts double it, with deterministic per-job jitter
 	// (default 250ms). Only meaningful with StateDir.
 	RetryBase time.Duration
-	// FlightRecent is how many most-recent completed jobs the flight
-	// recorder retains (default 64).
-	FlightRecent int
-	// FlightSlowest is how many slowest-by-e2e completed jobs the flight
-	// recorder retains alongside the recency ring (default 16).
-	FlightSlowest int
 	// Logger receives structured access and job-lifecycle records (both
 	// keyed by trace_id). Nil discards them.
 	Logger *slog.Logger
@@ -106,12 +100,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxRows <= 0 {
 		o.MaxRows = 1 << 20
 	}
-	if o.FlightRecent <= 0 {
-		o.FlightRecent = 64
-	}
-	if o.FlightSlowest <= 0 {
-		o.FlightSlowest = 16
-	}
 	if o.Logger == nil {
 		o.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
@@ -123,7 +111,7 @@ func (o Options) withDefaults() Options {
 // two counters and four histograms for the server's lifetime. Past the
 // bound, new tenants share the series labelled overflowTenant; their jobs
 // are admitted as usual and keep their own name everywhere else (status,
-// journal, flight recorder, logs).
+// journal, logs).
 const maxTenantSeries = 64
 
 // overflowTenant labels the shared series of tenants past maxTenantSeries.
@@ -184,11 +172,8 @@ type Server struct {
 	gRunning, gQueued, gSessions                     *obs.Gauge
 	tWall, tQueueWait, tE2E, tSSEFirst               *obs.Timing
 
-	// flight retains recently completed (and slowest) job span trees for
-	// /debug/flight and /v1/jobs/{id}/trace; log receives structured
-	// access and job records keyed by trace_id.
-	flight *obs.FlightRecorder
-	log    *slog.Logger
+	// log receives structured access and job records keyed by trace_id.
+	log *slog.Logger
 }
 
 // New builds a Server with its shared cache and HTTP routes. Workers do
@@ -232,7 +217,6 @@ func New(opts Options) (*Server, error) {
 	s.tQueueWait = s.reg.Timing("server_job_queue_wait")
 	s.tE2E = s.reg.Timing("server_job_e2e")
 	s.tSSEFirst = s.reg.Timing("server_sse_first_event")
-	s.flight = obs.NewFlightRecorder(opts.FlightRecent, opts.FlightSlowest)
 	s.log = opts.Logger
 
 	if opts.StateDir != "" {
@@ -265,9 +249,7 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobStatus)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleJobResult)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleJobTrace)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancelJob)
-	s.mux.HandleFunc("GET /debug/flight", s.handleFlight)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /livez", s.handleLivez)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
@@ -515,37 +497,6 @@ func sanitizeMetric(name string) string {
 		return "default"
 	}
 	return b.String()
-}
-
-// handleFlight is GET /debug/flight: the flight recorder's retained job
-// span trees (most recent + slowest) as JSON, obs.ValidateFlight-clean.
-func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.flight.Snapshot())
-}
-
-// handleJobTrace is GET /v1/jobs/{id}/trace: the job's span tree as
-// Chrome trace-event JSON on the admission timeline (queue-wait / run /
-// e2e annotation spans included), straight from the flight recorder.
-// Done jobs it no longer holds, and jobs recovered done from a previous
-// process, fall back to their trace artifact — the same span tree
-// without the admission annotations — served as /result serves it.
-func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if e, ok := s.flight.Get(id); ok {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		_ = e.WriteTrace(w) // client disconnect; nowhere to report
-		return
-	}
-	j := s.job(id)
-	if j == nil {
-		httpError(w, http.StatusNotFound, "no such job")
-		return
-	}
-	if s.writeArtifact(w, j, "trace") {
-		return
-	}
-	httpError(w, http.StatusNotFound, "no trace retained for job "+id)
 }
 
 // handleMetrics serves the server registry in Prometheus text format:

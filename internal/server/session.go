@@ -10,7 +10,6 @@ import (
 	"os"
 	"path"
 	"sort"
-	"strings"
 	"time"
 
 	"comparenb/internal/durable"
@@ -29,18 +28,6 @@ type session struct {
 	report *table.CSVReport
 	source string
 	loaded time.Time
-}
-
-// loadRequest is the JSON body of POST /v1/relations (path-based load).
-// CSV uploads use a text/csv body with ?name= instead.
-type loadRequest struct {
-	Name string `json:"name"`
-	Path string `json:"path"`
-
-	ForceCategorical          []string `json:"force_categorical,omitempty"`
-	ForceNumeric              []string `json:"force_numeric,omitempty"`
-	Drop                      []string `json:"drop,omitempty"`
-	MaxCategoricalCardinality int      `json:"max_categorical_cardinality,omitempty"`
 }
 
 type sessionView struct {
@@ -85,12 +72,10 @@ func validName(name string) error {
 	return nil
 }
 
-// handleLoadRelation is POST /v1/relations. Two request shapes:
-//
-//   - application/json {"name": ..., "path": ...}: the daemon reads the
-//     CSV from its own filesystem — the operator-trusted path.
-//   - any other content type: the body IS the CSV (bounded by
-//     MaxUploadBytes), named by the ?name= query parameter.
+// handleLoadRelation is POST /v1/relations: the body is the CSV
+// (bounded by MaxUploadBytes), named by the ?name= query parameter. The
+// daemon reads no file at a client's request; relations on its own
+// filesystem load only through LoadRelationFile.
 //
 // Loading is admission-controlled like jobs (503 while draining, 507
 // when the registry is full) and duplicate names are refused with 409 —
@@ -113,67 +98,28 @@ func (s *Server) handleLoadRelation(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("session registry full (%d relations); DELETE one first", s.opts.MaxRelations))
 		return
 	}
-
-	// Both shapes read the full CSV into memory first: the bytes feed the
-	// parser AND (durable mode) the state dir's relations/ copy, so the
-	// relation a recovering server reloads is exactly what was loaded —
-	// even when the original path has since changed or vanished.
-	var (
-		name   string
-		source string
-		csv    []byte
-		lopts  loadRequest // option fields only; Name/Path stay zero
-	)
-	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
-		var req loadRequest
-		if err := decodeJSON(r, &req); err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
-			return
+	name := r.URL.Query().Get("name")
+	if err := validName(name); err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	faultinject.Fire(faultinject.ServerSessionLoad)
+	// The whole CSV is read into memory first: the bytes feed the parser
+	// and, in durable mode, the state dir's relations/ copy, so a
+	// recovering server reloads exactly what was uploaded.
+	body := http.MaxBytesReader(w, r.Body, s.opts.MaxUploadBytes)
+	csv, err := readUpload(body, r.ContentLength, s.opts.MaxUploadBytes)
+	if err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
 		}
-		if err := validName(req.Name); err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		if req.Path == "" {
-			httpError(w, http.StatusBadRequest, "path must not be empty")
-			return
-		}
-		name, source = req.Name, "path:"+req.Path
-		lopts = loadRequest{
-			ForceCategorical:          req.ForceCategorical,
-			ForceNumeric:              req.ForceNumeric,
-			Drop:                      req.Drop,
-			MaxCategoricalCardinality: req.MaxCategoricalCardinality,
-		}
-		faultinject.Fire(faultinject.ServerSessionLoad)
-		var err error
-		csv, err = os.ReadFile(req.Path)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "loading relation: "+err.Error())
-			return
-		}
-	} else {
-		name, source = r.URL.Query().Get("name"), "upload"
-		if err := validName(name); err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		faultinject.Fire(faultinject.ServerSessionLoad)
-		body := http.MaxBytesReader(w, r.Body, s.opts.MaxUploadBytes)
-		var err error
-		csv, err = readUpload(body, r.ContentLength, s.opts.MaxUploadBytes)
-		if err != nil {
-			code := http.StatusBadRequest
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				code = http.StatusRequestEntityTooLarge
-			}
-			httpError(w, code, "reading upload: "+err.Error())
-			return
-		}
+		httpError(w, code, "reading upload: "+err.Error())
+		return
 	}
 
-	sess, err := s.parseSession(name, source, csv, lopts)
+	sess, err := s.parseSession(name, "upload", csv)
 	if err != nil {
 		code := http.StatusBadRequest
 		if errors.Is(err, table.ErrTooManyRows) {
@@ -182,7 +128,7 @@ func (s *Server) handleLoadRelation(w http.ResponseWriter, r *http.Request) {
 		httpError(w, code, "loading relation: "+err.Error())
 		return
 	}
-	if code, err := s.registerSession(sess, csv, lopts); err != nil {
+	if code, err := s.registerSession(sess, csv); err != nil {
 		httpError(w, code, err.Error())
 		return
 	}
@@ -210,7 +156,7 @@ func readUpload(body io.Reader, declared, limit int64) ([]byte, error) {
 // journal can admit jobs against a relation the journal never saw —
 // replay quarantines those with "relation not recoverable" rather than
 // guessing.
-func (s *Server) registerSession(sess *session, csv []byte, lopts loadRequest) (int, error) {
+func (s *Server) registerSession(sess *session, csv []byte) (int, error) {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
@@ -229,7 +175,7 @@ func (s *Server) registerSession(sess *session, csv []byte, lopts loadRequest) (
 	s.gSessions.Set(int64(len(s.sessions)))
 	s.mu.Unlock()
 
-	if err := s.persistSession(sess.name, csv, lopts); err != nil {
+	if err := s.persistSession(sess.name, csv); err != nil {
 		s.mu.Lock()
 		delete(s.sessions, sess.name)
 		s.gSessions.Set(int64(len(s.sessions)))
@@ -242,7 +188,7 @@ func (s *Server) registerSession(sess *session, csv []byte, lopts loadRequest) (
 
 // persistSession stores the relation's CSV bytes and journals the load;
 // a no-op in memory-only mode.
-func (s *Server) persistSession(name string, csv []byte, lopts loadRequest) error {
+func (s *Server) persistSession(name string, csv []byte) error {
 	if s.journal == nil {
 		return nil
 	}
@@ -252,20 +198,14 @@ func (s *Server) persistSession(name string, csv []byte, lopts loadRequest) erro
 	if err := s.store.Put(file, csv); err != nil {
 		return err
 	}
-	loadJSON, err := json.Marshal(lopts)
-	if err != nil {
-		return fmt.Errorf("encoding load options: %w", err)
-	}
-	return s.journalAppendStrict(durable.Record{
-		Type: durable.RecSessionLoad, Name: name, File: file, Load: loadJSON,
-	})
+	return s.journalAppendStrict(durable.Record{Type: durable.RecSessionLoad, Name: name, File: file})
 }
 
-// LoadRelationFile loads a CSV from the daemon's filesystem into the
-// session registry — the programmatic face of POST /v1/relations, used
-// by cmd/comparenbd's -load preload flag and by tests. Unlike the HTTP
-// handler it is allowed before Run's replay finishes: preloads run
-// between New and Run, and replay skips names they already claimed.
+// LoadRelationFile loads a CSV from the daemon's own filesystem into the
+// session registry: an operator's path (cmd/comparenbd's -load preload
+// flag, and tests), never a client's. Unlike the HTTP handler it is
+// allowed before Run's replay finishes: preloads run between New and
+// Run, and replay skips names they already claimed.
 func (s *Server) LoadRelationFile(name, file string) error {
 	if err := validName(name); err != nil {
 		return err
@@ -275,26 +215,19 @@ func (s *Server) LoadRelationFile(name, file string) error {
 	if err != nil {
 		return fmt.Errorf("loading relation %q: %w", name, err)
 	}
-	sess, err := s.parseSession(name, "path:"+file, csv, loadRequest{})
+	sess, err := s.parseSession(name, "path:"+file, csv)
 	if err != nil {
 		return fmt.Errorf("loading relation %q: %w", name, err)
 	}
-	_, err = s.registerSession(sess, csv, loadRequest{})
+	_, err = s.registerSession(sess, csv)
 	return err
 }
 
 // parseSession is the one path from CSV bytes to a session, shared by
-// uploads, path loads, preloads and recovery. lopts carries the loader
-// options (Name and Path are ignored); the row cap is the daemon's.
-func (s *Server) parseSession(name, source string, csv []byte, lopts loadRequest) (*session, error) {
-	rel, rep, err := table.FromCSVBytes(csv, table.CSVOptions{
-		Name:                      name,
-		ForceCategorical:          lopts.ForceCategorical,
-		ForceNumeric:              lopts.ForceNumeric,
-		Drop:                      lopts.Drop,
-		MaxCategoricalCardinality: lopts.MaxCategoricalCardinality,
-		MaxRows:                   s.opts.MaxRows,
-	})
+// uploads, preloads and recovery: the loader's default typing under the
+// daemon's row cap.
+func (s *Server) parseSession(name, source string, csv []byte) (*session, error) {
+	rel, rep, err := table.FromCSVBytes(csv, table.CSVOptions{Name: name, MaxRows: s.opts.MaxRows})
 	if err != nil {
 		return nil, err
 	}
@@ -363,8 +296,8 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 // decodeJSON parses a bounded JSON request body, refusing unknown fields
-// so typos in quota-sensitive knobs fail loudly instead of silently
-// taking defaults.
+// so a misspelt job knob fails loudly instead of silently taking its
+// default.
 func decodeJSON(r *http.Request, v any) error {
 	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
 	dec.DisallowUnknownFields()

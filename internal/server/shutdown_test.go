@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -152,9 +153,13 @@ func TestServerDrainSemantics(t *testing.T) {
 		jobRequest{Relation: "tiny", Queries: 4, Perms: 100, Seed: 4}); status != http.StatusServiceUnavailable {
 		t.Errorf("admission during drain: status %d (%s), want 503", status, body)
 	}
-	if status, _ := postJSON(t, base+"/v1/relations",
-		map[string]any{"name": "late", "path": csvPath}); status != http.StatusServiceUnavailable {
-		t.Errorf("relation load during drain: status %d, want 503", status)
+	late, err := os.Open(csvPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = late.Close() }()
+	if status, _, err := upload(base, "late", late); err != nil || status != http.StatusServiceUnavailable {
+		t.Errorf("relation load during drain: status %d, err %v; want 503", status, err)
 	}
 
 	for _, id := range []string{queued1, queued2} {
@@ -215,13 +220,16 @@ func TestServerAdmitRacesDrain(t *testing.T) {
 // read, and the insert re-checks the drain flag — a load that was
 // in-flight when shutdown began must not register a relation.
 func TestServerSessionLoadRacesDrain(t *testing.T) {
-	csvPath := writeTinyCSV(t, 1, 300)
+	csv, err := os.ReadFile(writeTinyCSV(t, 1, 300))
+	if err != nil {
+		t.Fatal(err)
+	}
 	_, base, cancel, awaitRun := bootServer(t, Options{MaxConcurrent: 1})
 	entered, release := holdSite(t, faultinject.ServerSessionLoad)
 
 	status := make(chan int, 1)
 	go func() {
-		st, err := postStatus(base+"/v1/relations", map[string]any{"name": "raced", "path": csvPath})
+		st, _, err := upload(base, "raced", bytes.NewReader(csv))
 		if err != nil {
 			t.Errorf("racing load: %v", err)
 		}

@@ -3,7 +3,7 @@ package server
 // Request tracing: every HTTP request gets a W3C trace-context identity
 // (accepted from the client's traceparent header or generated here), and
 // that identity is the correlation key across the 202 response, the job
-// journal, SSE events, structured logs, and the flight recorder. Trace
+// journal, SSE events, structured logs, and the job's trace artifact. Trace
 // ids never reach determinism-gated artifact bytes: the pipeline sees
 // them only through the obs registry, whose trace/metrics exports are
 // the two artifacts excluded from the byte-identity gate.

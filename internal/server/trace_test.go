@@ -3,11 +3,15 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand"
 	"net/http"
 	"strings"
 	"testing"
 
 	"comparenb/internal/obs"
+	"comparenb/internal/table"
 )
 
 func TestParseTraceparent(t *testing.T) {
@@ -86,9 +90,9 @@ func postJSONTraced(t *testing.T, url, traceparent string, v any) (int, []byte, 
 
 // TestTracePropagationEndToEnd is the acceptance path: one client
 // traceparent must surface, with the same trace id, in the 202 header
-// and body, the status view, the SSE stream, the per-job Chrome trace,
-// the flight recorder, and the journal-facing structures — while the
-// notebook artifacts stay byte-identical to an untraced run.
+// and body, the status view, the SSE stream, the job's trace artifact
+// and the per-tenant metrics, while the notebook artifacts stay
+// byte-identical across trace ids.
 func TestTracePropagationEndToEnd(t *testing.T) {
 	csv := writeTinyCSV(t, 7, 60)
 	_, base, shutdown := startTestServer(t, Options{MaxConcurrent: 1})
@@ -127,41 +131,14 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 		t.Errorf("SSE stream missing trace event for %s:\n%s", tid, events)
 	}
 
-	// Per-job Chrome trace: valid per obscheck rules, stamped with the id.
-	jt := mustGet(t, base+"/v1/jobs/"+admit.JobID+"/trace")
+	// The job's trace artifact: valid per obscheck rules, stamped with
+	// the id.
+	jt := mustGet(t, base+"/v1/jobs/"+admit.JobID+"/result?format=trace")
 	if err := obs.ValidateTrace(jt); err != nil {
 		t.Errorf("job trace invalid: %v", err)
 	}
 	if !bytes.Contains(jt, []byte(`"trace_id":"`+tid+`"`)) {
 		t.Errorf("job trace missing trace_id %s", tid)
-	}
-
-	// Flight recorder: the completed job is queryable with its trace id.
-	flight := mustGet(t, base+"/debug/flight")
-	if err := obs.ValidateFlight(flight); err != nil {
-		t.Errorf("flight snapshot invalid: %v", err)
-	}
-	var snap obs.FlightSnapshot
-	if err := json.Unmarshal(flight, &snap); err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, e := range snap.Recent {
-		if e.ID == admit.JobID {
-			found = true
-			if e.TraceID != tid {
-				t.Errorf("flight entry trace_id = %q, want %q", e.TraceID, tid)
-			}
-			if e.Labels["tenant"] != "acme" || e.Labels["state"] != stateDone {
-				t.Errorf("flight labels = %v", e.Labels)
-			}
-			if e.QueueWaitUS > e.E2EUS+1 || e.E2EUS <= 0 {
-				t.Errorf("flight durations inconsistent: qw=%v e2e=%v", e.QueueWaitUS, e.E2EUS)
-			}
-		}
-	}
-	if !found {
-		t.Errorf("job %s not in flight recorder recent ring", admit.JobID)
 	}
 
 	// Per-tenant SLO histogram appears on /metrics with cumulative
@@ -236,61 +213,114 @@ func TestTraceGeneratedWhenAbsent(t *testing.T) {
 	waitJob(t, base, admit.JobID)
 }
 
-// TestJobTraceNotFound: unknown job ids 404 on the trace endpoint.
+// TestJobTraceNotFound: a job's trace is its result artifact and exists
+// nowhere else. An unknown job's is 404, and a done job has no
+// /v1/jobs/{id}/trace and no /debug/flight copy.
 func TestJobTraceNotFound(t *testing.T) {
+	csv := writeTinyCSV(t, 7, 60)
 	_, base, shutdown := startTestServer(t, Options{MaxConcurrent: 1})
 	defer shutdown()
-	if status, _ := httpGet(t, base+"/v1/jobs/j999999/trace"); status != http.StatusNotFound {
-		t.Errorf("trace of unknown job: status %d, want 404", status)
+	loadRelation(t, base, "tiny", csv)
+	id := submitJob(t, base, jobRequest{Relation: "tiny", Queries: 2, Perms: 40, Seed: 7, Threads: 1})
+	if v := waitJob(t, base, id); v.State != stateDone {
+		t.Fatalf("job finished %s (%s), want done", v.State, v.Error)
+	}
+	for _, path := range []string{"/v1/jobs/j999999/result?format=trace", "/v1/jobs/" + id + "/trace", "/debug/flight"} {
+		if status, _ := httpGet(t, base+path); status != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404", path, status)
+		}
 	}
 }
 
-// TestFlightRecorderSlowestRetention: with a tiny recent ring the
-// server keeps slow outliers queryable after they age out of recent.
-func TestFlightRecorderSlowestRetention(t *testing.T) {
-	csv := writeTinyCSV(t, 7, 60)
-	_, base, shutdown := startTestServer(t, Options{MaxConcurrent: 1, FlightRecent: 2, FlightSlowest: 4})
-	defer shutdown()
-	loadRelation(t, base, "tiny", csv)
-
-	ids := make([]string, 0, 5)
-	for i := 0; i < 5; i++ {
-		id := submitJob(t, base, jobRequest{Relation: "tiny", Queries: 2, Perms: 40, Seed: 7, Threads: 1})
-		if v := waitJob(t, base, id); v.State != stateDone {
-			t.Fatalf("job %s finished %s", id, v.State)
+// exploreCSV renders a relation of the serving benchmark's
+// shared-explore shape: 5,000 rows over attributes of 24/8/6/5/4/3
+// values, skewed toward low values, the last a function of the first;
+// two measures whose means move with every value, and doubled noise on
+// every fifth value.
+func exploreCSV(t *testing.T, seed int64) *bytes.Buffer {
+	t.Helper()
+	domains := []int{24, 8, 6, 5, 4, 3}
+	rng := rand.New(rand.NewSource(seed))
+	b := table.NewBuilder("explore", []string{"c0", "c1", "c2", "c3", "c4", "c5"}, []string{"m0", "m1"})
+	cats := make([]string, len(domains))
+	codes := make([]int, len(domains))
+	meas := make([]float64, 2)
+	for r := 0; r < 5000; r++ {
+		scale := 1.0
+		for a, d := range domains {
+			v := codes[0] % d
+			if a < len(domains)-1 {
+				v = int(float64(d) * math.Pow(rng.Float64(), 2))
+			}
+			codes[a], cats[a] = v, fmt.Sprintf("v%02d", v)
+			if v%5 == 4 {
+				scale = 2
+			}
 		}
-		ids = append(ids, id)
+		for m := range meas {
+			meas[m] = 100 + rng.NormFloat64()*20*scale
+			for a, v := range codes {
+				meas[m] += float64((a*31+v*17+m*7)%7-3) * 3
+			}
+		}
+		b.AddRow(cats, meas)
 	}
-	var snap obs.FlightSnapshot
-	if err := json.Unmarshal(mustGet(t, base+"/debug/flight"), &snap); err != nil {
+	var csv bytes.Buffer
+	if err := b.Build().WriteCSV(&csv); err != nil {
 		t.Fatal(err)
 	}
-	if snap.Total != 5 {
-		t.Errorf("flight total = %d, want 5", snap.Total)
+	return &csv
+}
+
+// TestJobTraceComplete runs a job that records more than 2,048 spans (the
+// shared-explore shape with one thread) and checks that its trace
+// artifact holds all of them: valid, stamped with the job's trace id,
+// with the run span and every phase.
+func TestJobTraceComplete(t *testing.T) {
+	_, base, shutdown := startTestServer(t, Options{MaxConcurrent: 1})
+	defer shutdown()
+	if status, body, err := upload(base, "wide", exploreCSV(t, 7)); err != nil || status != http.StatusCreated {
+		t.Fatalf("upload: status %d, err %v: %s", status, err, body)
 	}
-	if len(snap.Recent) != 2 || snap.Recent[0].ID != ids[4] || snap.Recent[1].ID != ids[3] {
-		t.Errorf("recent ring wrong: %+v", snap.Recent)
+	id := submitJob(t, base, jobRequest{Relation: "wide", Queries: 6, Perms: 30, Seed: 7, Threads: 1, Solver: "heuristic"})
+	v := waitJob(t, base, id)
+	if v.State != stateDone {
+		t.Fatalf("job finished %s (%s), want done", v.State, v.Error)
 	}
-	if len(snap.Slowest) != 4 {
-		t.Errorf("slowest has %d entries, want 4", len(snap.Slowest))
+
+	data := mustGet(t, base+"/v1/jobs/"+id+"/result?format=trace")
+	if err := obs.ValidateTrace(data); err != nil {
+		t.Fatalf("job trace invalid: %v", err)
 	}
-	// Every retained job's trace endpoint still serves a valid trace,
-	// including ones that only survive in the slowest list.
-	retained := map[string]bool{}
-	for _, e := range append(append([]obs.FlightEntry{}, snap.Recent...), snap.Slowest...) {
-		retained[e.ID] = true
+	var tf struct {
+		OtherData struct {
+			TraceID string `json:"trace_id"`
+		} `json:"otherData"`
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+		} `json:"traceEvents"`
 	}
-	n := 0
-	for _, id := range ids {
-		if !retained[id] {
-			continue
+	if err := json.Unmarshal(data, &tf); err != nil {
+		t.Fatal(err)
+	}
+	if tf.OtherData.TraceID != v.TraceID {
+		t.Errorf("trace id %q, want the job's %q", tf.OtherData.TraceID, v.TraceID)
+	}
+	spans := map[string]int{}
+	complete := 0
+	for _, ev := range tf.TraceEvents {
+		if ev.Ph == "X" {
+			complete++
+			spans[ev.Name]++
 		}
-		n++
-		if err := obs.ValidateTrace(mustGet(t, base+"/v1/jobs/"+id+"/trace")); err != nil {
-			t.Errorf("retained job %s trace invalid: %v", id, err)
-		}
 	}
-	if n < 4 {
-		t.Errorf("only %d of 5 jobs retained across recent+slowest, want >= 4", n)
+	if complete <= 2048 {
+		t.Errorf("trace holds %d complete events, want more than 2,048", complete)
+	}
+	for _, name := range []string{"run", "phase/fd", "phase/stats", "phase/hypo", "phase/tap"} {
+		if spans[name] != 1 {
+			t.Errorf("trace holds %d %q spans, want 1", spans[name], name)
+		}
 	}
 }
