@@ -190,26 +190,10 @@ func run() error {
 		}
 		return err
 	}
-	if *verbose && res.TAP.Degraded {
-		fmt.Fprintf(os.Stderr, "time budget %v expired during the exact search: degraded to %s (optimality gap ≤ %.2f%%)\n",
-			*timeBudget, res.TAP.Solver, 100*res.TAP.Gap)
-	}
-	if *verbose && res.Degraded.Any() {
-		fmt.Fprintf(os.Stderr,
-			"degraded phases %v: perms_effective=%d pairs_skipped=%d hypo_dropped=%d mem_evictions=%d (details in -report JSON)\n",
-			res.Degraded.Phases, res.Degraded.PermsEffective, res.Degraded.PairsSkipped,
-			res.Degraded.HypoDropped, res.Degraded.MemEvictions)
-	}
 	if *verbose {
-		fmt.Fprintf(os.Stderr,
-			"tested %d insights, %d significant (%d pruned as deducible); |Q|=%d; notebook=%d queries\n",
-			res.Counts.InsightsEnumerated, res.Counts.SignificantInsights,
-			res.Counts.PrunedTransitive, res.Counts.QueriesGenerated, len(res.Solution.Order))
-		fmt.Fprintf(os.Stderr, "cube cache: %d hits, %d rollups, %d misses, %d evictions\n",
-			res.Counts.CacheHits, res.Counts.CacheRollups, res.Counts.CacheMisses, res.Counts.CacheEvictions)
-		fmt.Fprintf(os.Stderr, "timings: stats=%v hypo=%v tap=%v total=%v\n",
-			res.Timings.StatTests.Round(time.Millisecond), res.Timings.HypoEval.Round(time.Millisecond),
-			res.Timings.TAP.Round(time.Millisecond), res.Timings.Total.Round(time.Millisecond))
+		// Logf prints each phase's figures as the phase ends; the run's
+		// total is the one figure it does not.
+		fmt.Fprintf(os.Stderr, "pipeline: run done in %v\n", res.Timings.Total.Round(time.Millisecond))
 	}
 
 	if *report != "" {

@@ -28,9 +28,8 @@ import (
 	"comparenb/internal/server"
 )
 
-// buildLogger maps -log-format onto the slog handler the server logs
-// job lifecycle (info) and per-request access lines (debug) through.
-// Levels below info stay off by default; "off" discards everything.
+// buildLogger maps -log-format onto the slog handler the server writes
+// its one info-level record per started job through; "off" discards it.
 func buildLogger(format string) (*slog.Logger, error) {
 	switch format {
 	case "json":

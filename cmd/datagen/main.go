@@ -17,7 +17,7 @@ import (
 func main() {
 	var (
 		which = flag.String("dataset", "tiny", "tiny | vaccine | enedis | flights")
-		rows  = flag.Int("rows", 0, "row count (0 = dataset default)")
+		rows  = flag.Int("rows", 0, "row count (0 = dataset default; vaccine takes none)")
 		seed  = flag.Int64("seed", 1, "RNG seed")
 		truth = flag.Bool("truth", false, "print the planted ground truth to stderr")
 	)
@@ -31,6 +31,10 @@ func main() {
 	case "tiny":
 		ds, err = datagen.Tiny(*seed, *rows)
 	case "vaccine":
+		if *rows != 0 {
+			err = fmt.Errorf("-rows does not apply to vaccine, which always has Table 2's 5,045 rows")
+			break
+		}
 		ds, err = datagen.VaccineLike(*seed)
 	case "enedis":
 		ds, err = datagen.ENEDISLike(*seed, *rows)

@@ -456,7 +456,7 @@ func (c *client) e2eCount() (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	// Global line only: the per-tenant instances carry a tenant label.
+	// The count line carries no label; only the bucket lines carry le.
 	const prefix = "comparenb_server_job_e2e_seconds_count "
 	for _, line := range strings.Split(string(data), "\n") {
 		if rest, ok := strings.CutPrefix(line, prefix); ok {

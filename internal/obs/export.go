@@ -99,9 +99,8 @@ func (r *Registry) WriteMetrics(w io.Writer) error {
 			fmt.Fprintf(&buf, "# TYPE %sobs_spans_dropped_total counter\n%sobs_spans_dropped_total %d\n",
 				metricPrefix, metricPrefix, r.Dropped())
 		}
-		typed := make(map[string]bool)
 		for _, name := range timings {
-			writeHistogram(&buf, name, r.Timing(name), typed)
+			writeHistogram(&buf, name, r.Timing(name))
 		}
 	}
 	_, err := w.Write(buf.Bytes())
@@ -113,41 +112,13 @@ func formatSeconds(ns int64) string {
 	return strconv.FormatFloat(float64(ns)/1e9, 'g', -1, 64)
 }
 
-// splitTimingName splits a registry timing key into its metric base name
-// and an optional inline label set: `server_job_e2e{tenant="t0"}` →
-// ("server_job_e2e", `tenant="t0"`). Keys without braces have no labels.
-func splitTimingName(name string) (base, labels string) {
-	i := strings.IndexByte(name, '{')
-	if i < 0 || !strings.HasSuffix(name, "}") {
-		return name, ""
-	}
-	return name[:i], name[i+1 : len(name)-1]
-}
-
 // writeHistogram emits one timing as a Prometheus histogram family.
 // Bucket lines are cumulative and sparse — only buckets that received at
 // least one observation get a line, plus the mandatory +Inf bound — so a
-// 64-bucket histogram costs output proportional to its occupancy. The
-// `# TYPE` header is emitted once per family via typed: labeled
-// instances of one base (per-tenant timings) share a single header even
-// though the registry keys sort them apart.
-func writeHistogram(buf *bytes.Buffer, name string, t *Timing, typed map[string]bool) {
-	base, labels := splitTimingName(name)
-	full := metricPrefix + base + "_seconds"
-	if !typed[full] {
-		typed[full] = true
-		fmt.Fprintf(buf, "# TYPE %s histogram\n", full)
-	}
-	leLabel := func(le string) string {
-		if labels == "" {
-			return `{le="` + le + `"}`
-		}
-		return "{" + labels + `,le="` + le + `"}`
-	}
-	plain := ""
-	if labels != "" {
-		plain = "{" + labels + "}"
-	}
+// 64-bucket histogram costs output proportional to its occupancy.
+func writeHistogram(buf *bytes.Buffer, name string, t *Timing) {
+	full := metricPrefix + name + "_seconds"
+	fmt.Fprintf(buf, "# TYPE %s histogram\n", full)
 	counts := t.Buckets()
 	cum := int64(0)
 	for i := 0; i < TimingBuckets-1; i++ {
@@ -155,11 +126,11 @@ func writeHistogram(buf *bytes.Buffer, name string, t *Timing, typed map[string]
 			continue
 		}
 		cum += counts[i]
-		fmt.Fprintf(buf, "%s_bucket%s %d\n", full, leLabel(formatSeconds(int64(BucketBound(i)))), cum)
+		fmt.Fprintf(buf, "%s_bucket{le=\"%s\"} %d\n", full, formatSeconds(int64(BucketBound(i))), cum)
 	}
-	fmt.Fprintf(buf, "%s_bucket%s %d\n", full, leLabel("+Inf"), t.Count())
-	fmt.Fprintf(buf, "%s_sum%s %s\n", full, plain, strconv.FormatFloat(t.Sum().Seconds(), 'g', -1, 64))
-	fmt.Fprintf(buf, "%s_count%s %d\n", full, plain, t.Count())
+	fmt.Fprintf(buf, "%s_bucket{le=\"+Inf\"} %d\n", full, t.Count())
+	fmt.Fprintf(buf, "%s_sum %s\n", full, strconv.FormatFloat(t.Sum().Seconds(), 'g', -1, 64))
+	fmt.Fprintf(buf, "%s_count %d\n", full, t.Count())
 }
 
 // WriteSummary writes the human-readable per-phase digest that

@@ -114,6 +114,14 @@ func TestWriteMetricsRoundTrip(t *testing.T) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
+	if n := strings.Count(s, "# TYPE comparenb_phase_stats_seconds histogram"); n != 1 {
+		t.Errorf("TYPE header emitted %d times, want once per histogram", n)
+	}
+	// Sparse: one observation gives exactly two bucket lines (its own and
+	// +Inf), not 64.
+	if n := strings.Count(s, "comparenb_phase_stats_seconds_bucket{"); n != 2 {
+		t.Errorf("phase_stats bucket lines = %d, want 2 (sparse + Inf)", n)
+	}
 	if strings.Contains(s, "# interrupted") {
 		t.Error("uninterrupted run carries the interrupted marker")
 	}
@@ -211,42 +219,5 @@ func TestRegistryTraceID(t *testing.T) {
 	nilReg.SetTraceID("x")
 	if nilReg.TraceID() != "" {
 		t.Error("nil registry TraceID != empty")
-	}
-}
-
-// TestWriteMetricsLabeledTiming: a timing registered with an inline
-// label set exports with the labels merged before le, one TYPE header
-// per family, and sparse bucket lines.
-func TestWriteMetricsLabeledTiming(t *testing.T) {
-	r := New()
-	r.Timing(`server_job_e2e{tenant="a"}`).Observe(3_000_000)
-	r.Timing(`server_job_e2e{tenant="b"}`).Observe(5_000_000)
-	r.Timing("server_job_e2e").Observe(1_000_000)
-	var buf bytes.Buffer
-	if err := r.WriteMetrics(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateMetrics(buf.Bytes()); err != nil {
-		t.Fatalf("labeled metrics do not validate: %v", err)
-	}
-	s := buf.String()
-	for _, want := range []string{
-		`comparenb_server_job_e2e_seconds_bucket{tenant="a",le=`,
-		`comparenb_server_job_e2e_seconds_bucket{tenant="b",le="+Inf"} 1`,
-		`comparenb_server_job_e2e_seconds_sum{tenant="a"} `,
-		`comparenb_server_job_e2e_seconds_count{tenant="b"} 1`,
-		`comparenb_server_job_e2e_seconds_bucket{le="+Inf"} 1`,
-	} {
-		if !strings.Contains(s, want) {
-			t.Errorf("labeled metrics missing %q", want)
-		}
-	}
-	if n := strings.Count(s, "# TYPE comparenb_server_job_e2e_seconds histogram"); n != 1 {
-		t.Errorf("TYPE header emitted %d times, want once per family", n)
-	}
-	// Sparse: one observation → exactly two bucket lines (its own + Inf)
-	// per instance, not 64.
-	if n := strings.Count(s, `comparenb_server_job_e2e_seconds_bucket{tenant="a",`); n != 2 {
-		t.Errorf("tenant=a bucket lines = %d, want 2 (sparse + Inf)", n)
 	}
 }

@@ -271,14 +271,17 @@ func TestTrackCap(t *testing.T) {
 }
 
 // TestPhaseOneMeasurement: End returns exactly the duration it records in
-// the histogram, with tracing off or on, and the span lands in the trace
-// only when tracing is on. A context without a registry still times the
+// the histogram, with tracing off or on. With tracing on, the recorded
+// span and the span observer's callback carry that same duration; with it
+// off, no span is recorded. A context without a registry still times the
 // phase.
 func TestPhaseOneMeasurement(t *testing.T) {
 	for _, tracing := range []bool{false, true} {
 		reg := New()
+		var observed time.Duration
 		if tracing {
 			reg.EnableTracing(0)
+			reg.ObserveSpans(func(_ string, _, dur time.Duration) { observed = dur })
 		}
 		ctx := NewContext(context.Background(), reg)
 		d := StartPhase(ctx, "phase/x", "phase_x").End()
@@ -286,8 +289,13 @@ func TestPhaseOneMeasurement(t *testing.T) {
 			t.Errorf("tracing=%v: histogram holds %d observations summing to %v, End returned %v",
 				tracing, tm.Count(), tm.Sum(), d)
 		}
-		if got := reg.SpanCount(); (got == 1) != tracing {
-			t.Errorf("tracing=%v: %d spans recorded", tracing, got)
+		spans, _ := reg.spanRecords()
+		if (len(spans) == 1) != tracing {
+			t.Fatalf("tracing=%v: %d spans recorded", tracing, len(spans))
+		}
+		if tracing && (spans[0].name != "phase/x" || spans[0].dur != d || observed != d) {
+			t.Errorf("span %q lasted %v and its observer saw %v; End returned %v",
+				spans[0].name, spans[0].dur, observed, d)
 		}
 	}
 	if d := StartPhase(context.Background(), "phase/x", "phase_x").End(); d < 0 {

@@ -29,24 +29,24 @@ type Span struct {
 // the span is counted as dropped instead. A registered span observer (see
 // Registry.ObserveSpans) is notified after the record lands.
 func (s Span) End() {
-	if s.reg == nil {
-		return
+	if s.reg != nil {
+		s.endAt(time.Since(s.reg.start))
 	}
-	ring := s.reg.spans.Load()
-	if ring == nil {
-		return
-	}
-	end := time.Since(s.reg.start)
-	ring.add(spanRecord{name: s.name, track: s.track, start: s.start, dur: end - s.start})
+}
+
+// endAt records s as closed at offset end from its registry's start, then
+// notifies the span observer. s.reg is non-nil: only a traced registry
+// hands out spans with one.
+func (s Span) endAt(end time.Duration) {
+	s.reg.spans.Load().add(spanRecord{name: s.name, track: s.track, start: s.start, dur: end - s.start})
 	if fn := s.reg.spanObs.Load(); fn != nil {
 		(*fn)(s.name, s.start, end-s.start)
 	}
 }
 
-// Phase is a span that is timed whether or not tracing is on. The clock
-// starts just before the span opens and stops just after it closes, so
-// the trace, the named timing histogram and the duration End returns are
-// one measurement.
+// Phase is a span that is timed whether or not tracing is on. One clock
+// reading opens it and one closes it, so the span, the named timing
+// histogram and the duration End returns are one measurement.
 type Phase struct {
 	span  Span
 	reg   *Registry
@@ -58,15 +58,23 @@ type Phase struct {
 // clock; End records the duration in the timing histogram named hist of
 // ctx's registry (nowhere when ctx carries none).
 func StartPhase(ctx context.Context, span, hist string) Phase {
-	start := time.Now()
-	return Phase{span: StartSpan(ctx, span), reg: FromContext(ctx), hist: hist, start: start}
+	p := Phase{span: StartSpan(ctx, span), reg: FromContext(ctx), hist: hist, start: time.Now()}
+	if p.span.reg != nil {
+		// The span opens at the phase clock's reading, not its own.
+		p.span.start = p.start.Sub(p.span.reg.start)
+	}
+	return p
 }
 
-// End closes the span, records the phase's duration and returns it. Call
-// it exactly once.
+// End closes the span, records the phase's duration and returns it, all
+// from one clock reading: what recording the span costs, its observer
+// included, falls outside the phase. Call it exactly once.
 func (p Phase) End() time.Duration {
-	p.span.End()
-	d := time.Since(p.start)
+	now := time.Now()
+	if p.span.reg != nil {
+		p.span.endAt(now.Sub(p.span.reg.start))
+	}
+	d := now.Sub(p.start)
 	p.reg.Timing(p.hist).Observe(d)
 	return d
 }

@@ -61,3 +61,79 @@ func TestRegistryWriteTraceBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestRegistryWriteMetricsBytes pins the registry's metrics exposition:
+// counters, gauges, two timings (one with repeated and sub-millisecond
+// observations), span counters and a trace id; then an interrupted
+// untraced registry and a nil one.
+func TestRegistryWriteMetricsBytes(t *testing.T) {
+	traced := New()
+	traced.EnableTracing(16)
+	traced.SetTraceID("4bf92f3577b34da6a3ce929d0e0e4736")
+	traced.spans.Load().add(spanRecord{name: "run", dur: time.Millisecond})
+	traced.spans.Load().add(spanRecord{name: "phase/fd", dur: 250 * time.Microsecond})
+	traced.Counter("stats_perms_evaluated").Add(1200)
+	traced.Counter("engine_cache_hits").Add(3)
+	traced.Gauge("stats_perms_effective_min").Set(40)
+	traced.Gauge("server_jobs_queued").Set(0)
+	traced.Timing("phase_stats").Observe(3 * time.Millisecond)
+	traced.Timing("phase_stats").Observe(3 * time.Millisecond)
+	traced.Timing("phase_stats").Observe(250*time.Microsecond + 7)
+	traced.Timing("server_job_e2e").Observe(1500 * time.Millisecond)
+
+	interrupted := New()
+	interrupted.Counter("x").Inc()
+	interrupted.MarkInterrupted()
+
+	cases := []struct {
+		name string
+		reg  *Registry
+		want string
+	}{
+		{"traced", traced,
+			"# comparenb metrics exposition\n" +
+				"# trace_id 4bf92f3577b34da6a3ce929d0e0e4736\n" +
+				"# --- deterministic counters and gauges ---\n" +
+				"# TYPE comparenb_engine_cache_hits_total counter\n" +
+				"comparenb_engine_cache_hits_total 3\n" +
+				"# TYPE comparenb_stats_perms_evaluated_total counter\n" +
+				"comparenb_stats_perms_evaluated_total 1200\n" +
+				"# TYPE comparenb_server_jobs_queued gauge\n" +
+				"comparenb_server_jobs_queued 0\n" +
+				"# TYPE comparenb_stats_perms_effective_min gauge\n" +
+				"comparenb_stats_perms_effective_min 40\n" +
+				"# --- non-deterministic timings (wall clock; varies run to run) ---\n" +
+				"# TYPE comparenb_obs_spans_total counter\n" +
+				"comparenb_obs_spans_total 2\n" +
+				"# TYPE comparenb_obs_spans_dropped_total counter\n" +
+				"comparenb_obs_spans_dropped_total 0\n" +
+				"# TYPE comparenb_phase_stats_seconds histogram\n" +
+				`comparenb_phase_stats_seconds_bucket{le="0.000262144"} 1` + "\n" +
+				`comparenb_phase_stats_seconds_bucket{le="0.004194304"} 3` + "\n" +
+				`comparenb_phase_stats_seconds_bucket{le="+Inf"} 3` + "\n" +
+				"comparenb_phase_stats_seconds_sum 0.006250007\n" +
+				"comparenb_phase_stats_seconds_count 3\n" +
+				"# TYPE comparenb_server_job_e2e_seconds histogram\n" +
+				`comparenb_server_job_e2e_seconds_bucket{le="2.147483648"} 1` + "\n" +
+				`comparenb_server_job_e2e_seconds_bucket{le="+Inf"} 1` + "\n" +
+				"comparenb_server_job_e2e_seconds_sum 1.5\n" +
+				"comparenb_server_job_e2e_seconds_count 1\n"},
+		{"interrupted", interrupted,
+			"# comparenb metrics exposition\n" +
+				"# interrupted\n" +
+				"# --- deterministic counters and gauges ---\n" +
+				"# TYPE comparenb_x_total counter\n" +
+				"comparenb_x_total 1\n" +
+				"# --- non-deterministic timings (wall clock; varies run to run) ---\n"},
+		{"nil", nil, "# comparenb metrics exposition\n"},
+	}
+	for _, tc := range cases {
+		var buf bytes.Buffer
+		if err := tc.reg.WriteMetrics(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := buf.String(); got != tc.want {
+			t.Errorf("%s registry metrics:\ngot  %q\nwant %q", tc.name, got, tc.want)
+		}
+	}
+}

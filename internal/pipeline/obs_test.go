@@ -3,7 +3,9 @@ package pipeline
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -146,9 +148,10 @@ func TestObsTraceCoversPipeline(t *testing.T) {
 	}
 }
 
-// TestObsPhaseTimingsMatchHistograms: each phase is measured once, at the
-// boundaries of its phase/* span, so one run's phase histograms and
-// run_total hold exactly the durations its Timings report.
+// TestObsPhaseTimingsMatchHistograms: each phase is measured once, by one
+// clock reading at each boundary of its phase/* span, so one run's phase
+// spans, phase histograms and run_total hold exactly the durations its
+// Timings report.
 func TestObsPhaseTimingsMatchHistograms(t *testing.T) {
 	ds, err := datagen.Tiny(7, 900)
 	if err != nil {
@@ -156,24 +159,45 @@ func TestObsPhaseTimingsMatchHistograms(t *testing.T) {
 	}
 	cfg := obsTestConfig()
 	reg := obs.New()
+	reg.EnableTracing(0)
 	cfg.Obs = reg
 	res, err := Generate(ds.Rel, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var trace bytes.Buffer
+	if err := reg.WriteTrace(&trace); err != nil {
+		t.Fatal(err)
+	}
+	var tf struct {
+		TraceEvents []struct {
+			Name string  `json:"name"`
+			Dur  float64 `json:"dur"` // µs, to the nanosecond
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(trace.Bytes(), &tf); err != nil {
+		t.Fatal(err)
+	}
+	spans := map[string][]time.Duration{}
+	for _, ev := range tf.TraceEvents {
+		spans[ev.Name] = append(spans[ev.Name], time.Duration(math.Round(ev.Dur*1e3)))
+	}
 	for _, tc := range []struct {
-		hist string
-		want time.Duration
+		hist, span string
+		want       time.Duration
 	}{
-		{"phase_fd", res.Timings.FD},
-		{"phase_stats", res.Timings.StatTests},
-		{"phase_hypo", res.Timings.HypoEval},
-		{"phase_tap", res.Timings.TAP},
-		{"run_total", res.Timings.Total},
+		{"phase_fd", "phase/fd", res.Timings.FD},
+		{"phase_stats", "phase/stats", res.Timings.StatTests},
+		{"phase_hypo", "phase/hypo", res.Timings.HypoEval},
+		{"phase_tap", "phase/tap", res.Timings.TAP},
+		{"run_total", "", res.Timings.Total},
 	} {
 		tm := reg.Timing(tc.hist)
 		if tm.Count() != 1 || tm.Sum() != tc.want {
 			t.Errorf("%s: %d observations summing to %v; Timings say %v", tc.hist, tm.Count(), tm.Sum(), tc.want)
+		}
+		if got := spans[tc.span]; tc.span != "" && (len(got) != 1 || got[0] != tc.want) {
+			t.Errorf("%s spans last %v; Timings say %v", tc.span, got, tc.want)
 		}
 	}
 }

@@ -50,7 +50,8 @@ func terminalState(st string) bool {
 // one-shot reference runs.
 type jobRequest struct {
 	Relation string `json:"relation"`
-	// Tenant labels the job's per-tenant metrics; empty means "default".
+	// Tenant names the job's client in its status, its journaled admit
+	// record and its job log line; empty means "default".
 	Tenant string `json:"tenant,omitempty"`
 
 	Queries           int      `json:"queries,omitempty"`
@@ -395,7 +396,6 @@ func (s *Server) settle(j *job, from, state string, end jobEnd) bool {
 	}
 
 	s.mu.Lock()
-	tn := s.tenantLocked(j.tenant)
 	sess := s.sessions[j.relation]
 	s.mu.Unlock()
 	if rel != nil && (sess == nil || sess.rel != rel) {
@@ -408,7 +408,6 @@ func (s *Server) settle(j *job, from, state string, end jobEnd) bool {
 			s.cRecoveredDone.Inc()
 		}
 	case state == stateDone:
-		tn.jobs.Inc()
 		s.cDone.Inc()
 	case state == stateCancelled:
 		s.cCancelled.Inc()
@@ -459,11 +458,7 @@ func (j *job) finish(state string, end jobEnd) {
 func (s *Server) runJob(jobsCtx context.Context, j *job) {
 	defer s.release()
 	queueWait := time.Since(j.created)
-	s.mu.Lock()
-	tn := s.tenantLocked(j.tenant)
-	s.mu.Unlock()
 	s.tQueueWait.Observe(queueWait)
-	tn.tQueue.Observe(queueWait)
 
 	jctx, cancel := context.WithCancel(jobsCtx)
 	defer cancel()
@@ -489,7 +484,7 @@ func (s *Server) runJob(jobsCtx context.Context, j *job) {
 		}
 	})
 	var wall time.Duration
-	defer func() { s.finishJob(j, reg, tn, queueWait, wall) }()
+	defer func() { s.finishJob(j, reg, queueWait, wall) }()
 
 	cfg := j.cfg
 	cfg.Cache = s.cache
@@ -502,7 +497,6 @@ func (s *Server) runJob(jobsCtx context.Context, j *job) {
 	res, err := pipeline.GenerateContext(jctx, rel, cfg)
 	wall = time.Since(begin)
 	s.tWall.Observe(wall)
-	tn.tWall.Observe(wall)
 	if err != nil {
 		reg.MarkInterrupted()
 	}
@@ -576,14 +570,13 @@ func (s *Server) commit(j *job, res *pipeline.Result, reg *obs.Registry, wall ti
 // scrape counts match completed-job totals), the server-lifetime span
 // counters, and one info-level structured log record keyed by the job's
 // trace id.
-func (s *Server) finishJob(j *job, reg *obs.Registry, tn *tenantState, queueWait, wall time.Duration) {
+func (s *Server) finishJob(j *job, reg *obs.Registry, queueWait, wall time.Duration) {
 	j.mu.Lock()
 	state, attempt := j.state, j.attempt
 	j.mu.Unlock()
 	e2e := time.Since(j.created)
 	if state == stateDone {
 		s.tE2E.Observe(e2e)
-		tn.tE2E.Observe(e2e)
 	}
 	s.cSpans.Add(int64(reg.SpanCount()))
 	s.cSpansDropped.Add(reg.Dropped())
@@ -644,10 +637,8 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(s.queue) >= s.opts.QueueDepth {
-		tenantShed := s.tenantLocked(tenant).shed
 		s.mu.Unlock()
 		s.cAdmitShed.Inc()
-		tenantShed.Inc()
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusTooManyRequests, admitResponse{
 			Admit: governor.Shed.String(),
@@ -862,9 +853,6 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	notify, unsub := j.subscribe()
 	defer unsub()
-	s.mu.Lock()
-	tn := s.tenantLocked(j.tenant)
-	s.mu.Unlock()
 	streamBegin := time.Now()
 	firstFlushed := false
 	ctx := r.Context()
@@ -887,9 +875,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		if !firstFlushed && idx > 0 {
 			// SSE first-event latency: subscribe → first delivered batch.
 			firstFlushed = true
-			d := time.Since(streamBegin)
-			s.tSSEFirst.Observe(d)
-			tn.tSSE.Observe(d)
+			s.tSSEFirst.Observe(time.Since(streamBegin))
 		}
 		if terminal {
 			if more, _, _ := j.eventsSince(idx); len(more) == 0 {

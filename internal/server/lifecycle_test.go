@@ -1,9 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -312,67 +313,73 @@ func TestDispatchFollowsAdmissionOrder(t *testing.T) {
 	submit("a", "full") // one worker free again, queue empty
 }
 
-// TestTenantSeriesBounded floods admission with requests that are all
-// shed, each naming a new tenant. The per-tenant series stop growing at
-// maxTenantSeries labels; later tenants share the overflow series, and a
-// job of such a tenant still runs and keeps its own name.
-func TestTenantSeriesBounded(t *testing.T) {
-	csv := writeTinyCSV(t, 3, 50)
-	s, err := New(Options{MaxConcurrent: 1, QueueDepth: 1, StateDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.recoverDurable(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = s.journal.Close() }()
-	if err := s.LoadRelationFile("tiny", csv); err != nil {
-		t.Fatal(err)
-	}
-	first := submitDirect(t, s, jobRequest{Relation: "tiny", Queries: 3, Perms: 40, Seed: 1})
+// TestJobLogAndGlobalSeries runs jobs under two tenants on a durable
+// daemon whose logger keeps every level. Each started job leaves one job
+// record, and the requests around the jobs leave none; /metrics carries
+// no per-tenant series, and its global series count every job. A job's
+// status and its journaled admission keep its tenant's name.
+func TestJobLogAndGlobalSeries(t *testing.T) {
+	var logBuf bytes.Buffer
+	logger := slog.New(slog.NewJSONHandler(&logBuf, &slog.HandlerOptions{Level: slog.LevelDebug}))
+	stateDir := t.TempDir()
+	_, base, shutdown := startDurableServer(t, stateDir, Options{MaxConcurrent: 1, Logger: logger})
+	waitReady(t, base)
+	loadRelation(t, base, "tiny", writeTinyCSV(t, 3, 50))
 
-	const flood = 200
-	for i := 0; i < flood; i++ {
-		body := fmt.Sprintf(`{"relation":"tiny","queries":3,"perms":40,"tenant":"t%03d"}`, i)
-		if rec := serve(s, http.MethodPost, "/v1/notebooks", body); rec.Code != http.StatusTooManyRequests {
-			t.Fatalf("request %d with the queue full: status %d, want 429", i, rec.Code)
+	tenants := map[string]string{} // job id → tenant
+	for i, tenant := range []string{"acme", "globex", "acme", "globex"} {
+		id := submitJob(t, base, jobRequest{Relation: "tiny", Tenant: tenant, Queries: 3, Perms: 40, Seed: int64(i)})
+		tenants[id] = tenant
+	}
+	traces := map[string]string{} // job id → trace id
+	for id, tenant := range tenants {
+		v := waitJob(t, base, id)
+		if v.State != stateDone || v.Tenant != tenant {
+			t.Errorf("job %s: state %s tenant %q, want done under %q", id, v.State, v.Tenant, tenant)
+		}
+		traces[id] = v.TraceID
+		mustGet(t, base+"/v1/jobs/"+id+"/events")
+	}
+	metrics := string(mustGet(t, base+"/metrics"))
+	for _, banned := range []string{`tenant="`, "server_tenant_"} {
+		if strings.Contains(metrics, banned) {
+			t.Errorf("/metrics carries %q", banned)
 		}
 	}
-	if n := len(s.tenants); n > maxTenantSeries+1 {
-		t.Errorf("%d tenant states after %d shed requests, want at most %d", n, flood, maxTenantSeries+1)
-	}
-	labels := map[string]bool{}
-	for _, line := range strings.Split(serve(s, http.MethodGet, "/metrics", "").Body.String(), "\n") {
-		if _, rest, ok := strings.Cut(line, `tenant="`); ok {
-			label, _, _ := strings.Cut(rest, `"`)
-			labels[label] = true
+	for _, want := range []string{
+		"comparenb_server_jobs_done_total 4\n",
+		"comparenb_server_job_e2e_seconds_count 4\n",
+		"comparenb_server_job_queue_wait_seconds_count 4\n",
+		"comparenb_server_job_wall_seconds_count 4\n",
+		"comparenb_server_sse_first_event_seconds_count 4\n",
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("/metrics lacks %q", strings.TrimSpace(want))
 		}
 	}
-	if len(labels) > maxTenantSeries+1 {
-		t.Errorf("/metrics carries %d tenant labels, want at most %d", len(labels), maxTenantSeries+1)
-	}
-	if got, want := s.reg.Counter("server_tenant_"+overflowTenant+"_shed").Value(), int64(flood-maxTenantSeries); got != want {
-		t.Errorf("overflow shed counter = %d, want %d", got, want)
-	}
+	shutdown()
 
-	// Free the queue, then run a job of one more new tenant to the end.
-	if got := s.dequeue(); got != first {
-		t.Fatalf("dequeue returned %v, want %s", got, first.id)
+	logged := map[string]int{}
+	for _, line := range strings.Split(strings.TrimSpace(logBuf.String()), "\n") {
+		var rec struct {
+			Msg     string  `json:"msg"`
+			JobID   string  `json:"job_id"`
+			Tenant  string  `json:"tenant"`
+			State   string  `json:"state"`
+			TraceID string  `json:"trace_id"`
+			Attempt float64 `json:"attempt"`
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil || rec.Msg != "job" {
+			t.Errorf("log record other than a job record: %s", line)
+			continue
+		}
+		logged[rec.JobID]++
+		if rec.Tenant != tenants[rec.JobID] || rec.State != stateDone || rec.TraceID != traces[rec.JobID] || rec.Attempt != 1 {
+			t.Errorf("job record %s, want tenant %q, state done, trace_id %s, attempt 1",
+				line, tenants[rec.JobID], traces[rec.JobID])
+		}
 	}
-	s.release()
-	late := submitDirect(t, s, jobRequest{Relation: "tiny", Tenant: "late-tenant", Queries: 3, Perms: 40, Seed: 2})
-	if got := s.dequeue(); got != late {
-		t.Fatalf("dequeue returned %v, want %s", got, late.id)
-	}
-	s.runJob(context.Background(), late)
-	if v := s.statusView(late); v.State != stateDone || v.Tenant != "late-tenant" {
-		t.Errorf("late job: state %s tenant %q, want done under its own name", v.State, v.Tenant)
-	}
-	metrics := serve(s, http.MethodGet, "/metrics", "").Body.String()
-	if want := `comparenb_server_job_e2e_seconds_count{tenant="` + overflowTenant + `"} 1`; !strings.Contains(metrics, want) {
-		t.Errorf("/metrics lacks %q", want)
-	}
-	journalPath, err := durable.StateDirLayout(s.opts.StateDir)
+	journalPath, err := durable.StateDirLayout(stateDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,9 +387,18 @@ func TestTenantSeriesBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	admitted := map[string]string{}
 	for _, rec := range recs {
-		if rec.ID == late.id && rec.Type == durable.RecJobAdmit && rec.Tenant != "late-tenant" {
-			t.Errorf("journaled admission of %s names tenant %q", late.id, rec.Tenant)
+		if rec.Type == durable.RecJobAdmit {
+			admitted[rec.ID] = rec.Tenant
+		}
+	}
+	for id, tenant := range tenants {
+		if logged[id] != 1 {
+			t.Errorf("job %s has %d job records, want 1", id, logged[id])
+		}
+		if admitted[id] != tenant {
+			t.Errorf("journaled admission of %s names tenant %q, want %q", id, admitted[id], tenant)
 		}
 	}
 }

@@ -27,7 +27,6 @@ import (
 	"net/http"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -75,8 +74,8 @@ type Options struct {
 	// job; later attempts double it, with deterministic per-job jitter
 	// (default 250ms). Only meaningful with StateDir.
 	RetryBase time.Duration
-	// Logger receives structured access and job-lifecycle records (both
-	// keyed by trace_id). Nil discards them.
+	// Logger receives one structured record per started job, keyed by
+	// trace_id. Nil discards them.
 	Logger *slog.Logger
 }
 
@@ -106,31 +105,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// maxTenantSeries bounds the distinct tenant label values on /metrics.
-// Tenant names come from clients, so every new name would otherwise add
-// two counters and four histograms for the server's lifetime. Past the
-// bound, new tenants share the series labelled overflowTenant; their jobs
-// are admitted as usual and keep their own name everywhere else (status,
-// journal, logs).
-const maxTenantSeries = 64
-
-// overflowTenant labels the shared series of tenants past maxTenantSeries.
-const overflowTenant = "_overflow"
-
-// tenantState is one tenant label's counters and SLO histograms on the
-// server registry.
-type tenantState struct {
-	jobs *obs.Counter // jobs this tenant ran to done, monotone
-	shed *obs.Counter // 429s issued to this tenant
-
-	// Per-tenant latency histograms (labeled instances of the global
-	// families): queue wait, run wall, admit-to-done e2e, SSE first event.
-	tQueue *obs.Timing
-	tWall  *obs.Timing
-	tE2E   *obs.Timing
-	tSSE   *obs.Timing
-}
-
 // Server is the daemon: session registry, job scheduler, shared cube
 // cache and HTTP API. Create with New, serve s.Handler(), and run the
 // workers with Run.
@@ -151,8 +125,7 @@ type Server struct {
 	mu         sync.Mutex
 	sessions   map[string]*session
 	jobs       map[string]*job
-	queue      []*job                  // FIFO in admission order
-	tenants    map[string]*tenantState // by metric label, at most maxTenantSeries+1
+	queue      []*job // FIFO in admission order
 	runningN   int
 	draining   bool
 	ready      bool // false while Run replays the journal
@@ -172,7 +145,8 @@ type Server struct {
 	gRunning, gQueued, gSessions                     *obs.Gauge
 	tWall, tQueueWait, tE2E, tSSEFirst               *obs.Timing
 
-	// log receives structured access and job records keyed by trace_id.
+	// log receives one structured record per started job, keyed by
+	// trace_id.
 	log *slog.Logger
 }
 
@@ -189,7 +163,6 @@ func New(opts Options) (*Server, error) {
 		start:    time.Now(),
 		sessions: make(map[string]*session),
 		jobs:     make(map[string]*job),
-		tenants:  make(map[string]*tenantState),
 		wake:     make(chan struct{}, opts.MaxConcurrent),
 	}
 	s.cache = engine.NewCubeCache(opts.CacheBudget)
@@ -236,9 +209,8 @@ func New(opts Options) (*Server, error) {
 
 // Handler returns the daemon's HTTP API, wrapped in the tracing
 // middleware: every request resolves a W3C trace identity (accepted or
-// generated), echoes it in the response traceparent header, and logs one
-// structured access record.
-func (s *Server) Handler() http.Handler { return s.withTracing(s.mux) }
+// generated) and echoes it in the response traceparent header.
+func (s *Server) Handler() http.Handler { return withTracing(s.mux) }
 
 func (s *Server) routes() {
 	s.mux.HandleFunc("POST /v1/relations", s.handleLoadRelation)
@@ -423,29 +395,6 @@ func (s *Server) release() {
 	s.poke()
 }
 
-// tenantLocked returns the series of the tenant's metric label, creating
-// them on first sight; past maxTenantSeries labels a new tenant gets the
-// overflow series. Callers hold s.mu.
-func (s *Server) tenantLocked(name string) *tenantState {
-	m := sanitizeMetric(name)
-	if s.tenants[m] == nil && len(s.tenants) >= maxTenantSeries {
-		m = overflowTenant
-	}
-	t := s.tenants[m]
-	if t == nil {
-		t = &tenantState{
-			jobs:   s.reg.Counter("server_tenant_" + m + "_jobs"),
-			shed:   s.reg.Counter("server_tenant_" + m + "_shed"),
-			tQueue: s.reg.Timing(`server_job_queue_wait{tenant="` + m + `"}`),
-			tWall:  s.reg.Timing(`server_job_wall{tenant="` + m + `"}`),
-			tE2E:   s.reg.Timing(`server_job_e2e{tenant="` + m + `"}`),
-			tSSE:   s.reg.Timing(`server_sse_first_event{tenant="` + m + `"}`),
-		}
-		s.tenants[m] = t
-	}
-	return t
-}
-
 // poke wakes one idle worker; pokeAll wakes them all. Both are
 // non-blocking: a full wake channel means every worker is already due a
 // re-scan.
@@ -477,31 +426,10 @@ func (s *Server) queuePosition(j *job) int {
 	return slices.Index(s.queue, j) + 1
 }
 
-// sanitizeMetric maps an arbitrary tenant name onto the exposition
-// grammar ([a-z0-9_], bounded length) so per-tenant counters always pass
-// obs.ValidateMetrics.
-func sanitizeMetric(name string) string {
-	var b strings.Builder
-	for _, r := range strings.ToLower(name) {
-		switch {
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9':
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
-		}
-		if b.Len() >= 32 {
-			break
-		}
-	}
-	if b.Len() == 0 {
-		return "default"
-	}
-	return b.String()
-}
-
 // handleMetrics serves the server registry in Prometheus text format:
-// scheduler counters/gauges, per-tenant counters, queue-wait and wall
-// histograms, plus the shared cache's engine_cache_* counters.
+// scheduler counters/gauges, the queue-wait, wall, e2e and SSE
+// first-event histograms, plus the shared cache's engine_cache_*
+// counters.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	_ = s.reg.WriteMetrics(w) // client disconnect; nowhere to report

@@ -3,7 +3,7 @@ package server
 // Request tracing: every HTTP request gets a W3C trace-context identity
 // (accepted from the client's traceparent header or generated here), and
 // that identity is the correlation key across the 202 response, the job
-// journal, SSE events, structured logs, and the job's trace artifact. Trace
+// journal, SSE events, the job log line, and the job's trace artifact. Trace
 // ids never reach determinism-gated artifact bytes: the pipeline sees
 // them only through the obs registry, whose trace/metrics exports are
 // the two artifacts excluded from the byte-identity gate.
@@ -18,7 +18,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"time"
 )
@@ -110,55 +109,16 @@ func responseTraceparent(traceID string) string {
 	return "00-" + traceID + "-" + randHex(8) + "-01"
 }
 
-// statusWriter captures the response status for the access log while
-// passing Flush through, so SSE streaming works unchanged behind the
-// tracing middleware.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-	wrote  bool
-}
-
-func (sw *statusWriter) WriteHeader(code int) {
-	if !sw.wrote {
-		sw.status = code
-		sw.wrote = true
-	}
-	sw.ResponseWriter.WriteHeader(code)
-}
-
-func (sw *statusWriter) Write(p []byte) (int, error) {
-	sw.wrote = true
-	return sw.ResponseWriter.Write(p)
-}
-
-func (sw *statusWriter) Flush() {
-	if fl, ok := sw.ResponseWriter.(http.Flusher); ok {
-		fl.Flush()
-	}
-}
-
 // withTracing is the outermost handler: resolve the request's trace
-// identity, echo it in the response traceparent header, stash it in the
-// context for admission, and emit one structured access line per
-// request (level debug — job lifecycle lines are the info-level signal;
-// status polling would drown them).
-func (s *Server) withTracing(next http.Handler) http.Handler {
+// identity, echo it in the response traceparent header, and stash it in
+// the request context for admission.
+func withTracing(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		tid, ok := parseTraceparent(r.Header.Get("traceparent"))
 		if !ok {
 			tid = newTraceID()
 		}
 		w.Header().Set("traceparent", responseTraceparent(tid))
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		begin := time.Now()
-		next.ServeHTTP(sw, r.WithContext(withTraceID(r.Context(), tid)))
-		s.log.LogAttrs(r.Context(), slog.LevelDebug, "access",
-			slog.String("method", r.Method),
-			slog.String("path", r.URL.Path),
-			slog.Int("status", sw.status),
-			slog.Float64("dur_ms", float64(time.Since(begin))/float64(time.Millisecond)),
-			slog.String("trace_id", tid),
-		)
+		next.ServeHTTP(w, r.WithContext(withTraceID(r.Context(), tid)))
 	})
 }

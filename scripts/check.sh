@@ -68,6 +68,15 @@ done
 kill -TERM "$SRV_PID"
 wait "$SRV_PID"
 SRV_PID=""
+# The drained daemon's JSON log holds one job record per loadgen job,
+# each done.
+logged=$(grep -c '"msg":"job"' "$OBSDIR/daemon.log" || true)
+done_logged=$(grep -c '"msg":"job".*"state":"done"' "$OBSDIR/daemon.log" || true)
+if [ "$logged" != 2 ] || [ "$done_logged" != 2 ]; then
+    echo "server smoke: daemon log holds $logged job records ($done_logged done), want 2 done; log:" >&2
+    cat "$OBSDIR/daemon.log" >&2
+    exit 1
+fi
 
 echo "==> crash smoke (durable daemon -> kill -9 mid-run -> restart -> recovery verified)"
 wait_addr() {
