@@ -2,9 +2,11 @@ package obs
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -24,12 +26,6 @@ const metricPrefix = "comparenb_"
 // holds, so a trace flushed after an interrupted run is still complete,
 // valid JSON.
 func (r *Registry) WriteTrace(w io.Writer) error {
-	var buf bytes.Buffer
-	buf.WriteString("{\"displayTimeUnit\":\"ms\",")
-	if id := r.TraceID(); id != "" {
-		fmt.Fprintf(&buf, "\"otherData\":{\"trace_id\":%s},", quoteJSON(id))
-	}
-	buf.WriteString("\"traceEvents\":[")
 	var (
 		spans  []spanRecord
 		tracks []string
@@ -37,27 +33,56 @@ func (r *Registry) WriteTrace(w io.Writer) error {
 	if r != nil {
 		spans, tracks = r.spanRecords()
 	}
+	// About 90 bytes per event.
+	b := make([]byte, 0, 128+96*(len(tracks)+len(spans)))
+	b = append(b, `{"displayTimeUnit":"ms",`...)
+	if id := r.TraceID(); id != "" {
+		b = append(b, `"otherData":{"trace_id":`...)
+		b = append(b, quoteJSON(id)...)
+		b = append(b, "},"...)
+	}
+	b = append(b, `"traceEvents":[`...)
 	sep := ""
 	for tid, label := range tracks {
-		fmt.Fprintf(&buf, `%s{"name":"thread_name","ph":"M","pid":1,"tid":%d,"args":{"name":%s}}`, sep, tid, quoteJSON(label))
+		b = append(b, sep...)
+		b = append(b, `{"name":"thread_name","ph":"M","pid":1,"tid":`...)
+		b = strconv.AppendInt(b, int64(tid), 10)
+		b = append(b, `,"args":{"name":`...)
+		b = append(b, quoteJSON(label)...)
+		b = append(b, "}}"...)
 		sep = ","
 	}
-	sort.SliceStable(spans, func(i, j int) bool {
-		if spans[i].track != spans[j].track {
-			return spans[i].track < spans[j].track
+	slices.SortStableFunc(spans, func(x, y spanRecord) int {
+		if c := cmp.Compare(x.track, y.track); c != 0 {
+			return c
 		}
-		if spans[i].start != spans[j].start {
-			return spans[i].start < spans[j].start
+		if c := cmp.Compare(x.start, y.start); c != 0 {
+			return c
 		}
-		return spans[i].dur > spans[j].dur
+		return cmp.Compare(y.dur, x.dur)
 	})
+	// A job's spans carry a handful of distinct names; each is quoted once.
+	quoted := make(map[string]string)
 	for _, sp := range spans {
-		fmt.Fprintf(&buf, `%s{"name":%s,"ph":"X","pid":1,"tid":%d,"ts":%.3f,"dur":%.3f}`,
-			sep, quoteJSON(sp.name), sp.track, float64(sp.start)/1e3, float64(sp.dur)/1e3)
+		q, ok := quoted[sp.name]
+		if !ok {
+			q = quoteJSON(sp.name)
+			quoted[sp.name] = q
+		}
+		b = append(b, sep...)
+		b = append(b, `{"name":`...)
+		b = append(b, q...)
+		b = append(b, `,"ph":"X","pid":1,"tid":`...)
+		b = strconv.AppendInt(b, int64(sp.track), 10)
+		b = append(b, `,"ts":`...)
+		b = strconv.AppendFloat(b, float64(sp.start)/1e3, 'f', 3, 64)
+		b = append(b, `,"dur":`...)
+		b = strconv.AppendFloat(b, float64(sp.dur)/1e3, 'f', 3, 64)
+		b = append(b, '}')
 		sep = ","
 	}
-	buf.WriteString("]}\n")
-	_, err := w.Write(buf.Bytes())
+	b = append(b, "]}\n"...)
+	_, err := w.Write(b)
 	return err
 }
 

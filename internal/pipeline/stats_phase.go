@@ -382,8 +382,10 @@ func testPair(ctx context.Context, rel *table.Relation, part rowPartition, attr 
 			}
 			sides, streamSeed = [2]int{len(xs), len(ys)}, jobSeed(seed, m)
 		}
+		mean := [2]float64{stats.Mean(xs), stats.Mean(ys)}
+		popVar := [2]float64{stats.PopVariance(xs), stats.PopVariance(ys)}
 		for _, typ := range cfg.insightTypes() {
-			v, v2, effect, ok := orient(xs, ys, val, val2, typ)
+			v, v2, effect, ok := orient(xs, ys, mean, popVar, val, val2, typ)
 			if !ok {
 				continue
 			}
@@ -404,14 +406,16 @@ func testPair(ctx context.Context, rel *table.Relation, part rowPartition, attr 
 // orient decides the insight direction from the observed statistics:
 // (val, val') such that val's statistic is strictly greater, plus the
 // observed effect size (Cohen's d for mean/median, variance ratio for
-// variance). ok=false when the statistics tie or are undefined.
-func orient(xs, ys []float64, val, val2 int32, typ insight.Type) (int32, int32, float64, bool) {
+// variance). mean and popVar are stats.Mean and stats.PopVariance of xs
+// and ys, computed once per measure for all its types. ok=false when the
+// statistics tie or are undefined.
+func orient(xs, ys []float64, mean, popVar [2]float64, val, val2 int32, typ insight.Type) (int32, int32, float64, bool) {
 	var sx, sy float64
 	switch typ {
 	case insight.MeanGreater:
-		sx, sy = stats.Mean(xs), stats.Mean(ys)
+		sx, sy = mean[0], mean[1]
 	case insight.VarianceGreater:
-		sx, sy = stats.PopVariance(xs), stats.PopVariance(ys)
+		sx, sy = popVar[0], popVar[1]
 	case insight.MedianGreater:
 		sx, sy = stats.Median(xs), stats.Median(ys)
 	}
@@ -422,7 +426,7 @@ func orient(xs, ys []float64, val, val2 int32, typ insight.Type) (int32, int32, 
 	switch typ {
 	case insight.MeanGreater, insight.MedianGreater:
 		nx, ny := float64(len(xs)), float64(len(ys))
-		pooled := math.Sqrt((nx*stats.PopVariance(xs) + ny*stats.PopVariance(ys)) / (nx + ny))
+		pooled := math.Sqrt((nx*popVar[0] + ny*popVar[1]) / (nx + ny))
 		if pooled > 0 {
 			effect = math.Abs(sx-sy) / pooled
 		}

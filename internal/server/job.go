@@ -853,8 +853,6 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	notify, unsub := j.subscribe()
 	defer unsub()
-	streamBegin := time.Now()
-	firstFlushed := false
 	ctx := r.Context()
 	idx := 0
 	for {
@@ -872,11 +870,6 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 			idx++
 		}
 		fl.Flush()
-		if !firstFlushed && idx > 0 {
-			// SSE first-event latency: subscribe → first delivered batch.
-			firstFlushed = true
-			s.tSSEFirst.Observe(time.Since(streamBegin))
-		}
 		if terminal {
 			if more, _, _ := j.eventsSince(idx); len(more) == 0 {
 				return

@@ -351,7 +351,6 @@ func TestJobLogAndGlobalSeries(t *testing.T) {
 		"comparenb_server_job_e2e_seconds_count 4\n",
 		"comparenb_server_job_queue_wait_seconds_count 4\n",
 		"comparenb_server_job_wall_seconds_count 4\n",
-		"comparenb_server_sse_first_event_seconds_count 4\n",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics lacks %q", strings.TrimSpace(want))

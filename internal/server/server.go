@@ -143,7 +143,7 @@ type Server struct {
 	cRetries, cJournalErr, cVerifyFail               *obs.Counter
 	cSpans, cSpansDropped                            *obs.Counter
 	gRunning, gQueued, gSessions                     *obs.Gauge
-	tWall, tQueueWait, tE2E, tSSEFirst               *obs.Timing
+	tWall, tQueueWait, tE2E                          *obs.Timing
 
 	// log receives one structured record per started job, keyed by
 	// trace_id.
@@ -189,7 +189,6 @@ func New(opts Options) (*Server, error) {
 	s.tWall = s.reg.Timing("server_job_wall")
 	s.tQueueWait = s.reg.Timing("server_job_queue_wait")
 	s.tE2E = s.reg.Timing("server_job_e2e")
-	s.tSSEFirst = s.reg.Timing("server_sse_first_event")
 	s.log = opts.Logger
 
 	if opts.StateDir != "" {
@@ -427,9 +426,8 @@ func (s *Server) queuePosition(j *job) int {
 }
 
 // handleMetrics serves the server registry in Prometheus text format:
-// scheduler counters/gauges, the queue-wait, wall, e2e and SSE
-// first-event histograms, plus the shared cache's engine_cache_*
-// counters.
+// scheduler counters/gauges, the queue-wait, wall and e2e histograms,
+// plus the shared cache's engine_cache_* counters.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	_ = s.reg.WriteMetrics(w) // client disconnect; nowhere to report

@@ -35,23 +35,37 @@ func BenchmarkPermTestVariance(b *testing.B) { benchPermTest(b, 1000, 200, 1, Va
 
 func BenchmarkPermTestMedian(b *testing.B) { benchPermTest(b, 200, 100, 1, MedianDiff) }
 
-// BenchmarkPermTestsPair is one value pair of a 24-value attribute as a
-// 5,000-row relation's stats phase meets it: 208 rows a side, two
-// measures sharing one 30-permutation stream, a mean and a variance test
-// on each, one thread.
-func BenchmarkPermTestsPair(b *testing.B) {
-	const n = 208
-	var tests []PermTest
+// pairTests is one value pair of a 24-value attribute as a 5,000-row
+// relation's stats phase meets it: 208 rows a side, two measures sharing
+// one stream, a mean and a variance test on each.
+func pairTests() (n int, tests []PermTest) {
+	n = 208
 	for m := 0; m < 2; m++ {
 		pooled := benchPool(2*n, int64(5+m))
 		tests = append(tests, PermTest{Pooled: pooled, Stat: MeanDiff}, PermTest{Pooled: pooled, Stat: VarDiff})
 	}
+	return n, tests
+}
+
+// BenchmarkPermTestsPair scores pairTests over 30 permutations on one
+// thread.
+func BenchmarkPermTestsPair(b *testing.B) {
+	n, tests := pairTests()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := PermTests(context.Background(), n, n, 30, 1, 1, 0, tests); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkBlockSeed times one block's seeding: the ring of its stream's
+// first 607 outputs.
+func BenchmarkBlockSeed(b *testing.B) {
+	var ring [rngLen]uint64
+	for i := 0; i < b.N; i++ {
+		seedRing(&ring, mixSeed(1, int64(i)))
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"math/bits"
-	"math/rand"
 	"sync"
 
 	"comparenb/internal/faultinject"
@@ -272,13 +271,15 @@ func sideMoments(pooled []float64, xIdx []int32) (sx, qx float64) {
 
 // work claims blocks until none is left, every test is closed or ctx is
 // cancelled; it draws and scores each claimed block in its own scratch.
-// Each permutation makes one pass per live column and one per live
-// median test.
+// The pass that places each permutation's side X also sums the block's
+// first two live columns, whose sums stay in registers; any other live
+// column, and each live median test, makes its own pass over side X.
 func (r *permRun) work(ctx context.Context) {
 	w := r.newWorker()
 	nt := len(r.tests)
 	live := make([]bool, nt)
 	colLive := make([]bool, len(r.cols))
+	liveCols := make([]int, 0, len(r.cols))
 	sx := make([]float64, len(r.cols))
 	qx := make([]float64, len(r.cols))
 	for {
@@ -298,11 +299,29 @@ func (r *permRun) work(ctx context.Context) {
 				colLive[r.tests[t].col] = true
 			}
 		}
+		liveCols = liveCols[:0]
+		for c, on := range colLive {
+			if on {
+				liveCols = append(liveCols, c)
+			}
+		}
+		var col0, col1 []float64
+		if len(liveCols) > 0 {
+			col0 = r.cols[liveCols[0]].pooled
+		}
+		if len(liveCols) > 1 {
+			col1 = r.cols[liveCols[1]].pooled
+		}
 		w.startBlock(r.seed, b)
 		for k := b * permBlock; k < min((b+1)*permBlock, r.nperm); k++ {
-			xIdx := w.nextPerm(r.nx)
-			for c := range r.cols {
-				if colLive[c] {
+			xIdx, s0, q0, s1, q1 := w.nextPerm(r.nx, col0, col1)
+			for i, c := range liveCols {
+				switch i {
+				case 0:
+					sx[c], qx[c] = s0, q0
+				case 1:
+					sx[c], qx[c] = s1, q1
+				default:
 					sx[c], qx[c] = sideMoments(r.cols[c].pooled, xIdx)
 				}
 			}
@@ -378,12 +397,11 @@ const (
 
 // permWorker is one worker's reusable draw and scoring scratch. It draws
 // the stream of rand.New(rand.NewSource(mixSeed(seed, b))).Intn itself:
-// the stdlib source is seeded as before and yields the stream's first
-// rngLen outputs, every later output comes from the generator's own
-// recurrence, and every draw follows Int31n's rule through the run's
-// range tables, so no draw divides or calls through an interface.
+// seedRing yields the stream's first rngLen outputs, every later output
+// comes from the generator's own recurrence, and every draw follows
+// Int31n's rule through the run's range tables, so no draw divides or
+// calls through an interface.
 type permWorker struct {
-	src     rand.Source64
 	ring    [rngLen]uint64 // rngLen consecutive outputs of the stream
 	pos     int            // ring index of the next output; rngLen when spent
 	ranges  []rangeDiv
@@ -401,19 +419,10 @@ func (r *permRun) newWorker() *permWorker {
 	return w
 }
 
-// startBlock rewinds the worker to the head of block b's stream: the
-// source seeded by mixSeed(seed, b) over the identity pool. Reseeding the
-// worker's source is bit-identical to a fresh rand.NewSource(...), and
-// saves its allocation.
+// startBlock rewinds the worker to the head of block b's stream, the
+// source seeded by mixSeed(seed, b), over the identity pool.
 func (w *permWorker) startBlock(seed int64, b int) {
-	if w.src == nil {
-		w.src = rand.NewSource(mixSeed(seed, int64(b))).(rand.Source64)
-	} else {
-		w.src.Seed(mixSeed(seed, int64(b)))
-	}
-	for k := range w.ring {
-		w.ring[k] = w.src.Uint64()
-	}
+	seedRing(&w.ring, mixSeed(seed, int64(b)))
 	w.pos = 0
 	for i := range w.pool {
 		w.pool[i] = int32(i)
@@ -423,8 +432,7 @@ func (w *permWorker) startBlock(seed int64, b int) {
 // refill replaces the ring's outputs with the stream's next rngLen by the
 // recurrence, in place: the first rngTap add an old output, the rest one
 // this pass has already replaced.
-func (w *permWorker) refill() {
-	ring := &w.ring
+func refill(ring *[rngLen]uint64) {
 	for k := 0; k < rngTap; k++ {
 		ring[k] += ring[k+rngLen-rngTap]
 	}
@@ -434,18 +442,35 @@ func (w *permWorker) refill() {
 }
 
 // nextPerm draws the stream's next permutation by a partial Fisher–Yates
-// and returns its side-X indexes, valid until the next call: only the
-// first nx draws are needed to label side X uniformly. The pool keeps its
-// shuffled state between draws within a block; the draw stays uniform
-// because any starting arrangement of the pool is measure-preserving.
-func (w *permWorker) nextPerm(nx int) []int32 {
+// and returns its side-X indexes, valid until the next call, with side
+// X's Σx and Σx² over columns a and b; a nil column is not summed. Only
+// the first nx draws are needed to label side X uniformly. Slot i is
+// final once it is swapped, so the sums are taken in the same pass, in
+// side X's order and with sideMoments's expressions; they cover side X
+// whenever side Y is not empty, as it never is in PermTests. The pool
+// keeps its shuffled state between draws within a block; the draw stays
+// uniform because any starting arrangement of the pool is
+// measure-preserving.
+func (w *permWorker) nextPerm(nx int, a, b []float64) (xIdx []int32, sa, qa, sb, qb float64) {
 	pool, js := w.pool, w.js
 	w.draw(js, w.ranges)
 	for i, j := range js {
 		j := i + int(j)
-		pool[i], pool[j] = pool[j], pool[i]
+		p := pool[j]
+		pool[j] = pool[i]
+		pool[i] = p
+		if a != nil {
+			x := a[p]
+			sa += x
+			qa += x * x
+		}
+		if b != nil {
+			y := b[p]
+			sb += y
+			qb += y * y
+		}
 	}
-	return pool[:nx]
+	return pool[:nx], sa, qa, sb, qb
 }
 
 // draw sets js[i] to the stream's next Int31n(ranges[i].r), for each i
@@ -457,7 +482,7 @@ func (w *permWorker) draw(js []uint32, ranges []rangeDiv) {
 	ring, pos := &w.ring, w.pos
 	for i := 0; i < len(ranges); {
 		if pos == rngLen {
-			w.refill()
+			refill(ring)
 			pos = 0
 		}
 		for ; i < len(ranges) && pos < rngLen; pos++ {

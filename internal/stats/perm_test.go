@@ -82,6 +82,61 @@ func TestSeededPermsThreadInvariant(t *testing.T) {
 	}
 }
 
+// TestPermTestsSharedMatchesAlone: a test's exceedances depend only on
+// the shared stream and its own column, so its result is the same bits
+// whether it is scored alone (its column summed in the pass that places
+// side X) or beside three columns and a median test (the third column
+// summed in a pass of its own), also when early stopping closes tests
+// block by block and a column moves from one pass to the other.
+func TestPermTestsSharedMatchesAlone(t *testing.T) {
+	const nx, ny, nperm = 41, 67, 5*permBlock + 3
+	rng := rand.New(rand.NewSource(8))
+	var tests []PermTest
+	for m := 0; m < 3; m++ {
+		pooled := make([]float64, nx+ny)
+		for i := range pooled {
+			pooled[i] = rng.NormFloat64() * float64(1+m)
+			if i < nx {
+				pooled[i] += 0.25 * float64(m)
+			}
+		}
+		tests = append(tests, PermTest{Pooled: pooled, Stat: MeanDiff}, PermTest{Pooled: pooled, Stat: VarDiff})
+	}
+	tests = append(tests, PermTest{Pooled: tests[0].Pooled, Stat: MedianDiff})
+	for _, alpha := range []float64{0, 0.05} {
+		for _, threads := range []int{1, 3} {
+			for _, set := range [][]PermTest{tests, tests[:6], tests[:4]} {
+				shared, err := PermTests(context.Background(), nx, ny, nperm, 17, threads, alpha, set)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, pt := range set {
+					alone := permTest1(t, nx, ny, nperm, 17, threads, alpha, pt.Pooled, pt.Stat)
+					if !sameResults(shared[i:i+1], []PermResult{alone}) {
+						t.Errorf("alpha=%v threads=%d %d tests, test %d (%s): shared %+v, alone %+v",
+							alpha, threads, len(set), i, pt.Stat, shared[i], alone)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPermTestsPairAllocs pins BenchmarkPermTestsPair's allocations: a
+// call allocates its run's bookkeeping, one worker and the results, and
+// nothing per permutation.
+func TestPermTestsPairAllocs(t *testing.T) {
+	n, tests := pairTests()
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := PermTests(context.Background(), n, n, 30, 1, 1, 0, tests); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 15 {
+		t.Errorf("PermTests on a pair: %v allocations per call, want at most 15", allocs)
+	}
+}
+
 func TestSeededPermsDifferAcrossSeeds(t *testing.T) {
 	a := newPermWorker(20, 20, false)
 	b := newPermWorker(20, 20, false)
@@ -89,7 +144,8 @@ func TestSeededPermsDifferAcrossSeeds(t *testing.T) {
 	b.startBlock(2, 0)
 	same := true
 	for k := 0; k < permBlock; k++ {
-		xa, xb := a.nextPerm(20), b.nextPerm(20)
+		xa, _, _, _, _ := a.nextPerm(20, nil, nil)
+		xb, _, _, _, _ := b.nextPerm(20, nil, nil)
 		for i := range xa {
 			if xa[i] != xb[i] {
 				same = false
@@ -147,7 +203,7 @@ func TestSeededMatchesSequentialFirstBlock(t *testing.T) {
 				j := i + rng.Intn(len(pool)-i)
 				pool[i], pool[j] = pool[j], pool[i]
 			}
-			got := w.nextPerm(nx)
+			got, _, _, _, _ := w.nextPerm(nx, nil, nil)
 			for i := range got {
 				if got[i] != pool[i] {
 					t.Fatalf("block %d perm %d index %d: worker %d, replay %d", b, k, i, got[i], pool[i])

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -38,7 +39,7 @@ func checkStream(t *testing.T, seed int64, b, nx, ny, minDraws int) {
 			pool[i], pool[j] = pool[j], pool[i]
 			draws++
 		}
-		got := w.nextPerm(nx)
+		got, _, _, _, _ := w.nextPerm(nx, nil, nil)
 		if len(got) != nx {
 			t.Fatalf("seed %d block %d sides %d×%d perm %d: %d side-X indexes, want %d", seed, b, nx, ny, k, len(got), nx)
 		}
@@ -46,6 +47,38 @@ func checkStream(t *testing.T, seed int64, b, nx, ny, minDraws int) {
 			if w.pool[i] != pool[i] {
 				t.Fatalf("seed %d block %d sides %d×%d perm %d index %d: worker %d, stdlib replay %d",
 					seed, b, nx, ny, k, i, w.pool[i], pool[i])
+			}
+		}
+	}
+}
+
+// TestBlockSeedMatchesStdlib: the in-package seeding fills the ring with
+// rand.NewSource(s)'s first rngLen outputs, and one refill yields the
+// next rngLen, at the edges of Seed's reduction mod 2^31−1 (0, the value
+// it maps 0 to, multiples of the modulus, the int64 extremes) and at
+// 2,000 random seeds of both signs.
+func TestBlockSeedMatchesStdlib(t *testing.T) {
+	seeds := []int64{0, 1, -1, pmZero, pmMod - 1, pmMod, 2 * pmMod, -pmMod, math.MaxInt64, math.MinInt64}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 2000; i++ {
+		s := rng.Int63()
+		if i%2 == 1 {
+			s = -s
+		}
+		seeds = append(seeds, s)
+	}
+	var ring [rngLen]uint64
+	for _, s := range seeds {
+		src := rand.NewSource(s).(rand.Source64)
+		seedRing(&ring, s)
+		for pass := 0; pass < 2; pass++ {
+			if pass > 0 {
+				refill(&ring)
+			}
+			for k, got := range ring {
+				if want := src.Uint64(); got != want {
+					t.Fatalf("seed %d output %d: %#x, stdlib %#x", s, pass*rngLen+k, got, want)
+				}
 			}
 		}
 	}
