@@ -8,12 +8,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"strings"
 	"testing"
 
 	"comparenb/internal/datagen"
 	"comparenb/internal/table"
+	"comparenb/internal/testutil"
 )
 
 // testdata/pinned_bytes.txt holds SHA-256 digests of the ipynb, markdown
@@ -172,24 +171,9 @@ func digest(b []byte) string {
 // must never need to.
 func TestPipelineBytesMatchPinned(t *testing.T) {
 	got := pinnedBytesLines(t)
-	if os.Getenv("UPDATE_GOLDEN") != "" {
-		body := "# SHA-256 of the artifacts of bytesPins; checked by TestPipelineBytesMatchPinned.\n" +
-			strings.Join(got, "\n") + "\n"
-		if err := os.WriteFile(pinnedBytesFile, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	data, err := os.ReadFile(pinnedBytesFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []string
-	for _, line := range strings.Split(string(data), "\n") {
-		if line != "" && !strings.HasPrefix(line, "#") {
-			want = append(want, line)
-		}
-	}
+	want := testutil.ReadPinned(t, pinnedBytesFile,
+		"SHA-256 of the artifacts of bytesPins; checked by TestPipelineBytesMatchPinned.",
+		func() []string { return got })
 	if len(got) != len(want) {
 		t.Fatalf("%d digest lines, pinned %d", len(got), len(want))
 	}

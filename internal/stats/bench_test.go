@@ -60,6 +60,21 @@ func BenchmarkPermTestsPair(b *testing.B) {
 	}
 }
 
+// BenchmarkPermTestsPairSkewed is BenchmarkPermTestsPair with the pair's
+// 416 rows split 312 to 104, a frequent value against a rare one: a
+// permutation draws the 104 rows of the smaller side.
+func BenchmarkPermTestsPairSkewed(b *testing.B) {
+	n, tests := pairTests()
+	nx := 3 * n / 2
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := PermTests(context.Background(), nx, 2*n-nx, 30, 1, 1, 0, tests); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkBlockSeed times one block's seeding: the ring of its stream's
 // first 607 outputs.
 func BenchmarkBlockSeed(b *testing.B) {

@@ -67,11 +67,15 @@ func StdDev(x []float64) float64 { return math.Sqrt(Variance(x)) }
 // Median returns the median of x (the mean of the two middle values for
 // even lengths), or NaN for empty input. x is not modified.
 func Median(x []float64) float64 {
-	n := len(x)
+	return medianInPlace(append([]float64(nil), x...))
+}
+
+// medianInPlace is Median of buf, which it reorders.
+func medianInPlace(buf []float64) float64 {
+	n := len(buf)
 	if n == 0 {
 		return math.NaN()
 	}
-	buf := append([]float64(nil), x...)
 	lo := quickselect(buf, (n-1)/2)
 	if n%2 == 1 {
 		return lo
